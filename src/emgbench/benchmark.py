@@ -165,9 +165,7 @@ def run_benchmark(config: BenchmarkConfig):
     low, high, order = config.band
     filtered = [bandpass(rec, low, high, order) for rec in records]
     ws = segment_records(filtered, config.window_ms, config.overlap)
-    window_subjects = np.array(
-        [records[w.origin[0]].subject for w in ws.windows]
-    )
+    window_subjects = np.array([rec.subject for rec in records])[ws.trial]
 
     feature_cache: dict[str, FeatureMatrix] = {}
     errors: dict[tuple[str, str], str] = {}

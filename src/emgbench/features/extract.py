@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from ..preprocess import WindowSet
-from .tdd import FeatureError, TddParams, ftdd_names, ftdd_window, tsd_names, tsd_window
+from .tdd import FeatureError, TddParams, ftdd_names, ftdd_windows, tsd_names, tsd_windows
 from .wavelet import WaveletFilter, dwt, wavelet_features, wavelet_names
 
 FAMILIES = ("ftdd", "tsd", "wavelet")
@@ -79,7 +79,8 @@ def extract(
     levels: int = 5,
     entropy_guard: float = 1e-12,
 ) -> FeatureMatrix:
-    """One feature row per window for the requested descriptor family."""
+    """One feature row per window for the requested descriptor family,
+    computed one trial's [w, C, N] window view at a time."""
     if family not in FAMILIES:
         raise FeatureError(f"unknown feature family: {family!r} (expected one of {FAMILIES})")
     if len(ws) == 0:
@@ -89,23 +90,18 @@ def extract(
 
     if family == "ftdd":
         names = ftdd_names(n_ch)
-        rows = [ftdd_window(w.samples, params) for w in ws.windows]
+        rows = [ftdd_windows(v, params) for v in ws.trial_windows()]
     elif family == "tsd":
         names = tsd_names(n_ch)
-        rows = [tsd_window(w.samples, params) for w in ws.windows]
+        rows = [tsd_windows(v, params) for v in ws.trial_windows()]
     else:
         filt = WaveletFilter.sym8()
         names = wavelet_names(n_ch, levels)
         rows = [
-            np.concatenate(
-                [
-                    wavelet_features(dwt(ch, filt, levels), entropy_guard)
-                    for ch in w.samples
-                ]
-            )
-            for w in ws.windows
+            wavelet_features(dwt(v, filt, levels), entropy_guard).reshape(len(v), -1)
+            for v in ws.trial_windows()
         ]
 
     return FeatureMatrix(
-        values=np.vstack(rows), feature_names=tuple(names), labels=ws.labels
+        values=np.concatenate(rows), feature_names=tuple(names), labels=ws.labels
     )

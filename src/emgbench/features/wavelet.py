@@ -86,29 +86,31 @@ class SubbandSet:
 
 
 def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
-    """One periodized decomposition level.
+    """One periodized decomposition level over the last axis.
 
     Odd-length inputs pass their trailing sample straight into the
     approximation band, keeping the overall map orthogonal so energy is
     conserved exactly.
     """
-    tail = None
-    if x.size % 2 == 1:
-        tail = x[-1]
-        x = x[:-1]
-    n = x.size
+    n = x.shape[-1] - x.shape[-1] % 2
     taps = filt.dec_lo.size
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    seg = x[idx]
-    approx = seg @ filt.dec_lo
-    detail = seg @ filt.dec_hi
-    if tail is not None:
-        approx = np.concatenate([approx, [tail]])
-    return approx, detail
+    # Output i is the filter applied to xp[2i : 2i + taps], xp being x
+    # extended periodically. With xp split into its even and odd samples,
+    # tap k reads one contiguous slice of one of the two.
+    idx = np.arange(n + taps - 2) % n
+    phases = np.take(x, idx[0::2], axis=-1), np.take(x, idx[1::2], axis=-1)
+    approx = np.zeros((*x.shape[:-1], n // 2))
+    detail = np.zeros_like(approx)
+    product = np.empty_like(approx)
+    for k in range(taps):
+        tap = phases[k % 2][..., k // 2 : k // 2 + n // 2]
+        approx += np.multiply(tap, filt.dec_lo[k], out=product)
+        detail += np.multiply(tap, filt.dec_hi[k], out=product)
+    return np.concatenate([approx, x[..., n:]], axis=-1), detail
 
 
 def dwt(x: np.ndarray, filt: WaveletFilter | None = None, levels: int = 5) -> SubbandSet:
-    """Cascade DWT with periodized signal extension.
+    """Cascade DWT with periodized signal extension, over the last axis.
 
     Total coefficient count equals the input length and total energy is
     conserved to rounding.
@@ -117,9 +119,9 @@ def dwt(x: np.ndarray, filt: WaveletFilter | None = None, levels: int = 5) -> Su
     x = np.asarray(x, dtype=np.float64)
     if levels < 1:
         raise FeatureError(f"levels must be >= 1, got {levels}")
-    if x.size < 2**levels:
+    if x.shape[-1] < 2**levels:
         raise FeatureError(
-            f"signal too short for {levels} decomposition levels: {x.size} < {2**levels}"
+            f"signal too short for {levels} decomposition levels: {x.shape[-1]} < {2**levels}"
         )
     details = []
     approx = x
@@ -133,23 +135,22 @@ SUBBAND_FEATURES = ("energy", "variance", "std", "wl", "entropy")
 
 
 def subband_features(w: np.ndarray, entropy_guard: float = 1e-12) -> np.ndarray:
-    """Energy, variance, standard deviation, waveform length, entropy."""
+    """Energy, variance, standard deviation, waveform length and entropy of
+    each subband on the last axis, [..., n] -> [..., 5]."""
     w = np.asarray(w, dtype=np.float64)
-    if w.size == 0:
+    if w.shape[-1] == 0:
         raise FeatureError("empty subband")
-    energy = float(np.sum(w * w))
-    variance = float(np.var(w))
-    std = float(np.sqrt(variance))
-    wl = float(np.sum(np.abs(np.diff(w))))
     sq = w * w
-    entropy = float(-np.sum(sq * np.log(sq + entropy_guard)))
-    return np.array([energy, variance, std, wl, entropy])
+    variance = np.var(w, axis=-1)
+    wl = np.sum(np.abs(np.diff(w)), axis=-1)
+    entropy = -np.sum(sq * np.log(sq + entropy_guard), axis=-1)
+    return np.stack([np.sum(sq, axis=-1), variance, np.sqrt(variance), wl, entropy], axis=-1)
 
 
 def wavelet_features(subbands: SubbandSet, entropy_guard: float = 1e-12) -> np.ndarray:
-    """Thirty features per channel: five per subband over D1..DJ, AJ."""
+    """Thirty features per signal: five per subband over D1..DJ, AJ."""
     return np.concatenate(
-        [subband_features(band, entropy_guard) for band in subbands.all_bands()]
+        [subband_features(band, entropy_guard) for band in subbands.all_bands()], axis=-1
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from .signal_io import SignalRecord
@@ -14,31 +15,35 @@ class PreprocessError(ValueError):
 
 
 @dataclass(frozen=True)
-class Window:
-    """One segmented window: samples are [channels x window_len]."""
-
-    samples: np.ndarray
-    label: int
-    origin: tuple[int, int]  # (record index, start sample)
-
-
-@dataclass(frozen=True)
 class WindowSet:
-    windows: tuple[Window, ...]
-    fs: float
-    n_channels: int
+    """Overlapping windows of filtered trials, held as arrays.
 
-    def __post_init__(self):
-        lengths = {w.samples.shape for w in self.windows}
-        if len(lengths) > 1:
-            raise PreprocessError(f"windows disagree in shape: {sorted(lengths)}")
+    Window i is trials[trial[i]][:, start[i] : start[i] + length] with label
+    labels[i]; windows are ordered by trial, then by start.
+    """
+
+    trials: tuple[np.ndarray, ...]
+    trial: np.ndarray
+    start: np.ndarray
+    labels: np.ndarray
+    length: int
+    step: int
+    fs: float
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return self.trial.size
 
     @property
-    def labels(self) -> np.ndarray:
-        return np.array([w.label for w in self.windows], dtype=np.int64)
+    def n_channels(self) -> int:
+        return self.trials[0].shape[0]
+
+    def trial_windows(self) -> list[np.ndarray]:
+        """Per trial, its windows as a read-only [w, C, N] view of the
+        filtered samples (no copy)."""
+        return [
+            sliding_window_view(x, self.length, axis=1)[:, :: self.step].swapaxes(0, 1)
+            for x in self.trials
+        ]
 
 
 def design_bandpass(low: float, high: float, order: int, fs: float) -> np.ndarray:
@@ -52,18 +57,6 @@ def design_bandpass(low: float, high: float, order: int, fs: float) -> np.ndarra
     if high >= fs / 2:
         raise PreprocessError(f"high edge {high} Hz is at or above Nyquist ({fs / 2} Hz)")
     return sps.butter(order, [low, high], btype="bandpass", fs=fs, output="sos")
-
-
-def bandpass_power_response(
-    sos: np.ndarray, freq_hz: float | np.ndarray, fs: float
-) -> np.ndarray:
-    """Squared-magnitude response |H|^2 of the designed filter, which is the
-    amplitude gain of its zero-phase (forward-backward) application."""
-    z = np.exp(1j * 2 * np.pi * np.asarray(freq_hz, dtype=np.float64) / fs)
-    h = np.ones_like(z, dtype=np.complex128)
-    for b0, b1, b2, a0, a1, a2 in sos:
-        h *= (b0 + b1 / z + b2 / z**2) / (a0 + a1 / z + a2 / z**2)
-    return np.abs(h) ** 2
 
 
 def bandpass(
@@ -94,46 +87,41 @@ def window_length(fs: float, window_ms: float = 600.0) -> int:
     return int(np.floor(window_ms / 1000.0 * fs))
 
 
-def segment(
-    record: SignalRecord,
-    window_ms: float = 600.0,
-    overlap: float = 0.5,
-    record_index: int = 0,
-) -> WindowSet:
-    """Split into overlapping windows; trailing partial window discarded."""
-    if not (0 <= overlap < 1):
-        raise PreprocessError(f"overlap must be in [0, 1), got {overlap}")
-    wlen = window_length(record.fs, window_ms)
-    if record.n_samples < wlen:
-        raise PreprocessError(
-            f"record shorter than one window: {record.n_samples} < {wlen} samples"
-        )
-    step = int(np.floor(wlen * (1 - overlap)))
-    if step < 1:
-        raise PreprocessError("window step underflows to zero")
-    starts = range(0, record.n_samples - wlen + 1, step)
-    windows = tuple(
-        Window(
-            samples=record.samples[:, s : s + wlen],
-            label=record.label,
-            origin=(record_index, s),
-        )
-        for s in starts
-    )
-    return WindowSet(windows=windows, fs=record.fs, n_channels=record.n_channels)
+def segment(record: SignalRecord, window_ms: float = 600.0, overlap: float = 0.5) -> WindowSet:
+    """Windows of one record, as `segment_records` cuts them."""
+    return segment_records([record], window_ms, overlap)
 
 
 def segment_records(
     records: list[SignalRecord], window_ms: float = 600.0, overlap: float = 0.5
 ) -> WindowSet:
-    """Segment each record independently (windows never straddle trials)."""
+    """Split each record into overlapping windows; trailing partial windows
+    are discarded and windows never straddle trials."""
     if not records:
         raise PreprocessError("no records to segment")
-    fs = records[0].fs
-    n_channels = records[0].n_channels
-    windows = []
-    for i, rec in enumerate(records):
+    if not (0 <= overlap < 1):
+        raise PreprocessError(f"overlap must be in [0, 1), got {overlap}")
+    fs, n_channels = records[0].fs, records[0].n_channels
+    wlen = window_length(fs, window_ms)
+    step = int(np.floor(wlen * (1 - overlap)))
+    if step < 1:
+        raise PreprocessError("window step underflows to zero")
+    starts = []
+    for rec in records:
         if rec.fs != fs or rec.n_channels != n_channels:
             raise PreprocessError("records disagree in fs or channel count")
-        windows.extend(segment(rec, window_ms, overlap, record_index=i).windows)
-    return WindowSet(windows=tuple(windows), fs=fs, n_channels=n_channels)
+        if rec.n_samples < wlen:
+            raise PreprocessError(
+                f"record shorter than one window: {rec.n_samples} < {wlen} samples"
+            )
+        starts.append(np.arange(0, rec.n_samples - wlen + 1, step))
+    counts = [s.size for s in starts]
+    return WindowSet(
+        trials=tuple(rec.samples for rec in records),
+        trial=np.repeat(np.arange(len(records)), counts),
+        start=np.concatenate(starts),
+        labels=np.repeat(np.array([rec.label for rec in records], dtype=np.int64), counts),
+        length=wlen,
+        step=step,
+        fs=fs,
+    )

@@ -103,9 +103,26 @@ def load_manifest(manifest_path: str | Path) -> DatasetManifest:
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:
-    """Read a samples-as-rows, channels-as-columns CSV, reporting bad cells."""
+    """Read a samples-as-rows, channels-as-columns CSV, reporting bad cells.
+
+    Files that `np.loadtxt` rejects or reads as non-finite are rescanned cell
+    by cell, which names the bad cell; both parsers round correctly.
+    """
     if not path.exists():
         raise IngestError(f"signal file not found: {path}")
+    if path.stat().st_size:  # loadtxt warns on an empty file
+        try:
+            matrix = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if matrix.size and np.all(np.isfinite(matrix)):
+                return matrix
+    return _scan_csv_matrix(path)
+
+
+def _scan_csv_matrix(path: Path) -> np.ndarray:
+    """Cell-by-cell CSV reader that names the location of the first bad cell."""
     rows = []
     with open(path) as fh:
         for i, line in enumerate(fh):

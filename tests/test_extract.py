@@ -1,0 +1,164 @@
+"""Batched feature extraction against window-by-window references.
+
+`extract` computes each family over a whole trial's [w, C, N] window view at
+once. Here it is compared with the single-window entry points and with a
+plain loop over windows and channels written from the feature definitions.
+Summation order differs between the two, so the comparison uses a
+tolerance set from float64 rounding, not equality.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from emgbench.features.extract import extract
+from emgbench.features.tdd import TddParams, ftdd_window, tsd_window
+from emgbench.features.wavelet import WaveletFilter, dwt, wavelet_features
+from emgbench.preprocess import segment_records
+from emgbench.signal_io import SignalRecord
+
+RTOL, ATOL = 1e-10, 1e-12
+
+
+def _loop_base(x, params, lam, tsd):
+    """Descriptors of one 1-D signal, one Python float at a time."""
+    n, eps, k = x.size, params.eps, params.k
+    dx = np.diff(x)
+    ddx = np.diff(dx)
+    m0, m2, m4 = (float(np.sqrt(np.sum(d * d) / n)) ** k / lam for d in (x, dx, ddx))
+    sparseness = m0 / (np.sqrt(abs(m0 - m2)) * np.sqrt(abs(m0 - m4)) + eps)
+    if params.irf_standard:
+        irf = m2 / (np.sqrt(m0 * m4) + eps)
+    else:
+        irf = np.sqrt(m2 / (m0 * m4 + eps))
+    out = [np.log(f + eps) for f in (m0, m2, m4, sparseness, irf)]
+    if tsd:
+        cov = float(np.std(x, ddof=1)) / (abs(float(np.mean(x))) + eps)
+        tkeo = sum(x[j] ** 2 - x[j - 1] * x[j + 1] for j in range(1, n - 1))
+        out += [np.log(cov + eps), np.log(abs(tkeo) + eps)]
+    else:
+        wlr = np.sum(np.abs(ddx)) / (np.sum(np.abs(dx)) + eps)
+        out.append(np.log(wlr + eps))
+    return np.array(out)
+
+
+def _loop_lambda(channels, params):
+    if params.lambda_mode == "unit":
+        return 1.0
+    m0s = [float(np.sqrt(np.sum(ch * ch) / ch.size)) for ch in channels]
+    lam = float(np.median([m**params.k for m in m0s]))
+    return lam if lam > 0 else 1.0
+
+
+def loop_ftdd(window, params):
+    transformed = np.log(window * window + params.eps)
+    lam_x, lam_z = _loop_lambda(window, params), _loop_lambda(transformed, params)
+    rows = []
+    for x, z in zip(window, transformed):
+        a = _loop_base(x, params, lam_x, tsd=False)
+        b = _loop_base(z, params, lam_z, tsd=False)
+        rows.append(a * b / (np.sqrt(a @ a) * np.sqrt(b @ b) + params.eps))
+    return np.concatenate(rows)
+
+
+def loop_tsd(window, params):
+    lam = _loop_lambda(window, params)
+    signals = list(window)
+    n_ch = len(signals)
+    signals += [window[i] - window[j] for i in range(n_ch) for j in range(i + 1, n_ch)]
+    return np.concatenate([_loop_base(x, params, lam, tsd=True) for x in signals])
+
+
+def loop_dwt_bands(x, filt, levels):
+    """Periodized cascade as an explicit per-coefficient sum."""
+    bands = []
+    for _ in range(levels):
+        tail = x[x.size - x.size % 2 :]
+        n = x.size - tail.size
+        approx = [sum(filt.dec_lo[k] * x[(2 * i + k) % n] for k in range(16)) for i in range(n // 2)]
+        detail = [sum(filt.dec_hi[k] * x[(2 * i + k) % n] for k in range(16)) for i in range(n // 2)]
+        bands.append(np.array(detail))
+        x = np.concatenate([approx, tail])
+    return [*bands, x]
+
+
+def loop_wavelet(window, levels=5, guard=1e-12):
+    out = []
+    for ch in window:
+        for w in loop_dwt_bands(ch, WaveletFilter.sym8(), levels):
+            sq = w * w
+            var = float(np.mean((w - np.mean(w)) ** 2))
+            wl = sum(abs(w[j + 1] - w[j]) for j in range(w.size - 1))
+            out += [np.sum(sq), var, np.sqrt(var), wl, -np.sum(sq * np.log(sq + guard))]
+    return np.array(out)
+
+
+def window_set(fs, lengths, n_channels=3, seed=0):
+    """Trials of different lengths (some yield a single window)."""
+    rng = np.random.default_rng(seed)
+    records = [
+        SignalRecord(
+            samples=rng.standard_normal((n_channels, n)) * rng.uniform(0.1, 3.0, (n_channels, 1))
+            + rng.uniform(-0.5, 0.5, (n_channels, 1)),
+            fs=fs,
+            label=i % 2,
+        )
+        for i, n in enumerate(lengths)
+    ]
+    return segment_records(records)
+
+
+def windows_of(ws):
+    return [ws.trials[t][:, s : s + ws.length] for t, s in zip(ws.trial, ws.start)]
+
+
+WINDOW_SETS = {
+    # 1228-sample windows; the 1300-sample trial holds exactly one window
+    "fs2048": (2048.0, [4096, 1300, 2500]),
+    # fs 985 gives 591-sample windows, so the DWT cascade has odd lengths
+    "fs985-odd": (985.0, [985, 600, 1500, 591]),
+}
+PARAMS = {
+    "default": TddParams(),
+    "unit-lambda": TddParams(lambda_mode="unit"),
+    "irf-standard": TddParams(irf_standard=True),
+}
+
+
+@pytest.fixture(scope="module", params=list(WINDOW_SETS), ids=list(WINDOW_SETS))
+def ws(request):
+    fs, lengths = WINDOW_SETS[request.param]
+    return window_set(fs, lengths)
+
+
+def test_window_sets_cover_the_cases(ws):
+    counts = np.bincount(ws.trial)
+    assert len(ws.trials) > 2 and 1 in counts and len(set(counts)) > 1
+
+
+@pytest.mark.parametrize("params", list(PARAMS.values()), ids=list(PARAMS))
+@pytest.mark.parametrize(
+    "family, single, loop",
+    [("ftdd", ftdd_window, loop_ftdd), ("tsd", tsd_window, loop_tsd)],
+    ids=["ftdd", "tsd"],
+)
+def test_time_domain_families_match_row_by_row(ws, params, family, single, loop):
+    fm = extract(ws, family, params)
+    windows = windows_of(ws)
+    np.testing.assert_array_equal(fm.labels, ws.labels)
+    rows = np.vstack([single(w, params) for w in windows])
+    np.testing.assert_allclose(fm.values, rows, rtol=RTOL, atol=ATOL)
+    reference = np.vstack([loop(w, params) for w in windows])
+    np.testing.assert_allclose(fm.values, reference, rtol=RTOL, atol=ATOL)
+
+
+def test_wavelet_matches_per_channel_dwt(ws):
+    fm = extract(ws, "wavelet")
+    filt = WaveletFilter.sym8()
+    windows = windows_of(ws)
+    rows = np.vstack(
+        [np.concatenate([wavelet_features(dwt(ch, filt, 5)) for ch in w]) for w in windows]
+    )
+    np.testing.assert_allclose(fm.values, rows, rtol=RTOL, atol=ATOL)
+    reference = np.vstack([loop_wavelet(w) for w in windows[:4]])
+    np.testing.assert_allclose(fm.values[:4], reference, rtol=RTOL, atol=ATOL)

@@ -95,16 +95,16 @@ class TestSegment:
         ws = segment(rec)
         assert window_length(2048.0) == 1228
         assert len(ws) == 5
-        assert [w.origin[1] for w in ws.windows] == [0, 614, 1228, 1842, 2456]
-        assert all(w.samples.shape == (2, 1228) for w in ws.windows)
-        assert all(w.label == 3 for w in ws.windows)
+        assert ws.start.tolist() == [0, 614, 1228, 1842, 2456]
+        assert [v.shape for v in ws.trial_windows()] == [(5, 2, 1228)]
+        assert ws.labels.tolist() == [3] * 5
 
     def test_forsemg_rate_example(self):
         rec = SignalRecord(samples=np.zeros((1, 985)), fs=985.0, label=0)
         ws = segment(rec)
         assert window_length(985.0) == 591
         assert len(ws) == 2
-        assert [w.origin[1] for w in ws.windows] == [0, 295]
+        assert ws.start.tolist() == [0, 295]
 
     def test_record_shorter_than_window(self):
         rec = SignalRecord(samples=np.zeros((1, 1000)), fs=2048.0, label=0)
@@ -115,8 +115,9 @@ class TestSegment:
         rec = SignalRecord(samples=np.arange(4096, dtype=float)[None, :], fs=2048.0, label=0)
         ws = segment(rec, overlap=0.5)
         # non-overlapping halves of consecutive windows tile a prefix exactly
-        first, second = ws.windows[0], ws.windows[1]
-        reassembled = np.concatenate([first.samples[0, :614], second.samples[0]])
+        (view,) = ws.trial_windows()
+        first, second = view[0], view[1]
+        reassembled = np.concatenate([first[0, :614], second[0]])
         np.testing.assert_array_equal(reassembled, rec.samples[0, : 614 + 1228])
 
     @given(
@@ -143,7 +144,22 @@ class TestSegment:
         ws = segment_records(recs)
         assert len(ws) == 15
         assert sorted(set(ws.labels.tolist())) == [0, 1, 2]
-        assert {w.origin[0] for w in ws.windows} == {0, 1, 2}
+        assert set(ws.trial.tolist()) == {0, 1, 2}
+
+    def test_trial_windows_are_read_only_views(self):
+        recs = [
+            SignalRecord(samples=np.arange(2 * n, dtype=float).reshape(2, n), fs=2048.0, label=i)
+            for i, n in enumerate([4096, 1300, 2500])
+        ]
+        ws = segment_records([bandpass(r) for r in recs])
+        views = ws.trial_windows()
+        assert [v.shape[0] for v in views] == np.bincount(ws.trial).tolist() == [5, 1, 3]
+        for t, (view, samples) in enumerate(zip(views, ws.trials)):
+            assert view.shape[1:] == (2, 1228)
+            assert not view.flags.writeable
+            assert np.shares_memory(view, samples)
+            for w, s in zip(view, ws.start[ws.trial == t]):
+                np.testing.assert_array_equal(w, samples[:, s : s + 1228])
 
     def test_segment_records_rejects_mixed_rates(self):
         recs = [

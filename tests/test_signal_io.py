@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
+from emgbench import signal_io
 from emgbench.signal_io import (
     IngestError,
     SignalRecord,
@@ -111,6 +113,77 @@ class TestCanonicalCsv:
         loaded = load_canonical_csv(manifest)
         assert len(loaded) == 2
         np.testing.assert_array_equal(loaded[0].samples, recs[0].samples)
+
+
+class TestCsvFastPath:
+    """`_read_csv_matrix` parses with `np.loadtxt` and falls back to the
+    cell-by-cell scanner; both must accept the same files, give the same
+    values, and report bad cells the same way."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1.5,-2\r\n3e-3,4\r\n", [[1.5, -2.0], [3e-3, 4.0]]),
+            (" 1 , 2 \n3 ,\t4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+            ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+            ("0.1,2.5e-300\n-7,8", [[0.1, 2.5e-300], [-7.0, 8.0]]),
+        ],
+        ids=["crlf", "spaces", "single-column", "single-row", "no-final-newline"],
+    )
+    def test_well_formed_files_load_as_the_scanner_reads_them(
+        self, tmp_path, monkeypatch, text, expected
+    ):
+        path = tmp_path / "a.csv"
+        path.write_bytes(text.encode())
+        scanned = signal_io._scan_csv_matrix(path)
+        np.testing.assert_array_equal(scanned, expected)
+        # Well-formed files never reach the scanner.
+        monkeypatch.setattr(signal_io, "_scan_csv_matrix", None)
+        loaded = signal_io._read_csv_matrix(path)
+        assert loaded.dtype == np.float64
+        assert loaded.shape == scanned.shape
+        assert loaded.tobytes() == scanned.tobytes()
+
+    def test_full_precision_values_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+        np.savetxt(tmp_path / "a.csv", values, fmt="%.17g", delimiter=",")
+        loaded = signal_io._read_csv_matrix(tmp_path / "a.csv")
+        assert loaded.tobytes() == signal_io._scan_csv_matrix(tmp_path / "a.csv").tobytes()
+        assert loaded.tobytes() == values.tobytes()
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("1,2\n   \n3,4\n")
+        np.testing.assert_array_equal(signal_io._read_csv_matrix(path), [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2\n3\n", "ragged rows in {path}: widths [1, 2]"),
+            ("1,2\n3,inf\n", "non-finite cell at row 1, column 1 of {path}: 'inf'"),
+            ("1,2\n1e400,4\n", "non-finite cell at row 1, column 0 of {path}: '1e400'"),
+            ("1,2,\n3,4,\n", "non-numeric cell at row 0, column 2 of {path}: ''"),
+            ("1,2\n  \n3\n", "ragged rows in {path}: widths [1, 2]"),
+        ],
+        ids=["ragged", "inf", "overflow", "trailing-comma", "ragged-after-blank-line"],
+    )
+    def test_bad_files_name_file_and_cell(self, tmp_path, text, message):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError) as excinfo:
+            signal_io._read_csv_matrix(path)
+        assert str(excinfo.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("text", ["", "  \n"], ids=["empty", "whitespace"])
+    def test_empty_file_raises_without_warning(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestError, match="empty signal file"):
+                signal_io._read_csv_matrix(path)
 
 
 def write_wfdb(tmp_path, name="rec", n_sig=2, fs=2048, n_samp=4, fmt="16", gain="100(0)/mV",
