@@ -4,7 +4,7 @@ a from-scratch classical classifier suite, and a benchmark harness."""
 __version__ = "0.1.0"
 
 from .signal_io import DatasetManifest, SignalRecord, generate_synthetic
-from .preprocess import WindowSet, bandpass, segment, segment_records
+from .preprocess import WindowSet, bandpass, segment_records
 from .features import FeatureMatrix, TddParams, extract
 from .evaluate import ConfusionMatrix, EvaluationReport, metrics, stratified_split
 
@@ -20,7 +20,6 @@ __all__ = [
     "extract",
     "generate_synthetic",
     "metrics",
-    "segment",
     "segment_records",
     "stratified_split",
 ]

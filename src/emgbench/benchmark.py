@@ -6,7 +6,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,19 +30,6 @@ MODEL_DISPLAY = {
 }
 DEEP_ROWS = ("1D Dilated CNN", "1D Dilated CNN-LSTM")  # reported as not implemented
 
-_CONFIG_KEYS = {
-    "dataset",
-    "families",
-    "models",
-    "seed",
-    "test_fraction",
-    "window_ms",
-    "overlap",
-    "band",
-    "jobs",
-    "tdd",
-    "subject_split",
-}
 _SYNTH_KEYS = {"n_classes", "n_channels", "fs", "trials_per_class", "trial_seconds"}
 
 
@@ -71,18 +58,21 @@ class BenchmarkConfig:
         for m in self.models:
             if m not in MODEL_NAMES:
                 raise ConfigError(f"unknown model: {m!r}")
-        if set(self.dataset) == {"manifest"} or set(self.dataset) == {"synthetic"}:
-            pass
-        else:
+        if set(self.dataset) not in ({"manifest"}, {"synthetic"}):
             raise ConfigError("dataset must have exactly one of 'manifest' or 'synthetic'")
         if "synthetic" in self.dataset:
             unknown = set(self.dataset["synthetic"]) - _SYNTH_KEYS
             if unknown:
                 raise ConfigError(f"unknown synthetic keys: {sorted(unknown)}")
+            missing = _SYNTH_KEYS - set(self.dataset["synthetic"])
+            if missing:
+                raise ConfigError(f"missing synthetic keys: {sorted(missing)}")
+        if not (0 < self.test_fraction < 1):
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
-        unknown = set(doc) - _CONFIG_KEYS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(doc)
@@ -221,9 +211,6 @@ def run_benchmark(config: BenchmarkConfig):
                 reports.append(run_cell(*cell))
             except Exception as exc:
                 errors[cell] = str(exc)
-    # deterministic report order regardless of execution order
-    order_key = {cell: i for i, cell in enumerate(cells)}
-    reports.sort(key=lambda r: order_key[(r.family, r.model)])
     return reports, errors
 
 

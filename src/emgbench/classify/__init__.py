@@ -1,10 +1,5 @@
-from .base import ClassifyError, Standardizer, TrainedModel, majority_vote
-from .ensembles import (
-    boost_round_weight,
-    fit_adaboost_rf,
-    fit_bagging,
-    voting_predict,
-)
+from .base import ClassifyError, Standardizer, TrainedModel, majority_vote, model_from_blob
+from .ensembles import VotingModel, boost_round_weight, fit_adaboost_rf, fit_bagging
 from .forest import fit_random_forest
 from .knn import fit_knn, knn_predict
 from .lda import fit_lda
@@ -19,6 +14,7 @@ __all__ = [
     "Pipeline",
     "Standardizer",
     "TrainedModel",
+    "VotingModel",
     "boost_round_weight",
     "fit_adaboost_rf",
     "fit_bagging",
@@ -30,5 +26,5 @@ __all__ = [
     "fit_tree",
     "knn_predict",
     "majority_vote",
-    "voting_predict",
+    "model_from_blob",
 ]

@@ -1,5 +1,6 @@
-"""Shared classifier plumbing: z-score standardizer and the fitted-model
-contract (deterministic predict, feature-count validation, JSON blobs)."""
+"""Shared classifier plumbing: z-score standardizer, the fitted-model
+contract (deterministic predict, feature-count validation, JSON blobs) and
+the kind -> class registry that rebuilds any model from its blob."""
 from __future__ import annotations
 
 import numpy as np
@@ -45,10 +46,19 @@ class Standardizer:
         return cls(mean=np.array(blob["mean"]), std=np.array(blob["std"]))
 
 
+_REGISTRY: dict[str, type["TrainedModel"]] = {}
+
+
 class TrainedModel:
-    """Base fitted classifier: subclasses implement _predict on validated input."""
+    """Base fitted classifier: subclasses implement _predict on validated input.
+
+    Each subclass is registered under its `kind`, the tag its blob carries."""
 
     kind = "base"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _REGISTRY[cls.kind] = cls
 
     def __init__(self, n_classes: int, n_features: int, seed: int = 0):
         self.n_classes = int(n_classes)
@@ -76,6 +86,14 @@ class TrainedModel:
             "n_features": self.n_features,
             "seed": self.seed,
         }
+
+
+def model_from_blob(blob: dict) -> TrainedModel:
+    """Rebuild a fitted model from its blob; the blob's `kind` picks the class."""
+    kind = blob.get("kind")
+    if kind not in _REGISTRY:
+        raise ClassifyError(f"unknown model kind in blob: {kind!r}")
+    return _REGISTRY[kind].from_blob(blob)
 
 
 def majority_vote(votes: np.ndarray, n_classes: int, weights: np.ndarray | None = None) -> np.ndarray:

@@ -5,28 +5,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, TrainedModel, majority_vote
-from .forest import RandomForestModel, fit_random_forest
-from .knn import KnnModel, fit_knn
-from .svm import LinearSvmModel, fit_linear_svm
+from .base import ClassifyError, Standardizer, TrainedModel, majority_vote, model_from_blob
+from .forest import fit_random_forest
+from .knn import fit_knn
+from .svm import fit_linear_svm
 
 _BASE_FITTERS = {
     "knn": fit_knn,
     "svm": fit_linear_svm,
-}
-_BASE_CLASSES = {
-    "knn": KnnModel,
-    "svm": LinearSvmModel,
-    "random_forest": RandomForestModel,
 }
 
 
 class BaggingModel(TrainedModel):
     kind = "bagging"
 
-    def __init__(self, base_kind, members, n_classes, n_features, seed=0):
+    def __init__(self, members, n_classes, n_features, seed=0):
         super().__init__(n_classes=n_classes, n_features=n_features, seed=seed)
-        self.base_kind = base_kind
         self.members = list(members)
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
@@ -34,18 +28,12 @@ class BaggingModel(TrainedModel):
         return majority_vote(votes, self.n_classes)
 
     def to_blob(self) -> dict:
-        return {
-            **self._meta(),
-            "base_kind": self.base_kind,
-            "members": [m.to_blob() for m in self.members],
-        }
+        return {**self._meta(), "members": [m.to_blob() for m in self.members]}
 
     @classmethod
     def from_blob(cls, blob: dict) -> "BaggingModel":
-        member_cls = _BASE_CLASSES[blob["base_kind"]]
         return cls(
-            base_kind=blob["base_kind"],
-            members=[member_cls.from_blob(m) for m in blob["members"]],
+            members=[model_from_blob(m) for m in blob["members"]],
             n_classes=blob["n_classes"],
             n_features=blob["n_features"],
             seed=blob["seed"],
@@ -57,12 +45,8 @@ def fit_bagging(
     train: FeatureMatrix,
     n_estimators: int = 10,
     seed: int = 0,
-    bootstrap: bool = True,
 ) -> BaggingModel:
-    """Bootstrap-resampled base learners with majority voting.
-
-    `bootstrap=False` is a test hook that fits every member on the
-    untouched training set."""
+    """Bootstrap-resampled base learners with majority voting."""
     if base not in _BASE_FITTERS:
         raise ClassifyError(f"unsupported bagging base: {base!r}")
     if n_estimators < 1:
@@ -75,10 +59,9 @@ def fit_bagging(
     seeds = np.random.SeedSequence(seed).spawn(n_estimators)
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        idx = rng.choice(n, size=n, replace=True) if bootstrap else np.arange(n)
+        idx = rng.choice(n, size=n, replace=True)
         members.append(fitter(train.select(idx), seed=int(ss.generate_state(1)[0] % 2**31)))
     return BaggingModel(
-        base_kind=members[0].kind,
         members=members,
         n_classes=int(train.labels.max()) + 1,
         n_features=train.n_features,
@@ -122,7 +105,7 @@ class AdaBoostModel(TrainedModel):
     @classmethod
     def from_blob(cls, blob: dict) -> "AdaBoostModel":
         return cls(
-            members=[RandomForestModel.from_blob(m) for m in blob["members"]],
+            members=[model_from_blob(m) for m in blob["members"]],
             alphas=np.array(blob["alphas"]),
             n_classes=blob["n_classes"],
             n_features=blob["n_features"],
@@ -174,16 +157,46 @@ def fit_adaboost_rf(
     )
 
 
-def voting_predict(models: list[TrainedModel], query: np.ndarray) -> np.ndarray:
-    """Hard majority vote across fitted members; ties to the lower class."""
-    if len(models) < 2:
-        raise ClassifyError("voting needs at least 2 models")
-    n_classes = models[0].n_classes
-    n_features = models[0].n_features
-    for m in models[1:]:
-        if m.n_classes != n_classes:
-            raise ClassifyError("voting members disagree in class count")
-        if m.n_features != n_features:
-            raise ClassifyError("voting members disagree in feature count")
-    votes = np.vstack([m.predict(query) for m in models])
-    return majority_vote(votes, n_classes)
+class VotingModel(TrainedModel):
+    """Hard majority vote over fitted members; ties go to the lower class.
+
+    The model owns the standardizer of its z-scored members: member i sees
+    z-scored input when scaled[i] is true and raw input otherwise."""
+
+    kind = "voting"
+
+    def __init__(self, scaler: Standardizer, members, scaled, seed=0):
+        members = list(members)
+        if len(members) < 2:
+            raise ClassifyError("voting needs at least 2 models")
+        if len({(m.n_classes, m.n_features) for m in members}) > 1:
+            raise ClassifyError("voting members disagree in class count or feature count")
+        if len(scaled) != len(members):
+            raise ClassifyError("voting needs one scaled flag per member")
+        super().__init__(members[0].n_classes, members[0].n_features, seed=seed)
+        self.scaler = scaler
+        self.members = members
+        self.scaled = [bool(s) for s in scaled]
+
+    def _predict(self, values: np.ndarray) -> np.ndarray:
+        z = self.scaler.apply(values)
+        pairs = zip(self.members, self.scaled)
+        votes = np.vstack([m.predict(z if s else values) for m, s in pairs])
+        return majority_vote(votes, self.n_classes)
+
+    def to_blob(self) -> dict:
+        return {
+            **self._meta(),
+            "scaler": self.scaler.to_blob(),
+            "scaled": self.scaled,
+            "members": [m.to_blob() for m in self.members],
+        }
+
+    @classmethod
+    def from_blob(cls, blob: dict) -> "VotingModel":
+        return cls(
+            scaler=Standardizer.from_blob(blob["scaler"]),
+            members=[model_from_blob(m) for m in blob["members"]],
+            scaled=blob["scaled"],
+            seed=blob["seed"],
+        )

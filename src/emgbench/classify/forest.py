@@ -36,12 +36,10 @@ def fit_random_forest(
     train: FeatureMatrix,
     n_trees: int = 100,
     seed: int = 0,
-    bootstrap: bool = True,
     sample_weights: np.ndarray | None = None,
 ) -> RandomForestModel:
     """Bootstrap per tree (optionally weighted), floor(sqrt(d)) candidate
-    features per split. `bootstrap=False` is a test hook that trains every
-    tree on the full sample."""
+    features per split."""
     if n_trees < 1:
         raise ClassifyError(f"n_trees must be >= 1, got {n_trees}")
     X, y = train.values, train.labels
@@ -54,9 +52,6 @@ def fit_random_forest(
     trees = []
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        if bootstrap:
-            idx = rng.choice(n, size=n, replace=True, p=sample_weights)
-        else:
-            idx = np.arange(n)
+        idx = rng.choice(n, size=n, replace=True, p=sample_weights)
         trees.append(fit_tree(X[idx], y[idx], n_classes, rng, max_features))
     return RandomForestModel(trees=trees, n_classes=n_classes, n_features=d, seed=seed)

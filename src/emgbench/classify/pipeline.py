@@ -1,73 +1,98 @@
-"""Named model pipelines: each couples a classifier with its scaling
+"""Named model pipelines: one table gives each benchmark model its scaling
 policy (z-score for margin/distance models, identity for tree ensembles)
-behind one fit/predict/serialize surface."""
+and its fit function, behind one fit/predict/serialize surface."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, Standardizer, TrainedModel, majority_vote
-from .ensembles import AdaBoostModel, BaggingModel, fit_adaboost_rf, fit_bagging
-from .forest import RandomForestModel, fit_random_forest
-from .knn import KnnModel, fit_knn
-from .lda import LdaModel, fit_lda
-from .svm import LinearSvmModel, fit_linear_svm
+from .base import ClassifyError, Standardizer, TrainedModel, model_from_blob
+from .ensembles import VotingModel, fit_adaboost_rf, fit_bagging
+from .forest import fit_random_forest
+from .knn import fit_knn
+from .lda import fit_lda
+from .svm import fit_linear_svm
 
-MODEL_NAMES = (
-    "lda",
-    "svm",
-    "knn",
-    "random_forest",
-    "voting",
-    "bagging_knn",
-    "bagging_svm",
-    "adaboost",
-)
+BLOB_VERSION = 2
 
-# Models whose inputs are z-scored with train statistics.
-_SCALED = {"lda", "svm", "knn", "bagging_knn", "bagging_svm"}
 
-_MODEL_CLASSES = {
-    cls.kind: cls
-    for cls in (LdaModel, LinearSvmModel, KnnModel, RandomForestModel, BaggingModel, AdaBoostModel)
+def _zscored(train: FeatureMatrix) -> tuple[Standardizer, FeatureMatrix]:
+    scaler = Standardizer.fit(train.values)
+    return scaler, replace(train, values=scaler.apply(train.values))
+
+
+def _svm(train, seed, hyper):
+    return fit_linear_svm(train, C=hyper.get("svm_c", 1.0), seed=seed)
+
+
+def _knn(train, seed, hyper):
+    return fit_knn(train, k=hyper.get("knn_k", 5), seed=seed)
+
+
+def _forest(train, seed, hyper):
+    return fit_random_forest(train, n_trees=hyper.get("rf_trees", 100), seed=seed)
+
+
+def _bagging(base):
+    return lambda train, seed, hyper: fit_bagging(
+        base, train, n_estimators=hyper.get("bag_estimators", 10), seed=seed
+    )
+
+
+def _adaboost(train, seed, hyper):
+    return fit_adaboost_rf(
+        train,
+        n_rounds=hyper.get("boost_rounds", 10),
+        trees_per_round=hyper.get("boost_trees", 25),
+        seed=seed,
+    )
+
+
+def _voting(train, seed, hyper):
+    """SVM + KNN on z-scored input, random forest on raw input."""
+    scaler, scaled = _zscored(train)
+    members = [_svm(scaled, seed, hyper), _knn(scaled, seed, hyper), _forest(train, seed, hyper)]
+    return VotingModel(scaler, members, scaled=[True, True, False], seed=seed)
+
+
+# name -> (z-score the input?, fit(train, seed, hyper)), in results-table row order.
+_PIPELINES = {
+    "lda": (True, lambda train, seed, hyper: fit_lda(train, seed=seed)),
+    "svm": (True, _svm),
+    "knn": (True, _knn),
+    "random_forest": (False, _forest),
+    "voting": (False, _voting),
+    "bagging_knn": (True, _bagging("knn")),
+    "bagging_svm": (True, _bagging("svm")),
+    "adaboost": (False, _adaboost),
 }
-
-BLOB_VERSION = 1
+MODEL_NAMES = tuple(_PIPELINES)
 
 
 class Pipeline:
-    """A fitted model plus its optional standardizer (voting holds members)."""
+    """A fitted model plus the standardizer, if any, that z-scores its input."""
 
-    def __init__(self, name: str, scaler: Standardizer | None, models: list[TrainedModel]):
+    def __init__(self, name: str, scaler: Standardizer | None, model: TrainedModel):
         self.name = name
         self.scaler = scaler
-        self.models = models
-
-    @property
-    def n_classes(self) -> int:
-        return self.models[0].n_classes
+        self.model = model
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        if self.name == "voting":
-            scaled = self.scaler.apply(values)
-            votes = np.vstack(
-                [m.predict(scaled if m.kind in ("svm", "knn") else values) for m in self.models]
-            )
-            return majority_vote(votes, self.n_classes)
         if self.scaler is not None:
             values = self.scaler.apply(values)
-        return self.models[0].predict(values)
+        return self.model.predict(values)
 
     def to_blob(self) -> dict:
         return {
             "version": BLOB_VERSION,
             "pipeline": self.name,
             "scaler": self.scaler.to_blob() if self.scaler else None,
-            "models": [m.to_blob() for m in self.models],
+            "model": self.model.to_blob(),
         }
 
     @classmethod
@@ -75,8 +100,7 @@ class Pipeline:
         if blob.get("version") != BLOB_VERSION:
             raise ClassifyError(f"unsupported model blob version: {blob.get('version')!r}")
         scaler = Standardizer.from_blob(blob["scaler"]) if blob["scaler"] else None
-        models = [_MODEL_CLASSES[m["kind"]].from_blob(m) for m in blob["models"]]
-        return cls(name=blob["pipeline"], scaler=scaler, models=models)
+        return cls(name=blob["pipeline"], scaler=scaler, model=model_from_blob(blob["model"]))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_blob(), sort_keys=True))
@@ -88,48 +112,10 @@ class Pipeline:
 
 def fit_pipeline(name: str, train: FeatureMatrix, seed: int = 0, **hyper) -> Pipeline:
     """Fit one of the benchmark's named pipelines on a feature matrix."""
-    if name not in MODEL_NAMES:
+    if name not in _PIPELINES:
         raise ClassifyError(f"unknown model: {name!r} (expected one of {MODEL_NAMES})")
+    zscore, fit = _PIPELINES[name]
     scaler = None
-    fit_input = train
-    if name in _SCALED or name == "voting":
-        scaler = Standardizer.fit(train.values)
-        scaled = FeatureMatrix(
-            values=scaler.apply(train.values),
-            feature_names=train.feature_names,
-            labels=train.labels,
-        )
-        fit_input = scaled
-
-    if name == "lda":
-        models = [fit_lda(fit_input, seed=seed)]
-    elif name == "svm":
-        models = [fit_linear_svm(fit_input, C=hyper.get("svm_c", 1.0), seed=seed)]
-    elif name == "knn":
-        models = [fit_knn(fit_input, k=hyper.get("knn_k", 5), seed=seed)]
-    elif name == "random_forest":
-        models = [fit_random_forest(train, n_trees=hyper.get("rf_trees", 100), seed=seed)]
-    elif name == "bagging_knn":
-        models = [
-            fit_bagging("knn", fit_input, n_estimators=hyper.get("bag_estimators", 10), seed=seed)
-        ]
-    elif name == "bagging_svm":
-        models = [
-            fit_bagging("svm", fit_input, n_estimators=hyper.get("bag_estimators", 10), seed=seed)
-        ]
-    elif name == "adaboost":
-        models = [
-            fit_adaboost_rf(
-                train,
-                n_rounds=hyper.get("boost_rounds", 10),
-                trees_per_round=hyper.get("boost_trees", 25),
-                seed=seed,
-            )
-        ]
-    else:  # voting: SVM + KNN on scaled input, RF on raw
-        models = [
-            fit_linear_svm(fit_input, C=hyper.get("svm_c", 1.0), seed=seed),
-            fit_knn(fit_input, k=hyper.get("knn_k", 5), seed=seed),
-            fit_random_forest(train, n_trees=hyper.get("rf_trees", 100), seed=seed),
-        ]
-    return Pipeline(name=name, scaler=scaler, models=models)
+    if zscore:
+        scaler, train = _zscored(train)
+    return Pipeline(name=name, scaler=scaler, model=fit(train, seed, hyper))

@@ -1,6 +1,5 @@
 """Linear SVM (one-vs-rest) trained by deterministic dual coordinate
-descent on the hinge-loss dual, with a softmax pseudo-probability over
-per-class decision values."""
+descent on the hinge-loss dual."""
 from __future__ import annotations
 
 import numpy as np
@@ -54,13 +53,6 @@ class LinearSvmModel(TrainedModel):
     def decision_values(self, values: np.ndarray) -> np.ndarray:
         aug = np.column_stack([values, np.ones(values.shape[0])])
         return aug @ self.weights.T
-
-    def predict_proba(self, values: np.ndarray) -> np.ndarray:
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        scores = self.decision_values(values)
-        scores = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(scores)
-        return e / e.sum(axis=1, keepdims=True)
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
         return self.classes[np.argmax(self.decision_values(values), axis=1)]

@@ -19,7 +19,7 @@ from .benchmark import (
     write_bundle,
 )
 from .classify.pipeline import MODEL_NAMES, Pipeline, fit_pipeline
-from .evaluate import ConfusionMatrix, metrics, stratified_split
+from .evaluate import ConfusionMatrix, EvaluationReport, metrics, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
 from .features.tdd import TddParams
 from .preprocess import bandpass, segment_records
@@ -118,12 +118,8 @@ def _config_from_args(args) -> BenchmarkConfig:
 
 
 def cmd_bench(args) -> int:
-    try:
-        config = _config_from_args(args)
-        reports, errors = run_benchmark(config)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _config_from_args(args)
+    reports, errors = run_benchmark(config)
     print(render_table(reports, errors))
     if args.out:
         out_dir = Path(args.out)
@@ -134,39 +130,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Re-render the aggregate table from a bundle of per-cell JSON files."""
-    from .evaluate import EvaluationReport, MetricsReport
-
+    """Re-render the aggregate table from a bundle of per-cell JSON files
+    and its errors.json."""
     bundle = Path(args.bundle)
     reports = []
     for path in sorted(bundle.glob("*.json")):
         doc = json.loads(path.read_text())
-        if "family" not in doc or "model" not in doc:
-            continue
-        reports.append(
-            EvaluationReport(
-                family=doc["family"],
-                model=doc["model"],
-                metrics=MetricsReport(
-                    accuracy=doc["accuracy"],
-                    per_class_precision=tuple(doc["per_class"]["precision"]),
-                    per_class_recall=tuple(doc["per_class"]["recall"]),
-                    per_class_f1=tuple(doc["per_class"]["f1"]),
-                    macro_precision=doc["macro_precision"],
-                    macro_recall=doc["macro_recall"],
-                    macro_f1=doc["macro_f1"],
-                ),
-                confusion=ConfusionMatrix(
-                    counts=doc["confusion"], class_names=tuple(doc["class_names"])
-                ),
-                config=doc.get("config", {}),
-                seed=doc.get("seed", 0),
-            )
-        )
-    if not reports:
+        if "family" in doc and "model" in doc:
+            reports.append(EvaluationReport.from_json_dict(doc))
+    errors_path = bundle / "errors.json"
+    errors = json.loads(errors_path.read_text()) if errors_path.exists() else {}
+    errors = {tuple(cell.split(":", 1)): message for cell, message in errors.items()}
+    if not reports and not errors:
         print(f"error: no cell reports found in {bundle}", file=sys.stderr)
         return 2
-    print(render_table(reports))
+    print(render_table(reports, errors))
     return 0
 
 

@@ -143,3 +143,27 @@ class EvaluationReport:
         if include_timing:
             doc["timing"] = self.timing
         return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "EvaluationReport":
+        """Inverse of `to_json_dict`; a missing timing field reads as empty."""
+        per_class = doc["per_class"]
+        return cls(
+            family=doc["family"],
+            model=doc["model"],
+            metrics=MetricsReport(
+                accuracy=doc["accuracy"],
+                per_class_precision=tuple(per_class["precision"]),
+                per_class_recall=tuple(per_class["recall"]),
+                per_class_f1=tuple(per_class["f1"]),
+                macro_precision=doc["macro_precision"],
+                macro_recall=doc["macro_recall"],
+                macro_f1=doc["macro_f1"],
+            ),
+            confusion=ConfusionMatrix(
+                counts=doc["confusion"], class_names=tuple(doc["class_names"])
+            ),
+            config=doc.get("config", {}),
+            seed=doc.get("seed", 0),
+            timing=doc.get("timing", {}),
+        )

@@ -87,11 +87,6 @@ def window_length(fs: float, window_ms: float = 600.0) -> int:
     return int(np.floor(window_ms / 1000.0 * fs))
 
 
-def segment(record: SignalRecord, window_ms: float = 600.0, overlap: float = 0.5) -> WindowSet:
-    """Windows of one record, as `segment_records` cuts them."""
-    return segment_records([record], window_ms, overlap)
-
-
 def segment_records(
     records: list[SignalRecord], window_ms: float = 600.0, overlap: float = 0.5
 ) -> WindowSet:

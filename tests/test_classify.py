@@ -9,6 +9,7 @@ from emgbench.classify import (
     Pipeline,
     Standardizer,
     TrainedModel,
+    VotingModel,
     boost_round_weight,
     fit_adaboost_rf,
     fit_bagging,
@@ -19,7 +20,7 @@ from emgbench.classify import (
     fit_random_forest,
     fit_tree,
     knn_predict,
-    voting_predict,
+    majority_vote,
 )
 from emgbench.features.extract import FeatureMatrix
 
@@ -152,13 +153,6 @@ class TestLinearSvm:
         with pytest.raises(ClassifyError, match="single class"):
             fit_linear_svm(fm(np.random.randn(10, 2), np.zeros(10, dtype=int)))
 
-    def test_probabilities_sum_to_one(self, blob_data):
-        train, test = split_blobs(blob_data)
-        model = fit_linear_svm(train)
-        proba = model.predict_proba(test.values)
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(np.argmax(proba, axis=1), model.predict(test.values))
-
     def test_standardized_pipeline_robust_to_feature_scaling(self, blob_data):
         train, test = split_blobs(blob_data)
         acc = []
@@ -180,12 +174,11 @@ class TestTreeAndForest:
     def test_single_tree_reproduces_hand_traced_splits(self):
         # one feature, perfect cut between 1 and 10 at threshold 5.5
         train = fm(np.array([[0.0], [1.0], [10.0], [11.0]]), np.array([0, 0, 1, 1]))
-        model = fit_random_forest(train, n_trees=1, seed=0, bootstrap=False)
-        tree = model.trees[0]
+        tree = fit_tree(train.values, train.labels, 2, np.random.default_rng(0))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(5.5)
-        np.testing.assert_array_equal(model.predict(np.array([[5.0], [6.0]])), [0, 1])
-        np.testing.assert_array_equal(model.predict(train.values), train.labels)
+        np.testing.assert_array_equal(tree.predict(np.array([[5.0], [6.0]])), [0, 1])
+        np.testing.assert_array_equal(tree.predict(train.values), train.labels)
 
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0], [1.0]])
@@ -219,13 +212,17 @@ class TestTreeAndForest:
 
 
 class TestBagging:
-    def test_identity_hook_equals_bare_base(self, blob_data):
+    def test_members_are_bootstrap_fits_and_vote(self, blob_data):
         train, test = split_blobs(blob_data)
-        strain = fm(Standardizer.fit(train.values).apply(train.values), train.labels)
-        bagged = fit_bagging("knn", strain, n_estimators=1, seed=0, bootstrap=False)
-        bare = fit_knn(strain, k=5)
-        q = Standardizer.fit(train.values).apply(test.values)
-        np.testing.assert_array_equal(bagged.predict(q), bare.predict(q))
+        bagged = fit_bagging("knn", train, n_estimators=3, seed=0)
+        rows = {tuple(r): label for r, label in zip(train.values, train.labels)}
+        for member in bagged.members:
+            drawn = [tuple(r) for r in member.train_values]
+            assert len(drawn) == train.n_rows
+            assert len(set(drawn)) < train.n_rows  # drawn with replacement
+            assert all(rows[r] == label for r, label in zip(drawn, member.train_labels))
+        votes = np.vstack([m.predict(test.values) for m in bagged.members])
+        np.testing.assert_array_equal(bagged.predict(test.values), majority_vote(votes, 4))
 
     def test_bagged_knn_close_to_bare_knn(self, blob_data):
         train, test = split_blobs(blob_data)
@@ -287,30 +284,36 @@ class _ConstantModel(TrainedModel):
         return np.full(values.shape[0], self.label, dtype=np.int64)
 
 
+def voting(members, scaled=None, scaler=None):
+    scaler = scaler or Standardizer(mean=np.zeros(2), std=np.ones(2))
+    return VotingModel(scaler, members, scaled=scaled or [False] * len(members))
+
+
 class TestVoting:
     def test_unanimous(self):
-        models = [_ConstantModel(2) for _ in range(3)]
-        np.testing.assert_array_equal(voting_predict(models, np.zeros((4, 2))), [2, 2, 2, 2])
+        model = voting([_ConstantModel(2) for _ in range(3)])
+        np.testing.assert_array_equal(model.predict(np.zeros((4, 2))), [2, 2, 2, 2])
 
     def test_three_way_tie_breaks_low(self):
-        models = [_ConstantModel(2), _ConstantModel(0), _ConstantModel(1)]
-        np.testing.assert_array_equal(voting_predict(models, np.zeros((2, 2))), [0, 0])
+        model = voting([_ConstantModel(2), _ConstantModel(0), _ConstantModel(1)])
+        np.testing.assert_array_equal(model.predict(np.zeros((2, 2))), [0, 0])
 
     def test_three_copies_equal_single_model(self, blob_data):
         train, test = split_blobs(blob_data)
-        knn = fit_knn(train, k=5)
+        scaler = Standardizer.fit(train.values)
+        knn = fit_knn(fm(scaler.apply(train.values), train.labels), k=5)
+        model = voting([knn, knn, knn], scaled=[True] * 3, scaler=scaler)
         np.testing.assert_array_equal(
-            voting_predict([knn, knn, knn], test.values), knn.predict(test.values)
+            model.predict(test.values), knn.predict(scaler.apply(test.values))
         )
 
     def test_inconsistent_class_counts_rejected(self):
         with pytest.raises(ClassifyError, match="class count"):
-            voting_predict([_ConstantModel(0, n_classes=2), _ConstantModel(0, n_classes=3)],
-                           np.zeros((1, 2)))
+            voting([_ConstantModel(0, n_classes=2), _ConstantModel(0, n_classes=3)])
 
     def test_fewer_than_two_models_rejected(self):
         with pytest.raises(ClassifyError, match="at least 2"):
-            voting_predict([_ConstantModel(0)], np.zeros((1, 2)))
+            voting([_ConstantModel(0)])
 
 
 class TestPipelineSerialization:
@@ -329,3 +332,15 @@ class TestPipelineSerialization:
     def test_unknown_model_name(self, blob_data):
         with pytest.raises(ClassifyError, match="unknown model"):
             fit_pipeline("cnn", blob_data)
+
+    def test_v1_blob_refused(self, blob_data):
+        blob = fit_pipeline("lda", blob_data).to_blob()
+        blob["version"] = 1
+        with pytest.raises(ClassifyError, match="unsupported model blob version: 1"):
+            Pipeline.from_blob(blob)
+
+    def test_unknown_kind_refused(self, blob_data):
+        blob = fit_pipeline("bagging_knn", blob_data, bag_estimators=2).to_blob()
+        blob["model"]["members"][1]["kind"] = "cnn"
+        with pytest.raises(ClassifyError, match="unknown model kind in blob: 'cnn'"):
+            Pipeline.from_blob(blob)

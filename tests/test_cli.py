@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from emgbench import benchmark
 from emgbench.cli import main
 
 SYNTH_ARGS = [
@@ -15,6 +16,10 @@ SYNTH_ARGS = [
     "--seconds", "1",
     "--seed", "3",
 ]
+
+SMALL_SPEC = json.dumps(
+    {"n_classes": 2, "n_channels": 2, "fs": 1024.0, "trials_per_class": 2, "trial_seconds": 1.0}
+)
 
 
 def make_dataset(path, seed="3"):
@@ -115,6 +120,43 @@ class TestTrainAndBench:
         code = main(["bench", "--manifest", str(tmp_path / "nope.json"),
                      "--families", "ftdd", "--models", "lda"])
         assert code == 2
+
+    def test_bench_partial_synthetic_spec(self, capsys):
+        code = main(["bench", "--synthetic", '{"n_channels": 2}',
+                     "--families", "ftdd", "--models", "lda"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "missing synthetic keys" in err
+        assert "'n_classes'" in err and "'trial_seconds'" in err
+
+    def test_bench_test_fraction_out_of_range(self, capsys):
+        code = main(["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd",
+                     "--models", "lda", "--test-fraction", "1.5"])
+        assert code == 2
+        assert "test_fraction must be in (0, 1), got 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failing", ["one_cell", "every_cell"])
+    def test_report_reproduces_table_with_failed_cells(self, failing, tmp_path, capsys,
+                                                       monkeypatch):
+        args = ["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd",
+                "--models", "lda", "knn", "--out", str(tmp_path)]
+        if failing == "one_cell":
+            fit = benchmark.fit_pipeline
+
+            def fit_failing_knn(name, *a, **k):
+                if name == "knn":
+                    raise ValueError("injected failure")
+                return fit(name, *a, **k)
+
+            monkeypatch.setattr(benchmark, "fit_pipeline", fit_failing_knn)
+        else:
+            args.append("--subject-split")  # synthetic data has one subject
+        assert main(args) == 1
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out == (tmp_path / "table.txt").read_text() + "\n"
+        assert "FAILED" in out
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMG_SEED", "3")

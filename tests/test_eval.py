@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from emgbench.evaluate import (
     ConfusionMatrix,
     EvalError,
+    EvaluationReport,
     metrics,
     stratified_split,
 )
@@ -133,3 +136,20 @@ class TestMetrics:
     def test_empty_matrix_rejected(self):
         with pytest.raises(EvalError, match="empty"):
             metrics(ConfusionMatrix(counts=np.zeros((2, 2), dtype=np.int64), class_names=("a", "b")))
+
+
+class TestEvaluationReport:
+    def test_json_round_trip(self):
+        counts = [[3, 1, 0], [0, 2, 2], [1, 0, 4]]
+        cm = ConfusionMatrix(counts=counts, class_names=("a", "b", "c"))
+        report = EvaluationReport(
+            family="tsd",
+            model="knn",
+            metrics=metrics(cm),
+            confusion=cm,
+            config={"seed": 4, "band": {"low": 20.0}},
+            seed=123,
+            timing={"fit_seconds": 0.25, "predict_seconds": 0.5},
+        )
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        assert EvaluationReport.from_json_dict(doc).to_json_dict() == doc

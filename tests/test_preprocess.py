@@ -10,7 +10,6 @@ from emgbench.preprocess import (
     PreprocessError,
     bandpass,
     design_bandpass,
-    segment,
     segment_records,
     window_length,
 )
@@ -92,7 +91,7 @@ class TestSegment:
     def test_grabmyo_rate_example(self):
         rec = SignalRecord(samples=np.arange(2 * 4096, dtype=float).reshape(2, 4096),
                            fs=2048.0, label=3)
-        ws = segment(rec)
+        ws = segment_records([rec])
         assert window_length(2048.0) == 1228
         assert len(ws) == 5
         assert ws.start.tolist() == [0, 614, 1228, 1842, 2456]
@@ -101,7 +100,7 @@ class TestSegment:
 
     def test_forsemg_rate_example(self):
         rec = SignalRecord(samples=np.zeros((1, 985)), fs=985.0, label=0)
-        ws = segment(rec)
+        ws = segment_records([rec])
         assert window_length(985.0) == 591
         assert len(ws) == 2
         assert ws.start.tolist() == [0, 295]
@@ -109,11 +108,11 @@ class TestSegment:
     def test_record_shorter_than_window(self):
         rec = SignalRecord(samples=np.zeros((1, 1000)), fs=2048.0, label=0)
         with pytest.raises(PreprocessError, match="record shorter than one window"):
-            segment(rec)
+            segment_records([rec])
 
     def test_windowing_copies_samples(self):
         rec = SignalRecord(samples=np.arange(4096, dtype=float)[None, :], fs=2048.0, label=0)
-        ws = segment(rec, overlap=0.5)
+        ws = segment_records([rec], overlap=0.5)
         # non-overlapping halves of consecutive windows tile a prefix exactly
         (view,) = ws.trial_windows()
         first, second = view[0], view[1]
@@ -132,9 +131,9 @@ class TestSegment:
         rec = SignalRecord(samples=np.zeros((1, n)), fs=fs, label=0)
         if n < wlen:
             with pytest.raises(PreprocessError):
-                segment(rec, overlap=overlap)
+                segment_records([rec], overlap=overlap)
         else:
-            ws = segment(rec, overlap=overlap)
+            ws = segment_records([rec], overlap=overlap)
             assert len(ws) == (n - wlen) // step + 1
 
     def test_segment_records_concatenates(self):
