@@ -1,4 +1,11 @@
-from .base import ClassifyError, Standardizer, TrainedModel, majority_vote, model_from_blob
+from .base import (
+    ClassifyError,
+    Standardizer,
+    TrainedModel,
+    majority_vote,
+    model_from_blob,
+    model_to_blob,
+)
 from .ensembles import VotingModel, boost_round_weight, fit_adaboost_rf, fit_bagging
 from .forest import fit_random_forest
 from .knn import fit_knn, knn_predict
@@ -27,4 +34,5 @@ __all__ = [
     "knn_predict",
     "majority_vote",
     "model_from_blob",
+    "model_to_blob",
 ]

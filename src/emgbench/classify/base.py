@@ -1,7 +1,10 @@
 """Shared classifier plumbing: z-score standardizer, the fitted-model
-contract (deterministic predict, feature-count validation, JSON blobs) and
-the kind -> class registry that rebuilds any model from its blob."""
+contract (deterministic predict, feature-count validation) and the one
+model-file codec, whose kind -> class registry rebuilds any stored object
+from its blob."""
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -10,9 +13,68 @@ class ClassifyError(ValueError):
     pass
 
 
-class Standardizer:
+_REGISTRY: dict[str, type["Stored"]] = {}
+
+
+class Stored:
+    """An object a model file holds. Its blob is its `kind` plus one field per
+    constructor parameter, read from the attribute of the same name; each
+    subclass that sets `kind` is registered under it."""
+
+    kind = ""
+    fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            _REGISTRY[cls.kind] = cls
+            cls.fields = tuple(inspect.signature(cls).parameters)
+
+
+def model_to_blob(obj: Stored) -> dict:
+    """JSON-ready blob of a stored object; arrays become lists and nested
+    stored objects become blobs."""
+    return {"kind": obj.kind, **{name: _encode(getattr(obj, name)) for name in obj.fields}}
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Stored):
+        return model_to_blob(value)
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    return value
+
+
+def model_from_blob(blob: dict) -> Stored:
+    """Rebuild a stored object from its blob; the blob's `kind` picks the
+    class, whose constructor takes exactly the blob's other fields."""
+    kind = blob.get("kind") if isinstance(blob, dict) else None
+    if kind not in _REGISTRY:
+        raise ClassifyError(f"unknown model kind in blob: {kind!r}")
+    cls = _REGISTRY[kind]
+    given = set(blob) - {"kind"}
+    if given != set(cls.fields):
+        missing = sorted(set(cls.fields) - given)
+        extra = sorted(given - set(cls.fields))
+        raise ClassifyError(f"{kind!r} blob: missing fields {missing}, unexpected fields {extra}")
+    return cls(**{name: _decode(blob[name]) for name in cls.fields})
+
+
+def _decode(value):
+    if isinstance(value, dict):
+        return model_from_blob(value)
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return [model_from_blob(v) for v in value]
+    return value  # constructors turn lists back into arrays
+
+
+class Standardizer(Stored):
     """Per-feature z-score with train-set statistics (N-1 denominator);
     constant columns map to zero."""
+
+    kind = "standardizer"
 
     def __init__(self, mean: np.ndarray, std: np.ndarray):
         self.mean = np.asarray(mean, dtype=np.float64)
@@ -38,27 +100,9 @@ class Standardizer:
         out[:, self.std == 0] = 0.0
         return out
 
-    def to_blob(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
-    @classmethod
-    def from_blob(cls, blob: dict) -> "Standardizer":
-        return cls(mean=np.array(blob["mean"]), std=np.array(blob["std"]))
-
-
-_REGISTRY: dict[str, type["TrainedModel"]] = {}
-
-
-class TrainedModel:
-    """Base fitted classifier: subclasses implement _predict on validated input.
-
-    Each subclass is registered under its `kind`, the tag its blob carries."""
-
-    kind = "base"
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        _REGISTRY[cls.kind] = cls
+class TrainedModel(Stored):
+    """Base fitted classifier: subclasses implement _predict on validated input."""
 
     def __init__(self, n_classes: int, n_features: int, seed: int = 0):
         self.n_classes = int(n_classes)
@@ -75,25 +119,6 @@ class TrainedModel:
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def to_blob(self) -> dict:
-        raise NotImplementedError
-
-    def _meta(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "seed": self.seed,
-        }
-
-
-def model_from_blob(blob: dict) -> TrainedModel:
-    """Rebuild a fitted model from its blob; the blob's `kind` picks the class."""
-    kind = blob.get("kind")
-    if kind not in _REGISTRY:
-        raise ClassifyError(f"unknown model kind in blob: {kind!r}")
-    return _REGISTRY[kind].from_blob(blob)
 
 
 def majority_vote(votes: np.ndarray, n_classes: int, weights: np.ndarray | None = None) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, Standardizer, TrainedModel, majority_vote, model_from_blob
+from .base import ClassifyError, Standardizer, TrainedModel, majority_vote
 from .forest import fit_random_forest
 from .knn import fit_knn
 from .svm import fit_linear_svm
@@ -26,18 +26,6 @@ class BaggingModel(TrainedModel):
     def _predict(self, values: np.ndarray) -> np.ndarray:
         votes = np.vstack([m.predict(values) for m in self.members])
         return majority_vote(votes, self.n_classes)
-
-    def to_blob(self) -> dict:
-        return {**self._meta(), "members": [m.to_blob() for m in self.members]}
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "BaggingModel":
-        return cls(
-            members=[model_from_blob(m) for m in blob["members"]],
-            n_classes=blob["n_classes"],
-            n_features=blob["n_features"],
-            seed=blob["seed"],
-        )
 
 
 def fit_bagging(
@@ -94,23 +82,6 @@ class AdaBoostModel(TrainedModel):
     def _predict(self, values: np.ndarray) -> np.ndarray:
         votes = np.vstack([m.predict(values) for m in self.members])
         return majority_vote(votes, self.n_classes, weights=self.alphas)
-
-    def to_blob(self) -> dict:
-        return {
-            **self._meta(),
-            "alphas": self.alphas.tolist(),
-            "members": [m.to_blob() for m in self.members],
-        }
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "AdaBoostModel":
-        return cls(
-            members=[model_from_blob(m) for m in blob["members"]],
-            alphas=np.array(blob["alphas"]),
-            n_classes=blob["n_classes"],
-            n_features=blob["n_features"],
-            seed=blob["seed"],
-        )
 
 
 def fit_adaboost_rf(
@@ -183,20 +154,3 @@ class VotingModel(TrainedModel):
         pairs = zip(self.members, self.scaled)
         votes = np.vstack([m.predict(z if s else values) for m, s in pairs])
         return majority_vote(votes, self.n_classes)
-
-    def to_blob(self) -> dict:
-        return {
-            **self._meta(),
-            "scaler": self.scaler.to_blob(),
-            "scaled": self.scaled,
-            "members": [m.to_blob() for m in self.members],
-        }
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "VotingModel":
-        return cls(
-            scaler=Standardizer.from_blob(blob["scaler"]),
-            members=[model_from_blob(m) for m in blob["members"]],
-            scaled=blob["scaled"],
-            seed=blob["seed"],
-        )

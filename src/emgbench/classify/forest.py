@@ -5,7 +5,7 @@ import numpy as np
 
 from ..features.extract import FeatureMatrix
 from .base import ClassifyError, TrainedModel, majority_vote
-from .tree import DecisionTree, fit_tree
+from .tree import fit_tree
 
 
 class RandomForestModel(TrainedModel):
@@ -18,18 +18,6 @@ class RandomForestModel(TrainedModel):
     def _predict(self, values: np.ndarray) -> np.ndarray:
         votes = np.vstack([t.predict(values) for t in self.trees])
         return majority_vote(votes, self.n_classes)
-
-    def to_blob(self) -> dict:
-        return {**self._meta(), "trees": [t.to_blob() for t in self.trees]}
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "RandomForestModel":
-        return cls(
-            trees=[DecisionTree.from_blob(t) for t in blob["trees"]],
-            n_classes=blob["n_classes"],
-            n_features=blob["n_features"],
-            seed=blob["seed"],
-        )
 
 
 def fit_random_forest(

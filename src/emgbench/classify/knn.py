@@ -52,31 +52,13 @@ class KnnModel(TrainedModel):
     kind = "knn"
 
     def __init__(self, train_values, train_labels, k, n_classes, seed=0):
-        super().__init__(n_classes=n_classes, n_features=train_values.shape[1], seed=seed)
         self.train_values = np.asarray(train_values, dtype=np.float64)
+        super().__init__(n_classes=n_classes, n_features=self.train_values.shape[1], seed=seed)
         self.train_labels = np.asarray(train_labels, dtype=np.int64)
         self.k = int(k)
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
         return knn_predict(self.train_values, self.train_labels, values, self.k)
-
-    def to_blob(self) -> dict:
-        return {
-            **self._meta(),
-            "k": self.k,
-            "train_values": self.train_values.tolist(),
-            "train_labels": self.train_labels.tolist(),
-        }
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "KnnModel":
-        return cls(
-            train_values=np.array(blob["train_values"], dtype=np.float64, ndmin=2),
-            train_labels=np.array(blob["train_labels"]),
-            k=blob["k"],
-            n_classes=blob["n_classes"],
-            seed=blob["seed"],
-        )
 
 
 def fit_knn(train: FeatureMatrix, k: int = 5, seed: int = 0) -> KnnModel:

@@ -30,26 +30,6 @@ class LdaModel(TrainedModel):
     def _predict(self, values: np.ndarray) -> np.ndarray:
         return self.classes[np.argmax(self.decision_values(values), axis=1)]
 
-    def to_blob(self) -> dict:
-        return {
-            **self._meta(),
-            "whitener": self.whitener.tolist(),
-            "class_means_w": self.class_means_w.tolist(),
-            "log_priors": self.log_priors.tolist(),
-            "classes": self.classes.tolist(),
-        }
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "LdaModel":
-        return cls(
-            whitener=np.array(blob["whitener"]),
-            class_means_w=np.array(blob["class_means_w"]),
-            log_priors=np.array(blob["log_priors"]),
-            classes=np.array(blob["classes"]),
-            n_features=blob["n_features"],
-            seed=blob["seed"],
-        )
-
 
 def fit_lda(train: FeatureMatrix, seed: int = 0) -> LdaModel:
     X = train.values

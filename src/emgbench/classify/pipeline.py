@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, Standardizer, TrainedModel, model_from_blob
+from .base import ClassifyError, Standardizer, TrainedModel, model_from_blob, model_to_blob
 from .ensembles import VotingModel, fit_adaboost_rf, fit_bagging
 from .forest import fit_random_forest
 from .knn import fit_knn
 from .lda import fit_lda
 from .svm import fit_linear_svm
 
-BLOB_VERSION = 2
+BLOB_VERSION = 3
 
 
 def _zscored(train: FeatureMatrix) -> tuple[Standardizer, FeatureMatrix]:
@@ -91,15 +91,15 @@ class Pipeline:
         return {
             "version": BLOB_VERSION,
             "pipeline": self.name,
-            "scaler": self.scaler.to_blob() if self.scaler else None,
-            "model": self.model.to_blob(),
+            "scaler": model_to_blob(self.scaler) if self.scaler else None,
+            "model": model_to_blob(self.model),
         }
 
     @classmethod
     def from_blob(cls, blob: dict) -> "Pipeline":
         if blob.get("version") != BLOB_VERSION:
             raise ClassifyError(f"unsupported model blob version: {blob.get('version')!r}")
-        scaler = Standardizer.from_blob(blob["scaler"]) if blob["scaler"] else None
+        scaler = model_from_blob(blob["scaler"]) if blob["scaler"] else None
         return cls(name=blob["pipeline"], scaler=scaler, model=model_from_blob(blob["model"]))
 
     def save(self, path: str | Path) -> None:

@@ -57,24 +57,6 @@ class LinearSvmModel(TrainedModel):
     def _predict(self, values: np.ndarray) -> np.ndarray:
         return self.classes[np.argmax(self.decision_values(values), axis=1)]
 
-    def to_blob(self) -> dict:
-        return {
-            **self._meta(),
-            "C": self.C,
-            "weights": self.weights.tolist(),
-            "classes": self.classes.tolist(),
-        }
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "LinearSvmModel":
-        return cls(
-            weights=np.array(blob["weights"], ndmin=2),
-            classes=np.array(blob["classes"]),
-            n_features=blob["n_features"],
-            seed=blob["seed"],
-            C=blob["C"],
-        )
-
 
 def fit_linear_svm(
     train: FeatureMatrix,

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ClassifyError
+from .base import ClassifyError, Stored
 
 
-class DecisionTree:
+class DecisionTree(Stored):
     """Binary CART classifier grown to purity, stored as flat node arrays."""
+
+    kind = "tree"
 
     def __init__(self, feature, threshold, left, right, leaf_label, n_classes):
         self.feature = np.asarray(feature, dtype=np.int64)
@@ -30,20 +32,6 @@ class DecisionTree:
                 )
             out[i] = self.leaf_label[node]
         return out
-
-    def to_blob(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "leaf_label": self.leaf_label.tolist(),
-            "n_classes": self.n_classes,
-        }
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "DecisionTree":
-        return cls(**blob)
 
 
 def _best_split(X, y, idx, features, n_classes):

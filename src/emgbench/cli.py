@@ -92,29 +92,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+_BENCH_FLAGS = ("families", "models", "seed", "test_fraction", "jobs", "subject_split")
+
+
 def _config_from_args(args) -> BenchmarkConfig:
+    """The config file (or the dataset of --manifest/--synthetic) with the
+    flags given on the command line laid over it."""
     if args.config:
-        config = BenchmarkConfig.from_json(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.jobs is not None:
-            config.jobs = args.jobs
-        return config
-    if args.manifest:
-        dataset = {"manifest": args.manifest}
+        doc = json.loads(Path(args.config).read_text())
+    elif args.manifest:
+        doc = {"dataset": {"manifest": args.manifest}}
     elif args.synthetic:
-        dataset = {"synthetic": json.loads(args.synthetic)}
+        doc = {"dataset": {"synthetic": json.loads(args.synthetic)}}
     else:
         raise ConfigError("one of --config, --manifest, or --synthetic is required")
-    return BenchmarkConfig(
-        dataset=dataset,
-        families=tuple(args.families),
-        models=tuple(args.models),
-        seed=args.seed if args.seed is not None else _default_seed(),
-        test_fraction=args.test_fraction,
-        jobs=args.jobs if args.jobs is not None else 1,
-        subject_split=args.subject_split,
-    )
+    doc.update({k: getattr(args, k) for k in _BENCH_FLAGS if getattr(args, k) is not None})
+    doc.setdefault("seed", _default_seed())
+    return BenchmarkConfig.from_dict(doc)
 
 
 def cmd_bench(args) -> int:
@@ -144,6 +138,9 @@ def cmd_report(args) -> int:
     if not reports and not errors:
         print(f"error: no cell reports found in {bundle}", file=sys.stderr)
         return 2
+    families = json.loads((bundle / "resolved_config.json").read_text())["families"]
+    reports.sort(key=lambda r: families.index(r.family))
+    errors = dict(sorted(errors.items(), key=lambda item: families.index(item[0][0])))
     print(render_table(reports, errors))
     return 0
 
@@ -190,12 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON benchmark config")
     p.add_argument("--manifest", help="dataset manifest path")
     p.add_argument("--synthetic", help="inline synthetic spec as JSON")
-    p.add_argument("--families", nargs="+", choices=FAMILIES, default=list(FAMILIES))
-    p.add_argument("--models", nargs="+", choices=MODEL_NAMES, default=list(MODEL_NAMES))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--subject-split", dest="subject_split", action="store_true")
+    p.add_argument("--families", nargs="+", choices=FAMILIES)
+    p.add_argument("--models", nargs="+", choices=MODEL_NAMES)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--test-fraction", dest="test_fraction", type=float)
+    p.add_argument("--jobs", type=int)
+    p.add_argument("--subject-split", dest="subject_split", action="store_true", default=None)
     p.add_argument("--out", help="report bundle output directory")
     p.set_defaults(func=cmd_bench)
 

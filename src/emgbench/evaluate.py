@@ -122,8 +122,8 @@ class EvaluationReport:
     seed: int = 0
     timing: dict = field(default_factory=dict)
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "family": self.family,
             "model": self.model,
             "accuracy": self.metrics.accuracy,
@@ -139,10 +139,8 @@ class EvaluationReport:
             "class_names": list(self.confusion.class_names),
             "config": self.config,
             "seed": self.seed,
+            "timing": self.timing,
         }
-        if include_timing:
-            doc["timing"] = self.timing
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EvaluationReport":

@@ -78,12 +78,6 @@ class SubbandSet:
     def all_bands(self) -> list[np.ndarray]:
         return [*self.details, self.approx]
 
-    def band_names(self) -> list[str]:
-        return [f"D{j + 1}" for j in range(self.levels)] + [f"A{self.levels}"]
-
-    def total_coefficients(self) -> int:
-        return sum(b.size for b in self.all_bands())
-
 
 def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
     """One periodized decomposition level over the last axis.

@@ -99,8 +99,10 @@ class TestRun:
         serial, err_s = run_benchmark(small_config(jobs=1, **base))
         parallel, err_p = run_benchmark(small_config(jobs=2, **base))
         assert err_s == err_p == {}
-        serial_docs = [r.to_json_dict(include_timing=False) for r in serial]
-        parallel_docs = [r.to_json_dict(include_timing=False) for r in parallel]
+        serial_docs, parallel_docs = (
+            [{k: v for k, v in r.to_json_dict().items() if k != "timing"} for r in reports]
+            for reports in (serial, parallel)
+        )
         assert json.dumps(serial_docs, sort_keys=True) == json.dumps(
             parallel_docs, sort_keys=True
         )

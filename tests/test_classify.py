@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,9 @@ class TestPipelineSerialization:
         pipe.save(path)
         loaded = Pipeline.load(path)
         np.testing.assert_array_equal(loaded.predict(test.values), pipe.predict(test.values))
+        text = json.dumps(pipe.to_blob(), sort_keys=True)
+        again = json.dumps(Pipeline.from_blob(json.loads(text)).to_blob(), sort_keys=True)
+        assert again == text
 
     def test_unknown_model_name(self, blob_data):
         with pytest.raises(ClassifyError, match="unknown model"):
@@ -337,6 +342,26 @@ class TestPipelineSerialization:
         blob = fit_pipeline("lda", blob_data).to_blob()
         blob["version"] = 1
         with pytest.raises(ClassifyError, match="unsupported model blob version: 1"):
+            Pipeline.from_blob(blob)
+
+    def test_v2_blob_refused(self, blob_data):
+        blob = fit_pipeline("lda", blob_data).to_blob()
+        blob["version"] = 2
+        with pytest.raises(ClassifyError, match="unsupported model blob version: 2"):
+            Pipeline.from_blob(blob)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda member: member.pop("k"), r"'knn' blob: missing fields \['k'\]"),
+            (lambda member: member.update(n_features=2), r"unexpected fields \['n_features'\]"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_member_with_wrong_fields_refused(self, edit, message, blob_data):
+        blob = fit_pipeline("bagging_knn", blob_data, bag_estimators=2).to_blob()
+        edit(blob["model"]["members"][1])
+        with pytest.raises(ClassifyError, match=message):
             Pipeline.from_blob(blob)
 
     def test_unknown_kind_refused(self, blob_data):

@@ -135,12 +135,13 @@ class TestTrainAndBench:
         assert code == 2
         assert "test_fraction must be in (0, 1), got 1.5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("failing", ["one_cell", "every_cell"])
+    @pytest.mark.parametrize("failing", ["one_cell", "every_cell", "one_cell_tsd_first"])
     def test_report_reproduces_table_with_failed_cells(self, failing, tmp_path, capsys,
                                                        monkeypatch):
-        args = ["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd",
+        families = ["tsd", "ftdd"] if failing == "one_cell_tsd_first" else ["ftdd"]
+        args = ["bench", "--synthetic", SMALL_SPEC, "--families", *families,
                 "--models", "lda", "knn", "--out", str(tmp_path)]
-        if failing == "one_cell":
+        if failing != "every_cell":
             fit = benchmark.fit_pipeline
 
             def fit_failing_knn(name, *a, **k):
@@ -157,6 +158,23 @@ class TestTrainAndBench:
         out = capsys.readouterr().out
         assert out == (tmp_path / "table.txt").read_text() + "\n"
         assert "FAILED" in out
+        assert [line for line in out.splitlines() if line.startswith("===")] == [
+            f"=== {family} ===" for family in families
+        ]
+
+    def test_bench_flags_override_config_file(self, tmp_path):
+        config = tmp_path / "c.json"
+        spec = {**json.loads(SMALL_SPEC), "trial_seconds": 2.0}  # 10 rows to train KNN on
+        config.write_text(json.dumps({"dataset": {"synthetic": spec},
+                                      "families": ["ftdd"], "models": ["lda"], "seed": 4}))
+        out = tmp_path / "bundle"
+        assert main(["bench", "--config", str(config), "--families", "tsd",
+                     "--models", "knn", "--test-fraction", "0.5", "--out", str(out)]) == 0
+        cells = [line.split(",")[:2] for line in (out / "table.csv").read_text().splitlines()[1:]]
+        assert cells == [["tsd", "knn"]]
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert (resolved["families"], resolved["models"]) == (["tsd"], ["knn"])
+        assert (resolved["test_fraction"], resolved["seed"]) == (0.5, 4)
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMG_SEED", "3")
