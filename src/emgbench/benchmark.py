@@ -31,6 +31,7 @@ MODEL_DISPLAY = {
 DEEP_ROWS = ("1D Dilated CNN", "1D Dilated CNN-LSTM")  # reported as not implemented
 
 _SYNTH_KEYS = {"n_classes", "n_channels", "fs", "trials_per_class", "trial_seconds"}
+_BAND_KEYS = {"low", "high", "order"}
 
 
 class ConfigError(ValueError):
@@ -72,6 +73,8 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -81,15 +84,19 @@ class BenchmarkConfig:
         if "models" in kwargs:
             kwargs["models"] = tuple(kwargs["models"])
         if "band" in kwargs:
-            band = kwargs["band"]
+            band = _section(kwargs["band"], "band", _BAND_KEYS)
+            missing = _BAND_KEYS - set(band)
+            if missing:
+                raise ConfigError(f"missing band keys: {sorted(missing)}")
             kwargs["band"] = (float(band["low"]), float(band["high"]), int(band["order"]))
         if "tdd" in kwargs:
-            kwargs["tdd"] = TddParams(**kwargs["tdd"])
+            tdd_keys = {f.name for f in fields(TddParams)}
+            kwargs["tdd"] = TddParams(**_section(kwargs["tdd"], "tdd", tdd_keys))
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "BenchmarkConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_config(path))
 
     def echo(self) -> dict:
         """Fully-resolved configuration and decision record for reports."""
@@ -114,6 +121,27 @@ class BenchmarkConfig:
                 "split": "subject-wise" if self.subject_split else "stratified by window",
             },
         }
+
+
+def _section(doc, name: str, keys: set[str]) -> dict:
+    """A config sub-object whose keys are all among keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name!r} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - keys
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return doc
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object of a config file, checked as a config on its own;
+    an error in it names the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        BenchmarkConfig.from_dict(doc)
+    except (ValueError, TypeError) as exc:  # bad JSON, keys or values
+        raise ConfigError(f"{path}: {exc}") from None
+    return doc
 
 
 def cell_seed(global_seed: int, family: str, model: str) -> int:

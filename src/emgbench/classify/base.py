@@ -49,7 +49,8 @@ def _encode(value):
 
 def model_from_blob(blob: dict) -> Stored:
     """Rebuild a stored object from its blob; the blob's `kind` picks the
-    class, whose constructor takes exactly the blob's other fields."""
+    class, whose constructor takes exactly the blob's other fields and
+    refuses values of the wrong type."""
     kind = blob.get("kind") if isinstance(blob, dict) else None
     if kind not in _REGISTRY:
         raise ClassifyError(f"unknown model kind in blob: {kind!r}")
@@ -59,7 +60,11 @@ def model_from_blob(blob: dict) -> Stored:
         missing = sorted(set(cls.fields) - given)
         extra = sorted(given - set(cls.fields))
         raise ClassifyError(f"{kind!r} blob: missing fields {missing}, unexpected fields {extra}")
-    return cls(**{name: _decode(blob[name]) for name in cls.fields})
+    values = {name: _decode(blob[name]) for name in cls.fields}
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ClassifyError(f"{kind!r} blob: {exc}") from None
 
 
 def _decode(value):

@@ -8,12 +8,22 @@ from ..features.extract import FeatureMatrix
 from .base import ClassifyError, Standardizer, TrainedModel, majority_vote
 from .forest import fit_random_forest
 from .knn import fit_knn
-from .svm import fit_linear_svm
+from .svm import fit_linear_svms
 
+# base -> fit(train, row_sets, seeds): one fitted member per row set.
 _BASE_FITTERS = {
-    "knn": fit_knn,
-    "svm": fit_linear_svm,
+    "knn": lambda train, row_sets, seeds: [
+        fit_knn(train.select(rows), seed=seed) for rows, seed in zip(row_sets, seeds)
+    ],
+    "svm": fit_linear_svms,
 }
+
+
+def _fitted(members) -> list[TrainedModel]:
+    members = list(members)
+    if not all(isinstance(m, TrainedModel) for m in members):
+        raise ClassifyError("ensemble members must be fitted models")
+    return members
 
 
 class BaggingModel(TrainedModel):
@@ -21,7 +31,7 @@ class BaggingModel(TrainedModel):
 
     def __init__(self, members, n_classes, n_features, seed=0):
         super().__init__(n_classes=n_classes, n_features=n_features, seed=seed)
-        self.members = list(members)
+        self.members = _fitted(members)
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
         votes = np.vstack([m.predict(values) for m in self.members])
@@ -41,14 +51,12 @@ def fit_bagging(
         raise ClassifyError(f"n_estimators must be >= 1, got {n_estimators}")
     if train.n_rows == 0:
         raise ClassifyError("empty training set")
-    fitter = _BASE_FITTERS[base]
     n = train.n_rows
-    members = []
-    seeds = np.random.SeedSequence(seed).spawn(n_estimators)
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        idx = rng.choice(n, size=n, replace=True)
-        members.append(fitter(train.select(idx), seed=int(ss.generate_state(1)[0] % 2**31)))
+    row_sets, seeds = [], []
+    for ss in np.random.SeedSequence(seed).spawn(n_estimators):
+        row_sets.append(np.random.default_rng(ss).choice(n, size=n, replace=True))
+        seeds.append(int(ss.generate_state(1)[0] % 2**31))
+    members = _BASE_FITTERS[base](train, row_sets, seeds)
     return BaggingModel(
         members=members,
         n_classes=int(train.labels.max()) + 1,
@@ -76,7 +84,7 @@ class AdaBoostModel(TrainedModel):
 
     def __init__(self, members, alphas, n_classes, n_features, seed=0):
         super().__init__(n_classes=n_classes, n_features=n_features, seed=seed)
-        self.members = list(members)
+        self.members = _fitted(members)
         self.alphas = np.asarray(alphas, dtype=np.float64)
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
@@ -137,7 +145,9 @@ class VotingModel(TrainedModel):
     kind = "voting"
 
     def __init__(self, scaler: Standardizer, members, scaled, seed=0):
-        members = list(members)
+        if not isinstance(scaler, Standardizer):
+            raise ClassifyError("voting scaler must be a standardizer")
+        members = _fitted(members)
         if len(members) < 2:
             raise ClassifyError("voting needs at least 2 models")
         if len({(m.n_classes, m.n_features) for m in members}) > 1:

@@ -14,11 +14,12 @@ from . import __version__
 from .benchmark import (
     BenchmarkConfig,
     ConfigError,
+    read_config,
     render_table,
     run_benchmark,
     write_bundle,
 )
-from .classify.pipeline import MODEL_NAMES, Pipeline, fit_pipeline
+from .classify.pipeline import MODEL_NAMES, fit_pipeline
 from .evaluate import ConfusionMatrix, EvaluationReport, metrics, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
 from .features.tdd import TddParams
@@ -99,7 +100,7 @@ def _config_from_args(args) -> BenchmarkConfig:
     """The config file (or the dataset of --manifest/--synthetic) with the
     flags given on the command line laid over it."""
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        doc = read_config(args.config)
     elif args.manifest:
         doc = {"dataset": {"manifest": args.manifest}}
     elif args.synthetic:

@@ -3,7 +3,7 @@ seeded synthetic generator used for desk-scale experiments and tests."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -24,6 +24,7 @@ from emgbench.classify import (
     knn_predict,
     majority_vote,
 )
+from emgbench.classify.svm import fit_linear_svms
 from emgbench.features.extract import FeatureMatrix
 
 
@@ -170,6 +171,107 @@ class TestLinearSvm:
         a = fit_linear_svm(train, seed=4).predict(test.values)
         b = fit_linear_svm(train, seed=4).predict(test.values)
         np.testing.assert_array_equal(a, b)
+
+
+def _train_binary(X, y, C, rng, max_epochs, tol):
+    """One binary dual coordinate descent at a time, with scalar steps: the
+    solver as it was before all problems stepped in lockstep. Returns the
+    weights and the number of epochs run."""
+    n, d = X.shape
+    alpha = np.zeros(n)
+    w = np.zeros(d)
+    qdiag = np.sum(X * X, axis=1)
+    order = np.arange(n)
+    for epoch in range(1, max_epochs + 1):
+        rng.shuffle(order)
+        max_violation = 0.0
+        for i in order:
+            if qdiag[i] <= 0:
+                continue
+            g = y[i] * (X[i] @ w) - 1.0
+            pg = g
+            if alpha[i] <= 0:
+                pg = min(g, 0.0)
+            elif alpha[i] >= C:
+                pg = max(g, 0.0)
+            if abs(pg) > 1e-14:
+                new = min(max(alpha[i] - g / qdiag[i], 0.0), C)
+                w += (new - alpha[i]) * y[i] * X[i]
+                alpha[i] = new
+            max_violation = max(max_violation, abs(pg))
+        if max_violation < tol:
+            break
+    return w, epoch
+
+
+def scalar_svm(train, rows, seed, C=1.0, max_epochs=60, tol=1e-4):
+    """One-vs-rest weights [K x d+1] of train's rows and the epochs of each
+    binary problem, by the scalar oracle."""
+    X, y = train.values[rows], train.labels[rows]
+    aug = np.column_stack([X, np.ones(X.shape[0])])
+    fits = [
+        _train_binary(aug, np.where(y == c, 1.0, -1.0), C, np.random.default_rng((seed, i)),
+                      max_epochs, tol)
+        for i, c in enumerate(np.unique(y))
+    ]
+    return np.vstack([w for w, _ in fits]), [epochs for _, epochs in fits]
+
+
+def bootstrap_draws(n, n_estimators, seed):
+    """The row sets and member seeds that fit_bagging draws."""
+    spawned = np.random.SeedSequence(seed).spawn(n_estimators)
+    rows = [np.random.default_rng(ss).choice(n, size=n, replace=True) for ss in spawned]
+    return rows, [int(ss.generate_state(1)[0] % 2**31) for ss in spawned]
+
+
+def noisy_classes(rng, n, d, n_classes, spread):
+    y = rng.integers(0, n_classes, n)
+    X = rng.standard_normal((n, d))
+    X[:, : n_classes] += spread * np.eye(n_classes)[y]
+    return fm(X, y)
+
+
+class TestLockstepSvm:
+    """Every problem of a lockstep solve has the weights, bit for bit, of the
+    scalar solve of that problem alone."""
+
+    @pytest.mark.parametrize("d", [48, 252])  # d + 1 = 49 and 253 with the bias column
+    def test_single_fit(self, d):
+        train = noisy_classes(np.random.default_rng(d), 60, d, 4, spread=3.0)
+        model = fit_linear_svm(train, seed=11)
+        expected, _ = scalar_svm(train, np.arange(train.n_rows), 11)
+        assert model.weights.tobytes() == expected.tobytes()
+
+    def test_bag_members_with_different_class_counts(self):
+        rng = np.random.default_rng(5)
+        train = noisy_classes(rng, 40, 6, 3, spread=2.0)
+        train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
+        bagged = fit_bagging("svm", train, n_estimators=6, seed=2)
+        rows, seeds = bootstrap_draws(train.n_rows, 6, 2)
+        assert {len(m.classes) for m in bagged.members} == {3, 4}
+        for member, r, s in zip(bagged.members, rows, seeds):
+            expected, _ = scalar_svm(train, r, s)
+            assert member.weights.tobytes() == expected.tobytes()
+
+    def test_mixed_convergence(self):
+        rng = np.random.default_rng(8)
+        train = noisy_classes(rng, 50, 5, 3, spread=8.0)
+        rows, seeds = bootstrap_draws(train.n_rows, 3, 4)
+        models = fit_linear_svms(train, rows, seeds, max_epochs=25)
+        epochs = []
+        for model, r, s in zip(models, rows, seeds):
+            expected, used = scalar_svm(train, r, s, max_epochs=25)
+            epochs += used
+            assert model.weights.tobytes() == expected.tobytes()
+        assert min(epochs) < 25 and max(epochs) == 25
+
+    def test_one_epoch(self):
+        train = noisy_classes(np.random.default_rng(9), 30, 8, 3, spread=2.0)
+        rows, seeds = bootstrap_draws(train.n_rows, 4, 1)
+        models = fit_linear_svms(train, rows, seeds, max_epochs=1)
+        for model, r, s in zip(models, rows, seeds):
+            expected, _ = scalar_svm(train, r, s, max_epochs=1)
+            assert model.weights.tobytes() == expected.tobytes()
 
 
 class TestTreeAndForest:
@@ -362,6 +464,24 @@ class TestPipelineSerialization:
         blob = fit_pipeline("bagging_knn", blob_data, bag_estimators=2).to_blob()
         edit(blob["model"]["members"][1])
         with pytest.raises(ClassifyError, match=message):
+            Pipeline.from_blob(blob)
+
+    def test_bagging_members_not_a_list_refused(self, blob_data):
+        blob = fit_pipeline("bagging_svm", blob_data, bag_estimators=2).to_blob()
+        blob["model"]["members"] = 5
+        with pytest.raises(ClassifyError, match="'bagging' blob: "):
+            Pipeline.from_blob(blob)
+
+    def test_voting_scaler_of_another_kind_refused(self, blob_data):
+        blob = fit_pipeline("voting", blob_data, rf_trees=2).to_blob()
+        blob["model"]["scaler"] = blob["model"]["members"][2]["trees"][0]
+        with pytest.raises(ClassifyError, match="voting scaler must be a standardizer"):
+            Pipeline.from_blob(blob)
+
+    def test_voting_member_of_another_kind_refused(self, blob_data):
+        blob = fit_pipeline("voting", blob_data, rf_trees=2).to_blob()
+        blob["model"]["members"][1] = blob["model"]["scaler"]
+        with pytest.raises(ClassifyError, match="ensemble members must be fitted models"):
             Pipeline.from_blob(blob)
 
     def test_unknown_kind_refused(self, blob_data):

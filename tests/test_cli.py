@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -175,6 +176,27 @@ class TestTrainAndBench:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert (resolved["families"], resolved["models"]) == (["tsd"], ["knn"])
         assert (resolved["test_fraction"], resolved["seed"]) == (0.5, 4)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "config must be a JSON object, got list"),
+            ({"tdd": {"bogus": 1}}, r"unknown tdd keys: \['bogus'\]"),
+            ({"band": {"low": 20, "high": 450, "order": 8, "bogus": 1}},
+             r"unknown band keys: \['bogus'\]"),
+            ({"band": {"low": 20, "high": 450}}, r"missing band keys: \['order'\]"),
+        ],
+        ids=["list", "tdd_key", "band_key", "band_missing"],
+    )
+    def test_bad_config_file_names_the_file(self, doc, message, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        if isinstance(doc, dict):
+            doc = {"dataset": {"synthetic": json.loads(SMALL_SPEC)}, **doc}
+        config.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ")
+        assert re.search(message, err)
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMG_SEED", "3")
