@@ -5,7 +5,7 @@ import numpy as np
 
 from ..features.extract import FeatureMatrix
 from .base import ClassifyError, TrainedModel, majority_vote
-from .tree import fit_tree
+from .tree import DecisionTree, fit_trees
 
 
 class RandomForestModel(TrainedModel):
@@ -14,6 +14,12 @@ class RandomForestModel(TrainedModel):
     def __init__(self, trees, n_classes, n_features, seed=0):
         super().__init__(n_classes=n_classes, n_features=n_features, seed=seed)
         self.trees = list(trees)
+        if not all(isinstance(t, DecisionTree) for t in self.trees):
+            raise ClassifyError("forest trees must be decision trees")
+        if any(
+            t.n_classes != self.n_classes or t.feature.max() >= self.n_features for t in self.trees
+        ):
+            raise ClassifyError("forest trees must have the forest's classes and features")
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
         votes = np.vstack([t.predict(values) for t in self.trees])
@@ -36,10 +42,7 @@ def fit_random_forest(
         raise ClassifyError("empty training set")
     n_classes = int(y.max()) + 1
     max_features = max(1, int(np.floor(np.sqrt(d))))
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        idx = rng.choice(n, size=n, replace=True, p=sample_weights)
-        trees.append(fit_tree(X[idx], y[idx], n_classes, rng, max_features))
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    row_sets = [rng.choice(n, size=n, replace=True, p=sample_weights) for rng in rngs]
+    trees = fit_trees(X, y, n_classes, row_sets, rngs, max_features)
     return RandomForestModel(trees=trees, n_classes=n_classes, n_features=d, seed=seed)

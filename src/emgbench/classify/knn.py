@@ -32,20 +32,13 @@ def knn_predict(
         - 2.0 * query @ train_values.T
         + np.sum(train_values**2, axis=1)[None, :]
     )
-    out = np.empty(query.shape[0], dtype=np.int64)
-    idx = np.arange(n)
-    for qi in range(query.shape[0]):
-        order = np.lexsort((idx, d2[qi]))[:k]
-        labels = train_labels[order]
-        counts = np.bincount(labels)
-        best = counts.max()
-        tied = np.flatnonzero(counts == best)
-        if tied.size == 1:
-            out[qi] = tied[0]
-        else:
-            # nearest neighbor whose label belongs to the tied set
-            out[qi] = labels[np.isin(labels, tied)][0]
-    return out
+    # A stable sort puts distance ties in training-row order.
+    labels = train_labels[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    counts = np.sum(labels[:, :, None] == np.arange(train_labels.max() + 1), axis=1)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    # the label of the nearest neighbor whose label is among the tied classes
+    nearest = np.argmax(np.take_along_axis(tied, labels, axis=1), axis=1)
+    return np.take_along_axis(labels, nearest[:, None], axis=1)[:, 0]
 
 
 class KnnModel(TrainedModel):

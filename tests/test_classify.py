@@ -8,6 +8,7 @@ import pytest
 from conftest import split_blobs
 from emgbench.classify import (
     ClassifyError,
+    DecisionTree,
     Pipeline,
     Standardizer,
     TrainedModel,
@@ -23,6 +24,7 @@ from emgbench.classify import (
     fit_tree,
     knn_predict,
     majority_vote,
+    model_to_blob,
 )
 from emgbench.classify.svm import fit_linear_svms
 from emgbench.features.extract import FeatureMatrix
@@ -315,6 +317,169 @@ class TestTreeAndForest:
             fit_random_forest(empty, n_trees=1, seed=0)
 
 
+def _scalar_best_split(X, y, idx, features, n_classes):
+    """Best (feature, threshold) over idx, one feature at a time: the split
+    search as it was before all trees grew in lockstep."""
+    best = None  # (score, feature, threshold)
+    onehot = np.eye(n_classes)[y[idx]]
+    m = idx.size
+    for f in features:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        valid = sv[1:] > sv[:-1]
+        if not np.any(valid):
+            continue
+        prefix = np.cumsum(onehot[order], axis=0)[:-1]
+        n_left = np.arange(1, m)
+        suffix = (prefix[-1] + onehot[order][-1])[None, :] - prefix
+        score = np.sum(prefix**2, axis=1) / n_left + np.sum(suffix**2, axis=1) / (m - n_left)
+        score = np.where(valid, score, -np.inf)
+        p = int(np.argmax(score))
+        if best is None or score[p] > best[0]:
+            best = (score[p], f, 0.5 * (sv[p] + sv[p + 1]))
+    return None if best is None else best[1:]
+
+
+def scalar_tree(X, y, n_classes, rng, max_features=None, fallbacks=None):
+    """One tree grown alone by recursion, one node at a time; every node that
+    falls back to the full feature set is appended to fallbacks."""
+    d = X.shape[1]
+    max_features = d if max_features is None else max_features
+    feature, threshold, left, right, leaf_label = columns = [], [], [], [], []
+
+    def build(idx):
+        node = len(feature)
+        for column, blank in zip(columns, (-1, 0.0, -1, -1, -1)):
+            column.append(blank)
+        counts = np.bincount(y[idx], minlength=n_classes)
+        if idx.size < 2 or np.max(counts) == idx.size:
+            leaf_label[node] = int(np.argmax(counts))
+            return node
+        cand = rng.choice(d, size=min(max_features, d), replace=False)
+        split = _scalar_best_split(X, y, idx, cand, n_classes)
+        if split is None and max_features < d:
+            if fallbacks is not None:
+                fallbacks.append(node)
+            split = _scalar_best_split(X, y, idx, np.arange(d), n_classes)
+        if split is None:
+            leaf_label[node] = int(np.argmax(counts))
+            return node
+        f, thr = split
+        mask = X[idx, f] <= thr
+        feature[node], threshold[node] = int(f), float(thr)
+        left[node] = build(idx[mask])
+        right[node] = build(idx[~mask])
+        return node
+
+    build(np.arange(X.shape[0]))
+    return DecisionTree(feature, threshold, left, right, leaf_label, n_classes)
+
+
+def scalar_forest(train, n_trees, seed, sample_weights=None, fallbacks=None):
+    """The trees of fit_random_forest, grown one at a time by the oracle."""
+    X, y = train.values, train.labels
+    n, d = X.shape
+    max_features = max(1, int(np.floor(np.sqrt(d))))
+    trees = []
+    for ss in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(ss)
+        idx = rng.choice(n, size=n, replace=True, p=sample_weights)
+        trees.append(scalar_tree(X[idx], y[idx], int(y.max()) + 1, rng, max_features, fallbacks))
+    return trees
+
+
+def tree_blobs(trees):
+    return [json.dumps(model_to_blob(t), sort_keys=True) for t in trees]
+
+
+def walk_rows(tree, values):
+    """Per-row descent from the root: the predict of one row at a time."""
+    out = []
+    for row in values:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(tree.leaf_label[node])
+    return np.array(out)
+
+
+class TestLockstepTrees:
+    """Every tree grown in lockstep on ranks has, byte for byte, the blob of
+    the tree grown alone by the scalar search."""
+
+    def test_single_tree_all_features(self):
+        train = noisy_classes(np.random.default_rng(21), 60, 10, 4, spread=1.0)
+        tree = fit_tree(train.values, train.labels, 4, np.random.default_rng(3))
+        expected = scalar_tree(train.values, train.labels, 4, np.random.default_rng(3))
+        assert tree_blobs([tree]) == tree_blobs([expected])
+        assert tree.feature.size > 3
+
+    @pytest.mark.parametrize("d", [48, 252])
+    def test_forest(self, d):
+        train = noisy_classes(np.random.default_rng(d), 76, d, 4, spread=1.0)
+        model = fit_random_forest(train, n_trees=100, seed=d)
+        assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 100, d))
+
+    def test_weighted_forest(self):
+        rng = np.random.default_rng(4)
+        train = noisy_classes(rng, 50, 20, 3, spread=1.0)
+        w = rng.random(train.n_rows)
+        w /= w.sum()
+        model = fit_random_forest(train, n_trees=25, seed=7, sample_weights=w)
+        assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 25, 7, w))
+
+    def test_full_feature_fallback(self):
+        rng = np.random.default_rng(6)
+        X = np.ones((40, 16))  # 4 candidates per split; only feature 9 varies
+        X[:, 9] = rng.standard_normal(40)
+        y = (X[:, 9] > 0).astype(int) + 2 * (np.abs(X[:, 9]) > 1)
+        train = fm(X, y)
+        fallbacks = []
+        expected = scalar_forest(train, 20, 1, fallbacks=fallbacks)
+        assert len(fallbacks) > 0
+        model = fit_random_forest(train, n_trees=20, seed=1)
+        assert tree_blobs(model.trees) == tree_blobs(expected)
+
+    def test_tied_and_duplicated_values(self):
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 3, size=(30, 6)).astype(float)
+        X = np.vstack([X, X[:10]])  # duplicated rows
+        X[:, 2] = -0.0  # a constant column of negative zeros
+        X[::2, 2] = 0.0
+        y = rng.integers(0, 3, size=40)
+        train = fm(X, y)
+        model = fit_random_forest(train, n_trees=30, seed=2)
+        assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 30, 2))
+        tree = fit_tree(X, y, 3, np.random.default_rng(5))
+        assert tree_blobs([tree]) == tree_blobs([scalar_tree(X, y, 3, np.random.default_rng(5))])
+
+    @pytest.mark.parametrize(
+        "n_rows, labels", [(1, [2]), (12, [1] * 12)], ids=["one_row", "one_class"]
+    )
+    def test_degenerate_training_sets(self, n_rows, labels):
+        train = fm(np.random.default_rng(0).standard_normal((n_rows, 5)), np.array(labels))
+        model = fit_random_forest(train, n_trees=5, seed=3)
+        assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 5, 3))
+        assert all(t.feature.tolist() == [-1] for t in model.trees)
+
+    def test_level_wise_predict_equals_row_walk(self):
+        rng = np.random.default_rng(10)
+        train = noisy_classes(rng, 80, 12, 4, spread=1.0)
+        model = fit_random_forest(train, n_trees=10, seed=4)
+        query = np.vstack([rng.standard_normal((50, 12)), train.values])
+        # rows that sit exactly on a threshold go left
+        query[:10, model.trees[0].feature[0]] = model.trees[0].threshold[0]
+        for tree in model.trees:
+            np.testing.assert_array_equal(tree.predict(query), walk_rows(tree, query))
+
+    def test_non_finite_features_refused(self):
+        X = np.array([[0.0], [np.nan], [1.0]])
+        with pytest.raises(ClassifyError, match="finite"):
+            fit_tree(X, np.array([0, 1, 0]), 2, np.random.default_rng(0))
+
+
 class TestBagging:
     def test_members_are_bootstrap_fits_and_vote(self, blob_data):
         train, test = split_blobs(blob_data)
@@ -489,3 +654,42 @@ class TestPipelineSerialization:
         blob["model"]["members"][1]["kind"] = "cnn"
         with pytest.raises(ClassifyError, match="unknown model kind in blob: 'cnn'"):
             Pipeline.from_blob(blob)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda tree: model_to_blob(Standardizer(mean=np.zeros(6), std=np.ones(6))),
+             "forest trees must be decision trees"),
+            (lambda tree: {**tree, "n_classes": 5}, "the forest's classes and features"),
+            (lambda tree: {**tree, "feature": [6] + tree["feature"][1:]},
+             "the forest's classes and features"),
+        ],
+        ids=["standardizer", "more_classes", "feature_out_of_range"],
+    )
+    def test_forest_tree_that_does_not_fit_refused(self, edit, message, blob_data):
+        blob = fit_pipeline("random_forest", blob_data, rf_trees=2).to_blob()
+        blob["model"]["trees"][0] = edit(blob["model"]["trees"][0])
+        with pytest.raises(ClassifyError, match=message):
+            Pipeline.from_blob(blob)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda tree: tree["threshold"].pop(), "of one length"),
+            (lambda tree: tree["left"].__setitem__(0, 0), "must come after their node"),
+            (lambda tree: tree["right"].__setitem__(0, len(tree["right"])), "index a node"),
+            (lambda tree: tree["leaf_label"].__setitem__(-1, 4), r"leaf labels must lie in \[0, 4\)"),
+        ],
+        ids=["lengths_differ", "child_not_after_node", "child_out_of_range", "label_out_of_range"],
+    )
+    def test_malformed_tree_refused(self, edit, message, blob_data):
+        blob = fit_pipeline("adaboost", blob_data, boost_rounds=1, boost_trees=2).to_blob()
+        tree = blob["model"]["members"][0]["trees"][1]
+        assert tree["feature"][0] >= 0 and tree["feature"][-1] == -1
+        edit(tree)
+        with pytest.raises(ClassifyError, match=message):
+            Pipeline.from_blob(blob)
+
+    def test_tree_with_self_loop_refused(self):
+        with pytest.raises(ClassifyError, match="must come after their node"):
+            DecisionTree([0, -1, -1], [0.5, 0.0, 0.0], [0, -1, -1], [2, -1, -1], [-1, 0, 1], 2)
