@@ -28,7 +28,6 @@ MODEL_DISPLAY = {
     "bagging_svm": "Bagging SVM",
     "adaboost": "AdaBoost",
 }
-DEEP_ROWS = ("1D Dilated CNN", "1D Dilated CNN-LSTM")  # reported as not implemented
 
 _SYNTH_KEYS = {"n_classes", "n_channels", "fs", "trials_per_class", "trial_seconds"}
 _BAND_KEYS = {"low", "high", "order"}
@@ -144,8 +143,10 @@ def read_config(path: str | Path) -> dict:
     return doc
 
 
-def cell_seed(global_seed: int, family: str, model: str) -> int:
-    digest = hashlib.sha256(f"{global_seed}:{family}:{model}".encode()).digest()
+def cell_seed(global_seed: int, *keys: str) -> int:
+    """A seed derived from the run's seed and keys: (family,) seeds the
+    row's train/test split, (family, model) the cell's fit."""
+    digest = hashlib.sha256(":".join([str(global_seed), *keys]).encode()).digest()
     return int.from_bytes(digest[:4], "little")
 
 
@@ -185,23 +186,27 @@ def run_benchmark(config: BenchmarkConfig):
     ws = segment_records(filtered, config.window_ms, config.overlap)
     window_subjects = np.array([rec.subject for rec in records])[ws.trial]
 
-    feature_cache: dict[str, FeatureMatrix] = {}
+    # Every model of a family row trains and tests on the row's one split.
+    partitions: dict[str, tuple[FeatureMatrix, FeatureMatrix]] = {}
     errors: dict[tuple[str, str], str] = {}
     for family in config.families:
         try:
-            feature_cache[family] = extract(ws, family, config.tdd)
-        except Exception as exc:  # feature failure poisons the family's cells
+            fm = extract(ws, family, config.tdd)
+            split_seed = cell_seed(config.seed, family)
+            if config.subject_split:
+                train_idx, test_idx = _subject_split(
+                    window_subjects, config.test_fraction, split_seed
+                )
+            else:
+                train_idx, test_idx = stratified_split(fm.labels, config.test_fraction, split_seed)
+            partitions[family] = fm.select(train_idx), fm.select(test_idx)
+        except Exception as exc:  # a feature or split failure fails the family's cells
             for model in config.models:
                 errors[(family, model)] = str(exc)
 
     def run_cell(family: str, model: str) -> EvaluationReport:
-        fm = feature_cache[family]
+        train, test = partitions[family]
         seed = cell_seed(config.seed, family, model)
-        if config.subject_split:
-            train_idx, test_idx = _subject_split(window_subjects, config.test_fraction, seed)
-        else:
-            train_idx, test_idx = stratified_split(fm.labels, config.test_fraction, seed)
-        train, test = fm.select(train_idx), fm.select(test_idx)
         t0 = time.perf_counter()
         pipeline = fit_pipeline(model, train, seed=seed)
         t1 = time.perf_counter()
@@ -243,8 +248,8 @@ def run_benchmark(config: BenchmarkConfig):
 
 
 def render_table(reports: list[EvaluationReport], errors: dict | None = None) -> str:
-    """Per-family tables in the row layout LDA .. AdaBoost plus the deep
-    rows marked not implemented."""
+    """Per-family tables in the row layout LDA .. AdaBoost, listing only the
+    cells that ran or failed."""
     errors = errors or {}
     by_cell = {(r.family, r.model): r for r in reports}
     families = []
@@ -269,8 +274,6 @@ def render_table(reports: list[EvaluationReport], errors: dict | None = None) ->
                 )
             elif (family, model) in errors:
                 lines.append(f"{name:<22}  FAILED: {errors[(family, model)]}")
-        for deep in DEEP_ROWS:
-            lines.append(f"{deep:<22}  not implemented")
         lines.append("")
     return "\n".join(lines)
 

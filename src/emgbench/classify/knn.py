@@ -7,6 +7,21 @@ from ..features.extract import FeatureMatrix
 from .base import ClassifyError, TrainedModel
 
 
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of each row of d2 in (distance, column) order,
+    as argsort(d2, kind="stable")[:, :k] gives them, without a full sort.
+
+    Only columns at most the row's k-th smallest distance can be among
+    them; ties may make that more than k. NaN distances sort last: no
+    column is > a NaN k-th distance, so such a row keeps all its columns.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(~(d2 > kth[:, None]))  # rows ascending
+    order = np.lexsort((cols, d2[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(d2.shape[0]))
+    return cols[order][starts[:, None] + np.arange(k)]
+
+
 def knn_predict(
     train_values: np.ndarray,
     train_labels: np.ndarray,
@@ -32,8 +47,7 @@ def knn_predict(
         - 2.0 * query @ train_values.T
         + np.sum(train_values**2, axis=1)[None, :]
     )
-    # A stable sort puts distance ties in training-row order.
-    labels = train_labels[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    labels = train_labels[_nearest(d2, k)]
     counts = np.sum(labels[:, :, None] == np.arange(train_labels.max() + 1), axis=1)
     tied = counts == counts.max(axis=1, keepdims=True)
     # the label of the nearest neighbor whose label is among the tied classes

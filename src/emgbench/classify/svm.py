@@ -1,7 +1,13 @@
-"""Linear SVM (one-vs-rest) trained by deterministic dual coordinate
-descent on the hinge-loss dual (Hsieh et al., ICML 2008). All binary
-problems of a fit, and of every bagging member, step in lockstep."""
+"""Linear SVM (one-vs-rest) with the L2 loss (squared hinge), fitted by a
+line-search Newton method on the primal with conjugate-gradient steps
+(Keerthi & DeCoste, JMLR 2005; Lin, Weng & Keerthi, "Trust Region Newton
+Method for Large-Scale Logistic Regression", JMLR 2008). The one-vs-rest
+problems of a fit, and of every bagging member, are solved in one batch on
+the shared training matrix; the solve is deterministic and visits no rows
+in random order, so it needs no shuffle seed."""
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -9,71 +15,110 @@ from ..features.extract import FeatureMatrix
 from .base import ClassifyError, TrainedModel
 
 
-def _train_duals(X: np.ndarray, rows: np.ndarray, Y: np.ndarray, C: float, rngs: list,
-                 max_epochs: int, tol: float) -> np.ndarray:
-    """Dual coordinate descent for P problems min 0.5|w|^2 + C sum hinge(y w.x).
+def _loss_terms(M, Y, cn):
+    """Per-row terms of the objective's derivatives at margins M = W X^T:
+    the gradient is W + coef @ X and the generalised Hessian
+    I + X^T diag(D) X, for 0.5|w|^2 + sum_j cn_j max(0, 1 - y_j m_j)^2."""
+    slack = np.maximum(1.0 - Y * M, 0.0)
+    return -2.0 * cn * Y * slack, 2.0 * cn * (slack > 0)
 
-    X carries the bias feature; problem p trains on rows X[rows[p]] with
-    labels Y[p] in {-1, +1} and visits them in the order that rngs[p]
-    shuffles each epoch. It stops once an epoch's largest projected
-    gradient is below tol.
 
-    Each problem's weights equal, bit for bit, those of solving it alone
-    with scalar steps g = y * (x @ w) - 1 and w += ((new - a) * y) * x.
-    Steps gather y * x from [X; -X], and as y is +-1 and rounding is
-    symmetric in sign, (y * x) @ w == y * (x @ w) and d * (y * x) ==
-    (d * y) * x. A problem that takes no step adds +-0.0 to weights that
-    never hold -0.0.
-    """
-    P, n = rows.shape
-    qdiag = np.sum(X * X, axis=1)  # >= 1 from the bias column
-    signed = np.concatenate([X, -X])
-    W = np.zeros((P, X.shape[1]))
-    alpha = np.zeros((P, n))
-    order = np.tile(np.arange(n), (P, 1))
-    active = np.arange(P)
-    for _ in range(max_epochs):
-        for p in active:
-            rngs[p].shuffle(order[p])
-        # The epoch's visits of the active problems, one row per step. Each
-        # dual variable is visited once per epoch, so a step reads the
-        # alphas of the epoch's start and writes its new alphas to new_t.
-        at, visit = active[:, None], order[active]
-        rows_t = np.take_along_axis(rows[active], visit, axis=1).T.copy()
-        y_t = Y[at, visit].T.copy()
-        a_t = alpha[at, visit].T.copy()
-        q_t = qdiag[rows_t]
-        rows_t[y_t < 0] += X.shape[0]  # the row of y * x in signed
-        lo_t = np.where(a_t >= C, 0.0, -np.inf)  # pg = max(g, 0) at alpha = C
-        hi_t = np.where(a_t <= 0, 0.0, np.inf)  # pg = min(g, 0) at alpha = 0
-        pg_t, new_t = np.empty_like(a_t), np.empty_like(a_t)
-        w = W[active]
-        x, g, moving, step = (
-            np.empty_like(w), np.empty(active.size), np.empty(active.size, dtype=bool),
-            np.empty((active.size, 1)),
-        )
-        x3, w3, g3, delta = x[:, None, :], w[:, :, None], g[:, None, None], step[:, 0]
-        for r, a, lo, hi, q, pg, new in zip(rows_t, a_t, lo_t, hi_t, q_t, pg_t, new_t):
-            np.take(signed, r, axis=0, out=x, mode="clip")  # "clip": unbuffered; r is in range
-            np.matmul(x3, w3, out=g3)  # one ddot per problem, as x @ w
-            g -= 1.0
-            np.abs(np.minimum(np.maximum(g, lo, out=pg), hi, out=pg), out=pg)
-            # A problem with |pg| <= 1e-14 takes no step: its g becomes +-0.0,
-            # so its new alpha is a and its weights gain +-0.0.
-            np.greater(pg, 1e-14, out=moving)
-            g *= moving
-            g /= q
-            np.subtract(a, g, out=new)
-            np.minimum(np.maximum(new, 0.0, out=new), C, out=new)
-            np.subtract(new, a, out=delta)
-            x *= step
-            w += x
-        W[active] = w
-        alpha[at, visit] = new_t.T
-        active = active[pg_t.max(axis=0) >= tol]
-        if active.size == 0:
+def _cg_directions(X, D, G):
+    """Batched conjugate gradient on (I + X^T diag(D[p]) X) s = -G[p], each
+    problem stopping once its residual is at most 0.1 |G[p]|."""
+    rows = np.flatnonzero(D.any(axis=0))  # rows outside every active set add nothing
+    X, D = X[rows], D[:, rows]
+    S, R = np.zeros_like(G), -G
+    Dir = R.copy()
+    rr = np.einsum("ij,ij->i", R, R)
+    goal = 0.01 * rr
+    live = np.flatnonzero(rr > goal)
+    for _ in range(X.shape[1]):  # exact within d steps, bar rounding
+        if live.size == 0:
             break
-    return W
+        p = Dir[live]
+        hp = p + (D[live] * (p @ X.T)) @ X
+        alpha = rr[live] / np.einsum("ij,ij->i", p, hp)
+        S[live] += alpha[:, None] * p
+        R[live] -= alpha[:, None] * hp
+        new = np.einsum("ij,ij->i", R[live], R[live])
+        Dir[live] = R[live] + (new / rr[live])[:, None] * p
+        rr[live] = new
+        live = live[new > goal[live]]
+    return S
+
+
+def _exact_steps(W, S, M, Z, Y, cn):
+    """Per problem, the t >= 0 that minimises the objective along W + t S.
+
+    With margins M and their change Z = S X^T, the derivative along the
+    line is piecewise linear and nondecreasing in t: A + B t, where row j
+    adds 2 cn_j ((m_j - y_j) z_j + t z_j^2) while y_j (m_j + t z_j) < 1.
+    Rows enter or leave that set at t_j = (1 - y_j m_j) / (y_j z_j); a sweep
+    over the sorted t_j finds the segment where the derivative reaches 0.
+    """
+    u, v = 1.0 - Y * M, Y * Z
+    a, b = 2.0 * cn * (M - Y) * Z, 2.0 * cn * Z * Z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = u / v
+    moves = (v != 0) & (cross > 0)
+    start = (u > 0) | ((u == 0) & (v < 0))  # in the set just after t = 0
+    A0 = np.einsum("ij,ij->i", W, S) + np.sum(np.where(start, a, 0.0), axis=1)
+    B0 = np.einsum("ij,ij->i", S, S) + np.sum(np.where(start, b, 0.0), axis=1)
+    sign = np.where(moves, np.where(v < 0, 1.0, -1.0), 0.0)  # enter or leave
+    cross = np.where(moves, cross, np.inf)
+    order = np.argsort(cross, axis=1)
+
+    def swept(start_value, delta):  # value on each segment, the k-th after k crossings
+        steps = np.cumsum(np.take_along_axis(sign * delta, order, axis=1), axis=1)
+        return np.column_stack([start_value, start_value[:, None] + steps])
+
+    A, B = swept(A0, a), swept(B0, b)
+    ends = np.column_stack([np.take_along_axis(cross, order, axis=1), np.full(len(W), np.inf)])
+    # The first segment whose right end has a nonnegative derivative holds
+    # the root; B > 0 there, as it counts |S|^2.
+    seg = np.argmax(A + B * ends >= 0, axis=1)[:, None]
+    t = -np.take_along_axis(A, seg, axis=1)[:, 0] / np.take_along_axis(B, seg, axis=1)[:, 0]
+    return np.maximum(t, 0.0)
+
+
+def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray, C: float,
+                  max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton-CG for P problems min 0.5|w|^2 + C sum_j n_j max(0, 1 - y_j w.x_j)^2.
+
+    X [N, d] carries the bias column and is shared by all problems: problem
+    p weighs row j by counts[p, j] (0 leaves it out) with label Y[p, j] in
+    {-1, +1}. Each Newton step solves H s = -g by batched CG to a relative
+    residual of 0.1, then takes the exact minimiser along s. A problem stops
+    once |g| <= tol * |g0|, g0 being its gradient at w = 0, or after
+    max_iter steps.
+
+    Returns the weights [P, d], the Newton steps taken per problem and each
+    problem's final relative gradient |g| / |g0| (0 where g0 = 0).
+    """
+    P = counts.shape[0]
+    cn = C * counts
+    W = np.zeros((P, X.shape[1]))
+    M = np.zeros((P, X.shape[0]))
+    coef, D = _loss_terms(M, Y, cn)
+    G = coef @ X
+    g0 = np.linalg.norm(G, axis=1)
+    gnorm = g0.copy()
+    iters = np.zeros(P, dtype=np.int64)
+    live = np.flatnonzero(gnorm > tol * g0)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        S = _cg_directions(X, D[live], G[live])
+        t = _exact_steps(W[live], S, M[live], S @ X.T, Y[live], cn[live])
+        W[live] += t[:, None] * S
+        M[live] = W[live] @ X.T
+        coef, D[live] = _loss_terms(M[live], Y[live], cn[live])
+        G[live] = W[live] + coef @ X
+        gnorm[live] = np.linalg.norm(G[live], axis=1)
+        iters[live] += 1
+        live = live[gnorm[live] > tol * g0[live]]
+    return W, iters, np.divide(gnorm, g0, out=np.zeros(P), where=g0 > 0)
 
 
 class LinearSvmModel(TrainedModel):
@@ -98,25 +143,34 @@ def fit_linear_svms(
     row_sets: list[np.ndarray],
     seeds: list[int],
     C: float = 1.0,
-    max_epochs: int = 60,
-    tol: float = 1e-4,
+    max_iter: int = 100,
+    tol: float = 1e-6,
 ) -> list[LinearSvmModel]:
-    """One one-vs-rest SVM per row set of train (all of one length, as
-    bootstrap draws are); the binary problem of the i-th class of the
-    model with seed s shuffles with default_rng((s, i))."""
-    classes, rows, labels, rngs = [], [], [], []
-    for r, seed in zip(row_sets, seeds):
+    """One one-vs-rest SVM per row set of train (a row drawn twice counts
+    twice, as in a bootstrap draw); seeds only label the models. Warns when
+    a problem stops at max_iter short of tol."""
+    classes, counts, labels = [], [], []
+    for r in row_sets:
         y = train.labels[r]
         cs = np.unique(y)
         if cs.size < 2:
             raise ClassifyError("single class: SVM needs at least 2 classes")
         classes.append(cs)
-        for i, c in enumerate(cs):
-            rows.append(r)
-            labels.append(np.where(y == c, 1.0, -1.0))
-            rngs.append(np.random.default_rng((seed, i)))
+        n = np.bincount(r, minlength=train.n_rows)
+        for c in cs:
+            counts.append(n)
+            labels.append(np.where(train.labels == c, 1.0, -1.0))
     aug = np.column_stack([train.values, np.ones(train.n_rows)])
-    W = _train_duals(aug, np.array(rows), np.array(labels), C, rngs, max_epochs, tol)
+    W, iters, rel_grad = _train_primal(aug, np.array(counts, dtype=np.float64), np.array(labels),
+                                       C, max_iter, tol)
+    stuck = rel_grad > tol
+    if stuck.any():
+        warnings.warn(
+            f"SVM: {stuck.sum()} of {stuck.size} problems stopped at max_iter={max_iter} "
+            f"with relative gradient up to {rel_grad.max():.3g} > tol={tol:g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     bounds = np.cumsum([0] + [cs.size for cs in classes])
     return [
         LinearSvmModel(weights=W[lo:hi], classes=cs, n_features=train.n_features, seed=seed, C=C)
@@ -128,8 +182,8 @@ def fit_linear_svm(
     train: FeatureMatrix,
     C: float = 1.0,
     seed: int = 0,
-    max_epochs: int = 60,
-    tol: float = 1e-4,
+    max_iter: int = 100,
+    tol: float = 1e-6,
 ) -> LinearSvmModel:
     rows = np.arange(train.n_rows)
-    return fit_linear_svms(train, [rows], [seed], C=C, max_epochs=max_epochs, tol=tol)[0]
+    return fit_linear_svms(train, [rows], [seed], C=C, max_iter=max_iter, tol=tol)[0]

@@ -16,7 +16,6 @@ from scipy import signal as sps
 
 from emgbench.benchmark import (
     BenchmarkConfig,
-    DEEP_ROWS,
     render_table,
     run_benchmark,
 )
@@ -75,7 +74,7 @@ def synthetic_grid():
 
 
 class TestAcceptance:
-    def test_1_deep_model_rows_reported_not_implemented(self, announce):
+    def test_1_table_lists_only_computed_rows(self, announce):
         config = BenchmarkConfig(
             dataset={"synthetic": {"n_classes": 2, "n_channels": 2, "fs": 1024.0,
                                    "trials_per_class": 2, "trial_seconds": 1.0}},
@@ -83,12 +82,9 @@ class TestAcceptance:
         )
         reports, errors = run_benchmark(config)
         table = render_table(reports, errors)
-        ok = errors == {} and all(
-            any(line.startswith(deep) and "not implemented" in line
-                for line in table.splitlines())
-            for deep in DEEP_ROWS
-        )
-        announce(1, "deep model rows marked not implemented", ok)
+        lines = table.splitlines()
+        ok = errors == {} and len(lines) == 3 and lines[2].startswith("LDA")
+        announce(1, "table lists only computed rows", ok)
 
     @pytest.mark.parametrize("env_var", ["GRABMYO_DIR", "FORSEMG_DIR"])
     def test_2_replication_on_user_supplied_data(self, env_var, announce, capsys):

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+from emgbench import benchmark
 from emgbench.benchmark import (
     BenchmarkConfig,
     ConfigError,
-    DEEP_ROWS,
     cell_seed,
     render_table,
     run_benchmark,
@@ -94,6 +94,25 @@ class TestRun:
             ("ftdd", "lda"),
         ]
 
+    def test_models_of_a_row_share_its_partition(self, monkeypatch):
+        fits = []
+        fit = benchmark.fit_pipeline
+
+        def recorded(name, train, seed=0):
+            fits.append((name, train.values.tobytes(), train.labels.tobytes(), seed))
+            return fit(name, train, seed=seed)
+
+        monkeypatch.setattr(benchmark, "fit_pipeline", recorded)
+        models = ("lda", "knn", "svm")
+        reports, errors = run_benchmark(small_config(families=("ftdd", "tsd"), models=models))
+        assert errors == {}
+        for family, row in (("ftdd", fits[:3]), ("tsd", fits[3:])):
+            assert len({(values, labels) for _, values, labels, _ in row}) == 1
+            assert [seed for *_, seed in row] == [cell_seed(7, family, m) for m in models]
+            supports = {r.confusion.counts.sum(axis=1).tobytes() for r in reports
+                        if r.family == family}
+            assert len(supports) == 1
+
     def test_parallel_equals_serial(self):
         base = dict(families=("ftdd", "tsd"), models=("lda", "knn"))
         serial, err_s = run_benchmark(small_config(jobs=1, **base))
@@ -117,8 +136,7 @@ class TestRendering:
         assert lines[1].split() == ["Models", "ACC", "P", "R", "F1"]
         assert lines[2].startswith("LDA")
         assert lines[3].startswith("KNN")
-        for deep in DEEP_ROWS:
-            assert any(line.startswith(deep) and "not implemented" in line for line in lines)
+        assert len(lines) == 4  # the computed rows only: no placeholder rows
 
     def test_failed_row_visible(self):
         config = small_config(families=("wavelet",), window_ms=10.0)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import split_blobs
 from emgbench.classify import (
@@ -26,8 +28,13 @@ from emgbench.classify import (
     majority_vote,
     model_to_blob,
 )
+from emgbench.classify import svm as svm_module
+from emgbench.classify.knn import _nearest
 from emgbench.classify.svm import fit_linear_svms
-from emgbench.features.extract import FeatureMatrix
+from emgbench.evaluate import stratified_split
+from emgbench.features.extract import FeatureMatrix, extract
+from emgbench.preprocess import bandpass, segment_records
+from emgbench.signal_io import generate_synthetic
 
 
 def fm(X, y):
@@ -137,6 +144,20 @@ class TestKnn:
         Q = rng.integers(0, 4, size=(60, 3)).astype(float)
         np.testing.assert_array_equal(knn_predict(X, y, Q, k=5), knn_oracle(X, y, Q, 5))
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 13, 28])
+    def test_duplicated_rows_match_stable_sort_oracle(self, k):
+        """Duplicated training rows tie at every distance, often across the
+        k-th place; the partial selection must keep the stable sort's pick."""
+        rng = np.random.default_rng(k)
+        base = rng.integers(0, 3, size=(12, 2)).astype(float)
+        X = np.vstack([base, base[::-1], base[:4]])
+        y = rng.integers(0, 3, size=len(X))
+        Q = np.vstack([rng.integers(0, 3, size=(30, 2)).astype(float), X[:5]])
+        d2 = np.sum((Q[:, None, :] - X[None, :, :]) ** 2, axis=2)
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert _nearest(d2, k).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(knn_predict(X, y, Q, k=k), knn_oracle(X, y, Q, k))
+
     def test_k_larger_than_train_rejected(self):
         with pytest.raises(ClassifyError, match="out of range"):
             knn_predict(np.ones((3, 1)), np.zeros(3, dtype=int), np.ones((1, 1)), k=4)
@@ -175,50 +196,6 @@ class TestLinearSvm:
         np.testing.assert_array_equal(a, b)
 
 
-def _train_binary(X, y, C, rng, max_epochs, tol):
-    """One binary dual coordinate descent at a time, with scalar steps: the
-    solver as it was before all problems stepped in lockstep. Returns the
-    weights and the number of epochs run."""
-    n, d = X.shape
-    alpha = np.zeros(n)
-    w = np.zeros(d)
-    qdiag = np.sum(X * X, axis=1)
-    order = np.arange(n)
-    for epoch in range(1, max_epochs + 1):
-        rng.shuffle(order)
-        max_violation = 0.0
-        for i in order:
-            if qdiag[i] <= 0:
-                continue
-            g = y[i] * (X[i] @ w) - 1.0
-            pg = g
-            if alpha[i] <= 0:
-                pg = min(g, 0.0)
-            elif alpha[i] >= C:
-                pg = max(g, 0.0)
-            if abs(pg) > 1e-14:
-                new = min(max(alpha[i] - g / qdiag[i], 0.0), C)
-                w += (new - alpha[i]) * y[i] * X[i]
-                alpha[i] = new
-            max_violation = max(max_violation, abs(pg))
-        if max_violation < tol:
-            break
-    return w, epoch
-
-
-def scalar_svm(train, rows, seed, C=1.0, max_epochs=60, tol=1e-4):
-    """One-vs-rest weights [K x d+1] of train's rows and the epochs of each
-    binary problem, by the scalar oracle."""
-    X, y = train.values[rows], train.labels[rows]
-    aug = np.column_stack([X, np.ones(X.shape[0])])
-    fits = [
-        _train_binary(aug, np.where(y == c, 1.0, -1.0), C, np.random.default_rng((seed, i)),
-                      max_epochs, tol)
-        for i, c in enumerate(np.unique(y))
-    ]
-    return np.vstack([w for w, _ in fits]), [epochs for _, epochs in fits]
-
-
 def bootstrap_draws(n, n_estimators, seed):
     """The row sets and member seeds that fit_bagging draws."""
     spawned = np.random.SeedSequence(seed).spawn(n_estimators)
@@ -233,47 +210,128 @@ def noisy_classes(rng, n, d, n_classes, spread):
     return fm(X, y)
 
 
-class TestLockstepSvm:
-    """Every problem of a lockstep solve has the weights, bit for bit, of the
-    scalar solve of that problem alone."""
+class SquaredHinge:
+    """0.5|w|^2 + C sum_j n_j max(0, 1 - y_j w.x_j)^2 of the one-vs-rest
+    problem of class c on rows (drawn with repeats) of train."""
 
-    @pytest.mark.parametrize("d", [48, 252])  # d + 1 = 49 and 253 with the bias column
-    def test_single_fit(self, d):
-        train = noisy_classes(np.random.default_rng(d), 60, d, 4, spread=3.0)
-        model = fit_linear_svm(train, seed=11)
-        expected, _ = scalar_svm(train, np.arange(train.n_rows), 11)
-        assert model.weights.tobytes() == expected.tobytes()
+    def __init__(self, train, rows, c, C=1.0):
+        self.X = np.column_stack([train.values, np.ones(train.n_rows)])
+        self.n = np.bincount(rows, minlength=train.n_rows).astype(float)
+        self.y = np.where(train.labels == c, 1.0, -1.0)
+        self.C = C
 
-    def test_bag_members_with_different_class_counts(self):
+    def value(self, w):
+        slack = np.maximum(1.0 - self.y * (self.X @ w), 0.0)
+        return 0.5 * w @ w + self.C * np.sum(self.n * slack * slack)
+
+    def gradient(self, w):
+        slack = np.maximum(1.0 - self.y * (self.X @ w), 0.0)
+        return w - 2.0 * self.C * (self.n * self.y * slack) @ self.X
+
+    def g0(self):
+        return np.linalg.norm(self.gradient(np.zeros(self.X.shape[1])))
+
+
+def problems(model, train, rows):
+    """(objective, weights) of each one-vs-rest problem of an SVM model."""
+    return [(SquaredHinge(train, rows, c), w) for c, w in zip(model.classes, model.weights)]
+
+
+def bench_grid_features(family):
+    """A family's training rows of the bench-size perfbench grid dataset,
+    z-scored as the svm pipeline sees them."""
+    spec = dict(n_classes=4, n_channels=8, fs=2048.0, trials_per_class=2, trial_seconds=4.0)
+    records = [bandpass(r) for r in generate_synthetic(seed=0, **spec)]
+    features = extract(segment_records(records), family)
+    train = features.select(stratified_split(features.labels, 0.2, 0)[0])
+    return replace(train, values=Standardizer.fit(train.values).apply(train.values))
+
+
+TOL = 1e-6  # fit_linear_svms' default relative-gradient tolerance
+
+
+class TestPrimalSvm:
+    """Optimality oracles for the batched Newton-CG solve: the objective is
+    1-strongly convex, so |w - w*| <= |g(w)| for its minimiser w*."""
+
+    def test_gradient_below_tolerance(self):
         rng = np.random.default_rng(5)
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
         bagged = fit_bagging("svm", train, n_estimators=6, seed=2)
-        rows, seeds = bootstrap_draws(train.n_rows, 6, 2)
+        rows, _ = bootstrap_draws(train.n_rows, 6, 2)
         assert {len(m.classes) for m in bagged.members} == {3, 4}
+        for member, r in zip(bagged.members, rows):
+            for f, w in problems(member, train, r):
+                assert np.linalg.norm(f.gradient(w)) <= TOL * f.g0()
+
+    def test_matches_scipy_minimiser(self):
+        train = noisy_classes(np.random.default_rng(3), 30, 4, 3, spread=1.5)
+        rows = np.arange(train.n_rows)
+        for f, w in problems(fit_linear_svm(train), train, rows):
+            best = minimize(f.value, np.zeros_like(w), jac=f.gradient, method="L-BFGS-B",
+                            options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 10_000})
+            assert np.linalg.norm(f.gradient(best.x)) <= 1e-3 * TOL * f.g0()
+            assert np.linalg.norm(w - best.x) <= TOL * f.g0()
+
+    def test_line_search_is_exact(self):
+        """Along any descent direction the step lands where the objective's
+        derivative along the line is 0."""
+        rng = np.random.default_rng(6)
+        train = noisy_classes(rng, 40, 5, 2, spread=1.0)
+        f = SquaredHinge(train, rng.integers(0, 40, 40), 1, C=0.7)
+        W = rng.standard_normal((6, 6))
+        S = 1e-3 * (-np.array([f.gradient(w) for w in W]) + 0.3 * rng.standard_normal((6, 6)))
+        M, Z = W @ f.X.T, S @ f.X.T
+        Y, cn = np.tile(f.y, (6, 1)), np.tile(f.C * f.n, (6, 1))
+        for w, s, t in zip(W, S, svm_module._exact_steps(W, S, M, Z, Y, cn)):
+            slope0 = f.gradient(w) @ s
+            assert slope0 < 0 and t > 0
+            assert abs(f.gradient(w + t * s) @ s) <= 1e-9 * abs(slope0)
+
+    def test_bagging_member_matches_solo_solve(self):
+        train = noisy_classes(np.random.default_rng(8), 50, 5, 3, spread=2.0)
+        bagged = fit_bagging("svm", train, n_estimators=5, seed=4)
+        rows, seeds = bootstrap_draws(train.n_rows, 5, 4)
         for member, r, s in zip(bagged.members, rows, seeds):
-            expected, _ = scalar_svm(train, r, s)
-            assert member.weights.tobytes() == expected.tobytes()
+            solo = fit_linear_svms(train, [r], [s])[0]
+            np.testing.assert_array_equal(member.classes, solo.classes)
+            for (f, w), w_solo in zip(problems(member, train, r), solo.weights):
+                assert np.linalg.norm(w - w_solo) <= 2 * TOL * f.g0()
 
-    def test_mixed_convergence(self):
-        rng = np.random.default_rng(8)
-        train = noisy_classes(rng, 50, 5, 3, spread=8.0)
-        rows, seeds = bootstrap_draws(train.n_rows, 3, 4)
-        models = fit_linear_svms(train, rows, seeds, max_epochs=25)
-        epochs = []
-        for model, r, s in zip(models, rows, seeds):
-            expected, used = scalar_svm(train, r, s, max_epochs=25)
-            epochs += used
-            assert model.weights.tobytes() == expected.tobytes()
-        assert min(epochs) < 25 and max(epochs) == 25
+    def test_repeated_fits_bit_identical(self):
+        train = noisy_classes(np.random.default_rng(9), 60, 12, 4, spread=1.0)
+        a, b = (fit_bagging("svm", train, n_estimators=4, seed=1) for _ in range(2))
+        assert [m.weights.tobytes() for m in a.members] == [m.weights.tobytes() for m in b.members]
 
-    def test_one_epoch(self):
-        train = noisy_classes(np.random.default_rng(9), 30, 8, 3, spread=2.0)
-        rows, seeds = bootstrap_draws(train.n_rows, 4, 1)
-        models = fit_linear_svms(train, rows, seeds, max_epochs=1)
-        for model, r, s in zip(models, rows, seeds):
-            expected, _ = scalar_svm(train, r, s, max_epochs=1)
-            assert model.weights.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("family", ["ftdd", "tsd", "wavelet"])
+    def test_bench_grid_problems_converge(self, family, monkeypatch):
+        solves = []
+
+        def recorded(*args):
+            solves.append(train_primal(*args))
+            return solves[-1]
+
+        train_primal = svm_module._train_primal
+        monkeypatch.setattr(svm_module, "_train_primal", recorded)
+        train = bench_grid_features(family)
+        fit_linear_svm(train)
+        fit_bagging("svm", train, n_estimators=10, seed=1)
+        assert [w.shape[0] for w, _, _ in solves] == [4, 40]
+        for _, iters, rel_grad in solves:
+            assert np.all(rel_grad <= TOL) and np.all(iters < 100)
+
+    def test_unconverged_problems_are_reported(self):
+        train = noisy_classes(np.random.default_rng(4), 40, 6, 3, spread=1.0)
+        rows, seeds = bootstrap_draws(train.n_rows, 3, 7)
+        with pytest.warns(RuntimeWarning, match=r"9 of 9 problems stopped at max_iter=1"):
+            fit_linear_svms(train, rows, seeds, max_iter=1)
+        X = np.column_stack([train.values, np.ones(train.n_rows)])
+        Y = np.where(train.labels == 0, 1.0, -1.0)[None]
+        W, iters, rel_grad = svm_module._train_primal(X, np.ones_like(Y), Y, 1.0, 1, TOL)
+        assert iters.tolist() == [1] and rel_grad[0] > TOL
+        f = SquaredHinge(train, np.arange(train.n_rows), 0)
+        assert rel_grad[0] == pytest.approx(np.linalg.norm(f.gradient(W[0])) / f.g0())
 
 
 class TestTreeAndForest:

@@ -107,7 +107,7 @@ class TestTrainAndBench:
         assert code == 0
         captured = capsys.readouterr().out
         assert "=== ftdd ===" in captured
-        assert "not implemented" in captured
+        assert "not implemented" not in captured and "CNN" not in captured
         assert (out / "ftdd_lda.json").exists()
         code = main(["report", "--bundle", str(out)])
         assert code == 0
