@@ -334,6 +334,74 @@ class TestPrimalSvm:
         assert rel_grad[0] == pytest.approx(np.linalg.norm(f.gradient(W[0])) / f.g0())
 
 
+def assert_lockstep_matches_solo(train, row_sets, models, max_iter=100):
+    """Rebuild the batch that fit_linear_svms hands _train_primal, check
+    that it gives the models' weights bit for bit, then solve each of its
+    problems alone: the same Newton steps, ending within rounding of the
+    same weights after max_iter steps, and within 2 tol |g0| once both
+    converge, as both lie within tol |g0| of the minimiser. Returns the
+    steps each problem took."""
+    X = np.column_stack([train.values, np.ones(train.n_rows)])
+    counts, Y, g0 = [], [], []
+    for r in row_sets:
+        for c in np.unique(train.labels[r]):
+            counts.append(np.bincount(r, minlength=train.n_rows))
+            Y.append(np.where(train.labels == c, 1.0, -1.0))
+            g0.append(SquaredHinge(train, r, c).g0())
+    counts, Y = np.array(counts, dtype=np.float64), np.array(Y)
+    W, iters, _ = svm_module._train_primal(X, counts, Y, 1.0, max_iter, TOL)
+    assert W.tobytes() == np.vstack([m.weights for m in models]).tobytes()
+    for p in range(len(W)):
+        w, solo_iters, _ = svm_module._train_primal(X, counts[p:p + 1], Y[p:p + 1], 1.0, max_iter, TOL)
+        assert solo_iters[0] == iters[p]
+        if iters[p] < max_iter:
+            assert np.linalg.norm(W[p] - w[0]) <= 2 * TOL * g0[p]
+        else:
+            np.testing.assert_allclose(W[p], w[0], rtol=1e-9, atol=1e-12 * np.linalg.norm(w[0]))
+    return iters
+
+
+class TestLockstepSvm:
+    """Every problem of a lockstep solve, one-vs-rest or bagging member,
+    ends where the solve of that problem alone ends."""
+
+    @pytest.mark.parametrize("d", [48, 252])  # d + 1 = 49 and 253 with the bias column
+    def test_single_fit(self, d):
+        train = noisy_classes(np.random.default_rng(d), 60, d, 4, spread=3.0)
+        model = fit_linear_svm(train, seed=11)
+        assert model.seed == 11
+        assert_lockstep_matches_solo(train, [np.arange(train.n_rows)], [model])
+
+    def test_bag_members_with_different_class_counts(self):
+        rng = np.random.default_rng(5)
+        train = noisy_classes(rng, 40, 6, 3, spread=2.0)
+        train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
+        bagged = fit_bagging("svm", train, n_estimators=6, seed=2)
+        rows, seeds = bootstrap_draws(train.n_rows, 6, 2)
+        assert {len(m.classes) for m in bagged.members} == {3, 4}
+        assert [m.seed for m in bagged.members] == seeds
+        assert_lockstep_matches_solo(train, rows, bagged.members)
+
+    def test_mixed_convergence(self):
+        """Problems that converge stop stepping while the rest go on to
+        max_iter."""
+        train = noisy_classes(np.random.default_rng(8), 50, 5, 3, spread=8.0)
+        rows, seeds = bootstrap_draws(train.n_rows, 3, 4)
+        with pytest.warns(RuntimeWarning, match="stopped at max_iter=6"):
+            models = fit_linear_svms(train, rows, seeds, max_iter=6)
+        iters = assert_lockstep_matches_solo(train, rows, models, max_iter=6)
+        assert iters.min() < 6 and iters.max() == 6
+
+    def test_one_epoch(self):
+        """One Newton step, one pass over the data, per problem."""
+        train = noisy_classes(np.random.default_rng(9), 30, 8, 3, spread=2.0)
+        rows, seeds = bootstrap_draws(train.n_rows, 4, 1)
+        with pytest.warns(RuntimeWarning, match="12 of 12 problems stopped at max_iter=1"):
+            models = fit_linear_svms(train, rows, seeds, max_iter=1)
+        iters = assert_lockstep_matches_solo(train, rows, models, max_iter=1)
+        assert iters.tolist() == [1] * 12
+
+
 class TestTreeAndForest:
     def test_single_tree_reproduces_hand_traced_splits(self):
         # one feature, perfect cut between 1 and 10 at threshold 5.5
