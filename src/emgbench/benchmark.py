@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify.pipeline import MODEL_NAMES, fit_pipeline
+from .classify.pipeline import MODEL_NAMES, SHARED, Pipeline, fit_pipeline
 from .evaluate import ConfusionMatrix, EvalError, EvaluationReport, metrics, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
 from .features.tdd import TddParams
@@ -69,6 +69,10 @@ class BenchmarkConfig:
                 raise ConfigError(f"missing synthetic keys: {sorted(missing)}")
         if not (0 < self.test_fraction < 1):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if type(self.jobs) is not int or self.jobs < 1:
+            raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
+        if not (isinstance(self.window_ms, (int, float)) and self.window_ms > 0):
+            raise ConfigError(f"window_ms must be > 0, got {self.window_ms!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
@@ -115,7 +119,8 @@ class BenchmarkConfig:
                 "eps": self.tdd.eps,
                 "irf_standard": self.tdd.irf_standard,
                 "averaging": "macro",
-                "voting": "hard vote over svm, knn, random_forest",
+                "voting": "hard vote over the row's fitted svm, knn and random_forest cells, "
+                "each under its own cell seed",
                 "scaling": "z-score for lda/svm/knn/bagging; identity for tree ensembles",
                 "split": "subject-wise" if self.subject_split else "stratified by window",
             },
@@ -204,46 +209,64 @@ def run_benchmark(config: BenchmarkConfig):
             for model in config.models:
                 errors[(family, model)] = str(exc)
 
-    def run_cell(family: str, model: str) -> EvaluationReport:
-        train, test = partitions[family]
-        seed = cell_seed(config.seed, family, model)
-        t0 = time.perf_counter()
-        pipeline = fit_pipeline(model, train, seed=seed)
-        t1 = time.perf_counter()
-        predicted = pipeline.predict(test.values)
-        t2 = time.perf_counter()
-        cm = ConfusionMatrix.from_labels(test.labels, predicted, class_names)
-        return EvaluationReport(
-            family=family,
-            model=model,
-            metrics=metrics(cm),
-            confusion=cm,
-            config=config.echo(),
-            seed=seed,
-            timing={"fit_seconds": t1 - t0, "predict_seconds": t2 - t1},
-        )
+    def run_row(family: str) -> list[tuple[str, EvaluationReport | str]]:
+        """Each model's report, or its error message, for one family row.
 
-    cells = [
-        (family, model)
-        for family in config.families
-        for model in config.models
-        if (family, model) not in errors
-    ]
-    reports: list[EvaluationReport] = []
+        The row fits each pipeline once, under its own cell seed: a
+        composite cell reuses the row's fitted siblings, and fits one that
+        has not run (or is not in the grid) itself. The row keeps the
+        pipelines others build on until it ends, and no other."""
+        train, test = partitions[family]
+        fitted: dict[str, Pipeline] = {}
+
+        def member(name: str) -> Pipeline:
+            if name in fitted:
+                return fitted[name]
+            seed = cell_seed(config.seed, family, name)
+            pipeline = fit_pipeline(name, train, seed=seed, member=member)
+            if name in SHARED:
+                fitted[name] = pipeline
+            return pipeline
+
+        def run_cell(model: str) -> EvaluationReport:
+            t0 = time.perf_counter()
+            pipeline = member(model)
+            t1 = time.perf_counter()
+            predicted = pipeline.predict(test.values)
+            t2 = time.perf_counter()
+            cm = ConfusionMatrix.from_labels(test.labels, predicted, class_names)
+            return EvaluationReport(
+                family=family,
+                model=model,
+                metrics=metrics(cm),
+                confusion=cm,
+                config=config.echo(),
+                seed=cell_seed(config.seed, family, model),
+                timing={"fit_seconds": t1 - t0, "predict_seconds": t2 - t1},
+            )
+
+        results = []
+        for model in config.models:
+            try:
+                results.append((model, run_cell(model)))
+            except Exception as exc:
+                results.append((model, str(exc)))
+        fitted.clear()  # member refers to itself, so only the cycle collector would free it
+        return results
+
+    rows = [family for family in config.families if family in partitions]
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {cell: pool.submit(run_cell, *cell) for cell in cells}
-        for cell, fut in futures.items():
-            try:
-                reports.append(fut.result())
-            except Exception as exc:
-                errors[cell] = str(exc)
+            results = list(pool.map(run_row, rows))
     else:
-        for cell in cells:
-            try:
-                reports.append(run_cell(*cell))
-            except Exception as exc:
-                errors[cell] = str(exc)
+        results = [run_row(family) for family in rows]
+    reports: list[EvaluationReport] = []
+    for family, row in zip(rows, results):
+        for model, outcome in row:
+            if isinstance(outcome, str):
+                errors[(family, model)] = outcome
+            else:
+                reports.append(outcome)
     return reports, errors
 
 

@@ -131,9 +131,10 @@ def majority_vote(votes: np.ndarray, n_classes: int, weights: np.ndarray | None 
     ties break toward the lower class index (argmax convention)."""
     votes = np.atleast_2d(votes)
     n_voters, n_queries = votes.shape
-    if weights is None:
-        weights = np.ones(n_voters)
-    tally = np.zeros((n_classes, n_queries))
-    for v, w in zip(votes, weights):
-        tally[v, np.arange(n_queries)] += w
-    return np.argmax(tally, axis=0)
+    # One bin per (class, query); flattened voter-major, each bin adds its
+    # weights in voter order, so float tallies equal a loop over voters.
+    bins = (votes * n_queries + np.arange(n_queries)).ravel()
+    if weights is not None:
+        weights = np.repeat(np.asarray(weights, dtype=np.float64), n_queries)
+    tally = np.bincount(bins, weights=weights, minlength=n_classes * n_queries)
+    return np.argmax(tally.reshape(n_classes, n_queries), axis=0)

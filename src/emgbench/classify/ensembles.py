@@ -10,12 +10,15 @@ from .forest import fit_random_forest
 from .knn import fit_knn
 from .svm import fit_linear_svms
 
-# base -> fit(train, row_sets, seeds): one fitted member per row set.
+# base -> fit(train, row_sets, seeds, start): one fitted member per row set;
+# an SVM member's problems start from the fitted SVM start, if given.
 _BASE_FITTERS = {
-    "knn": lambda train, row_sets, seeds: [
+    "knn": lambda train, row_sets, seeds, start: [
         fit_knn(train.select(rows), seed=seed) for rows, seed in zip(row_sets, seeds)
     ],
-    "svm": fit_linear_svms,
+    "svm": lambda train, row_sets, seeds, start: fit_linear_svms(
+        train, row_sets, seeds, start=start
+    ),
 }
 
 
@@ -43,8 +46,12 @@ def fit_bagging(
     train: FeatureMatrix,
     n_estimators: int = 10,
     seed: int = 0,
+    start: TrainedModel | None = None,
 ) -> BaggingModel:
-    """Bootstrap-resampled base learners with majority voting."""
+    """Bootstrap-resampled base learners with majority voting. An SVM base
+    starts each member's one-vs-rest problems from the fitted SVM start, if
+    given (see fit_linear_svms); each problem's optimum is unique, so start
+    changes only the path to it."""
     if base not in _BASE_FITTERS:
         raise ClassifyError(f"unsupported bagging base: {base!r}")
     if n_estimators < 1:
@@ -56,7 +63,7 @@ def fit_bagging(
     for ss in np.random.SeedSequence(seed).spawn(n_estimators):
         row_sets.append(np.random.default_rng(ss).choice(n, size=n, replace=True))
         seeds.append(int(ss.generate_state(1)[0] % 2**31))
-    members = _BASE_FITTERS[base](train, row_sets, seeds)
+    members = _BASE_FITTERS[base](train, row_sets, seeds, start)
     return BaggingModel(
         members=members,
         n_classes=int(train.labels.max()) + 1,

@@ -83,15 +83,17 @@ def _exact_steps(W, S, M, Z, Y, cn):
 
 
 def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray, C: float,
-                  max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  max_iter: int, tol: float,
+                  W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton-CG for P problems min 0.5|w|^2 + C sum_j n_j max(0, 1 - y_j w.x_j)^2.
 
     X [N, d] carries the bias column and is shared by all problems: problem
     p weighs row j by counts[p, j] (0 leaves it out) with label Y[p, j] in
     {-1, +1}. Each Newton step solves H s = -g by batched CG to a relative
-    residual of 0.1, then takes the exact minimiser along s. A problem stops
-    once |g| <= tol * |g0|, g0 being its gradient at w = 0, or after
-    max_iter steps.
+    residual of 0.1, then takes the exact minimiser along s. The solve starts
+    from W0 [P, d] (zeros if None); the optimum is unique, so a start changes
+    only the path to it. A problem stops once |g| <= tol * |g0|, g0 being its
+    gradient at w = 0 whatever the start, or after max_iter steps.
 
     Returns the weights [P, d], the Newton steps taken per problem and each
     problem's final relative gradient |g| / |g0| (0 where g0 = 0).
@@ -103,7 +105,12 @@ def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray, C: float,
     coef, D = _loss_terms(M, Y, cn)
     G = coef @ X
     g0 = np.linalg.norm(G, axis=1)
-    gnorm = g0.copy()
+    if W0 is not None:
+        W = np.array(W0, dtype=np.float64)
+        M = W @ X.T
+        coef, D = _loss_terms(M, Y, cn)
+        G = W + coef @ X
+    gnorm = np.linalg.norm(G, axis=1)
     iters = np.zeros(P, dtype=np.int64)
     live = np.flatnonzero(gnorm > tol * g0)
     for _ in range(max_iter):
@@ -145,11 +152,18 @@ def fit_linear_svms(
     C: float = 1.0,
     max_iter: int = 100,
     tol: float = 1e-6,
+    start: LinearSvmModel | None = None,
 ) -> list[LinearSvmModel]:
     """One one-vs-rest SVM per row set of train (a row drawn twice counts
-    twice, as in a bootstrap draw); seeds only label the models. Warns when
-    a problem stops at max_iter short of tol."""
-    classes, counts, labels = [], [], []
+    twice, as in a bootstrap draw); seeds only label the models. Each
+    class's problem starts from start's weights for that class, if start
+    has that class, and from zero otherwise. Warns when a problem stops at
+    max_iter short of tol."""
+    if start is not None and start.n_features != train.n_features:
+        raise ClassifyError("start SVM has another feature count than the training set")
+    starts = dict(zip(start.classes.tolist(), start.weights)) if start is not None else {}
+    zero = np.zeros(train.n_features + 1)
+    classes, counts, labels, W0 = [], [], [], []
     for r in row_sets:
         y = train.labels[r]
         cs = np.unique(y)
@@ -160,9 +174,10 @@ def fit_linear_svms(
         for c in cs:
             counts.append(n)
             labels.append(np.where(train.labels == c, 1.0, -1.0))
+            W0.append(starts.get(int(c), zero))
     aug = np.column_stack([train.values, np.ones(train.n_rows)])
     W, iters, rel_grad = _train_primal(aug, np.array(counts, dtype=np.float64), np.array(labels),
-                                       C, max_iter, tol)
+                                       C, max_iter, tol, np.array(W0) if starts else None)
     stuck = rel_grad > tol
     if stuck.any():
         warnings.warn(

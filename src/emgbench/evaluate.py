@@ -61,9 +61,13 @@ class ConfusionMatrix:
         if true.shape != predicted.shape:
             raise EvalError("true/predicted length mismatch")
         k = len(class_names)
-        counts = np.zeros((k, k), dtype=np.int64)
-        for t, p in zip(np.asarray(true), np.asarray(predicted)):
-            counts[t, p] += 1
+        for name, labels in (("true", true), ("predicted", predicted)):
+            outside = np.flatnonzero((labels < 0) | (labels >= k))
+            if outside.size:
+                i = outside[0]
+                raise EvalError(f"{name} label {labels[i]} at row {i} is outside [0, {k})")
+        cells = true.astype(np.int64) * k + predicted.astype(np.int64)
+        counts = np.bincount(cells.ravel(), minlength=k * k).reshape(k, k)
         return cls(counts=counts, class_names=tuple(class_names))
 
     @property

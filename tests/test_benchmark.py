@@ -13,6 +13,7 @@ from emgbench.benchmark import (
     run_benchmark,
     write_bundle,
 )
+from emgbench.classify import MODEL_NAMES, model_to_blob
 
 SMALL_SYNTH = {
     "synthetic": {
@@ -98,9 +99,9 @@ class TestRun:
         fits = []
         fit = benchmark.fit_pipeline
 
-        def recorded(name, train, seed=0):
+        def recorded(name, train, seed=0, member=None):
             fits.append((name, train.values.tobytes(), train.labels.tobytes(), seed))
-            return fit(name, train, seed=seed)
+            return fit(name, train, seed=seed, member=member)
 
         monkeypatch.setattr(benchmark, "fit_pipeline", recorded)
         models = ("lda", "knn", "svm")
@@ -114,7 +115,7 @@ class TestRun:
             assert len(supports) == 1
 
     def test_parallel_equals_serial(self):
-        base = dict(families=("ftdd", "tsd"), models=("lda", "knn"))
+        base = dict(families=("ftdd", "tsd"), models=("lda", "knn", "voting", "bagging_svm"))
         serial, err_s = run_benchmark(small_config(jobs=1, **base))
         parallel, err_p = run_benchmark(small_config(jobs=2, **base))
         assert err_s == err_p == {}
@@ -125,6 +126,44 @@ class TestRun:
         assert json.dumps(serial_docs, sort_keys=True) == json.dumps(
             parallel_docs, sort_keys=True
         )
+
+    def test_composite_cells_do_not_depend_on_the_grid(self):
+        """Voting and bagging_svm build on their row's svm, knn and forest,
+        each fitted under its own cell seed, whether or not those cells
+        are in the grid or have run yet."""
+        def docs(models):
+            reports, errors = run_benchmark(small_config(families=("ftdd", "tsd"), models=models))
+            assert errors == {}
+            return {
+                (r.family, r.model): {k: v for k, v in r.to_json_dict().items()
+                                      if k not in ("timing", "config")}
+                for r in reports if r.model in ("voting", "bagging_svm")
+            }
+
+        alone = docs(("voting", "bagging_svm"))
+        assert len(alone) == 4
+        assert docs(MODEL_NAMES) == alone
+        assert docs(("bagging_svm", "random_forest", "voting", "svm")) == alone
+
+    def test_row_fits_each_pipeline_once(self, monkeypatch):
+        fits, seen = [], {}
+        fit = benchmark.fit_pipeline
+
+        def recorded(name, train, seed=0, member=None):
+            fits.append(name)
+            seen[name] = fit(name, train, seed=seed, member=member)
+            return seen[name]
+
+        monkeypatch.setattr(benchmark, "fit_pipeline", recorded)
+        models = ("voting", "svm", "knn", "random_forest", "bagging_svm")
+        _, errors = run_benchmark(small_config(models=models))
+        assert errors == {}
+        assert sorted(fits) == sorted(models)
+        voting = seen["voting"].model
+        for name, voter in zip(("svm", "knn", "random_forest"), voting.members):
+            assert model_to_blob(voter) == model_to_blob(seen[name].model)
+            assert voter.seed == cell_seed(7, "ftdd", name)
+        assert model_to_blob(voting.scaler) == model_to_blob(seen["svm"].scaler)
 
 
 class TestRendering:

@@ -321,6 +321,40 @@ class TestPrimalSvm:
         for _, iters, rel_grad in solves:
             assert np.all(rel_grad <= TOL) and np.all(iters < 100)
 
+    def test_warm_started_bagging_meets_the_cold_tolerance(self):
+        """Bagging members warm-started from the full-data SVM stop where
+        |g| <= tol |g0|, g0 still the gradient at w = 0, and end within
+        2 tol |g0| of their cold-started weights."""
+        rng = np.random.default_rng(5)
+        train = noisy_classes(rng, 40, 6, 3, spread=2.0)
+        train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
+        start = fit_linear_svm(train)
+        warm = fit_bagging("svm", train, n_estimators=6, seed=2, start=start)
+        cold = fit_bagging("svm", train, n_estimators=6, seed=2)
+        rows, _ = bootstrap_draws(train.n_rows, 6, 2)
+        for w_member, c_member, r in zip(warm.members, cold.members, rows):
+            np.testing.assert_array_equal(w_member.classes, c_member.classes)
+            for (f, w), w_cold in zip(problems(w_member, train, r), c_member.weights):
+                assert np.linalg.norm(f.gradient(w)) <= TOL * f.g0()
+                assert np.linalg.norm(w - w_cold) <= 2 * TOL * f.g0()
+
+    def test_warm_start_keeps_g0_at_zero(self):
+        """A start near the optimum takes fewer steps, and the relative
+        gradient it reports is still taken against g0 at w = 0."""
+        train = noisy_classes(np.random.default_rng(3), 30, 4, 3, spread=1.5)
+        X = np.column_stack([train.values, np.ones(train.n_rows)])
+        Y = np.where(train.labels == 1, 1.0, -1.0)[None]
+        counts = np.ones_like(Y)
+        W, iters, _ = svm_module._train_primal(X, counts, Y, 1.0, 100, TOL)
+        f = SquaredHinge(train, np.arange(train.n_rows), 1)
+        near = W + 1e-3 * np.random.default_rng(0).standard_normal(W.shape)
+        W1, iters1, rel_grad = svm_module._train_primal(X, counts, Y, 1.0, 100, TOL, near)
+        assert 0 < iters1[0] < iters[0]
+        assert rel_grad[0] == pytest.approx(np.linalg.norm(f.gradient(W1[0])) / f.g0())
+        assert rel_grad[0] <= TOL
+        W2, iters2, rel_grad2 = svm_module._train_primal(X, counts, Y, 1.0, 100, TOL, W1)
+        assert iters2[0] == 0 and W2.tobytes() == W1.tobytes() and rel_grad2[0] == rel_grad[0]
+
     def test_unconverged_problems_are_reported(self):
         train = noisy_classes(np.random.default_rng(4), 40, 6, 3, spread=1.0)
         rows, seeds = bootstrap_draws(train.n_rows, 3, 7)
@@ -334,25 +368,31 @@ class TestPrimalSvm:
         assert rel_grad[0] == pytest.approx(np.linalg.norm(f.gradient(W[0])) / f.g0())
 
 
-def assert_lockstep_matches_solo(train, row_sets, models, max_iter=100):
+def assert_lockstep_matches_solo(train, row_sets, models, max_iter=100, start=None):
     """Rebuild the batch that fit_linear_svms hands _train_primal, check
     that it gives the models' weights bit for bit, then solve each of its
-    problems alone: the same Newton steps, ending within rounding of the
-    same weights after max_iter steps, and within 2 tol |g0| once both
-    converge, as both lie within tol |g0| of the minimiser. Returns the
-    steps each problem took."""
+    problems alone from the same start (start's weights for its class, or
+    zero): the same Newton steps, ending within rounding of the same
+    weights after max_iter steps, and within 2 tol |g0| once both converge,
+    as both lie within tol |g0| of the minimiser. Returns the steps each
+    problem took."""
     X = np.column_stack([train.values, np.ones(train.n_rows)])
-    counts, Y, g0 = [], [], []
+    starts = {} if start is None else dict(zip(start.classes.tolist(), start.weights))
+    counts, Y, W0, g0 = [], [], [], []
     for r in row_sets:
         for c in np.unique(train.labels[r]):
             counts.append(np.bincount(r, minlength=train.n_rows))
             Y.append(np.where(train.labels == c, 1.0, -1.0))
+            W0.append(starts.get(c, np.zeros(X.shape[1])))
             g0.append(SquaredHinge(train, r, c).g0())
-    counts, Y = np.array(counts, dtype=np.float64), np.array(Y)
-    W, iters, _ = svm_module._train_primal(X, counts, Y, 1.0, max_iter, TOL)
+    counts, Y, W0 = np.array(counts, dtype=np.float64), np.array(Y), np.array(W0)
+    W0 = None if start is None else W0
+    W, iters, _ = svm_module._train_primal(X, counts, Y, 1.0, max_iter, TOL, W0)
     assert W.tobytes() == np.vstack([m.weights for m in models]).tobytes()
     for p in range(len(W)):
-        w, solo_iters, _ = svm_module._train_primal(X, counts[p:p + 1], Y[p:p + 1], 1.0, max_iter, TOL)
+        w0 = None if W0 is None else W0[p:p + 1]
+        w, solo_iters, _ = svm_module._train_primal(X, counts[p:p + 1], Y[p:p + 1], 1.0, max_iter,
+                                                    TOL, w0)
         assert solo_iters[0] == iters[p]
         if iters[p] < max_iter:
             assert np.linalg.norm(W[p] - w[0]) <= 2 * TOL * g0[p]
@@ -381,6 +421,21 @@ class TestLockstepSvm:
         assert {len(m.classes) for m in bagged.members} == {3, 4}
         assert [m.seed for m in bagged.members] == seeds
         assert_lockstep_matches_solo(train, rows, bagged.members)
+
+    @pytest.mark.parametrize("start_classes", [4, 3])
+    def test_warm_started_bag_members(self, start_classes):
+        """Each problem starts from the start SVM's weights for its class;
+        with 3, the start lacks class 3, whose problems start from zero."""
+        rng = np.random.default_rng(5)
+        train = noisy_classes(rng, 40, 6, 3, spread=2.0)
+        train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
+        start_rows = np.flatnonzero(train.labels < start_classes)
+        start = fit_linear_svms(train, [start_rows], [0])[0]
+        assert len(start.classes) == start_classes
+        rows, seeds = bootstrap_draws(train.n_rows, 6, 2)
+        models = fit_linear_svms(train, rows, seeds, start=start)
+        assert {len(m.classes) for m in models} == {3, 4}
+        assert_lockstep_matches_solo(train, rows, models, start=start)
 
     def test_mixed_convergence(self):
         """Problems that converge stop stepping while the rest go on to
@@ -709,6 +764,66 @@ class TestVoting:
     def test_fewer_than_two_models_rejected(self):
         with pytest.raises(ClassifyError, match="at least 2"):
             voting([_ConstantModel(0)])
+
+    def test_standalone_fit_votes_over_sibling_pipelines(self, blob_data):
+        """Without a member lookup, voting fits its svm, knn and forest with
+        its own seed, exactly as those pipelines fit alone."""
+        train, _ = split_blobs(blob_data)
+        model = fit_pipeline("voting", train, seed=3).model
+        siblings = [fit_pipeline(name, train, seed=3) for name in ("svm", "knn", "random_forest")]
+        assert [model_to_blob(m) for m in model.members] == [
+            model_to_blob(p.model) for p in siblings
+        ]
+        assert model_to_blob(model.scaler) == model_to_blob(siblings[0].scaler)
+
+    def test_member_lookup_supplies_the_voters(self, blob_data):
+        train, _ = split_blobs(blob_data)
+        fitted = {name: fit_pipeline(name, train, seed=seed)
+                  for name, seed in (("svm", 1), ("knn", 2), ("random_forest", 3))}
+        asked = []
+
+        def member(name):
+            asked.append(name)
+            return fitted[name]
+
+        model = fit_pipeline("voting", train, seed=9, member=member).model
+        assert asked == ["svm", "knn", "random_forest"]
+        assert [m.seed for m in model.members] == [1, 2, 3]
+        assert all(m is fitted[n].model for m, n in zip(model.members, asked))
+
+
+def loop_vote(votes, n_classes, weights):
+    """The voter-by-voter tally that majority_vote replaces."""
+    tally = np.zeros((n_classes, votes.shape[1]))
+    for v, w in zip(votes, weights):
+        tally[v, np.arange(votes.shape[1])] += w
+    return np.argmax(tally, axis=0)
+
+
+class TestMajorityVote:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weighted_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        votes = rng.integers(0, 5, (12, 200))
+        weights = rng.exponential(size=12)
+        np.testing.assert_array_equal(majority_vote(votes, 5, weights), loop_vote(votes, 5, weights))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tie_heavy_matches_loop(self, seed):
+        """Few voters, few classes and weights such as 0.1 + 0.2 != 0.3, so
+        exact and near ties abound and only the loop's order of addition
+        gives the loop's labels."""
+        rng = np.random.default_rng(seed)
+        votes = rng.integers(0, 3, (4, 500))
+        weights = rng.choice([0.1, 0.2, 0.3, 0.6], size=4)
+        np.testing.assert_array_equal(majority_vote(votes, 3, weights), loop_vote(votes, 3, weights))
+        np.testing.assert_array_equal(majority_vote(votes, 3), loop_vote(votes, 3, np.ones(4)))
+
+    def test_float_near_tie_follows_voter_order(self):
+        # (0.1 + 0.2) + 0.3 > 0.6 > (0.3 + 0.2) + 0.1 in binary floating point
+        votes = np.array([[1], [1], [1], [0]])
+        assert majority_vote(votes, 2, np.array([0.1, 0.2, 0.3, 0.6])).tolist() == [1]
+        assert majority_vote(votes, 2, np.array([0.3, 0.2, 0.1, 0.6])).tolist() == [0]
 
 
 class TestPipelineSerialization:

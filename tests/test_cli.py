@@ -136,6 +136,13 @@ class TestTrainAndBench:
         assert code == 2
         assert "test_fraction must be in (0, 1), got 1.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bench_jobs_below_one(self, jobs, capsys):
+        code = main(["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd",
+                     "--models", "lda", "--jobs", jobs])
+        assert code == 2
+        assert f"jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("failing", ["one_cell", "every_cell", "one_cell_tsd_first"])
     def test_report_reproduces_table_with_failed_cells(self, failing, tmp_path, capsys,
                                                        monkeypatch):
@@ -185,8 +192,10 @@ class TestTrainAndBench:
             ({"band": {"low": 20, "high": 450, "order": 8, "bogus": 1}},
              r"unknown band keys: \['bogus'\]"),
             ({"band": {"low": 20, "high": 450}}, r"missing band keys: \['order'\]"),
+            ({"jobs": 1.5}, r"jobs must be an integer >= 1, got 1\.5"),
+            ({"window_ms": 0}, r"window_ms must be > 0, got 0"),
         ],
-        ids=["list", "tdd_key", "band_key", "band_missing"],
+        ids=["list", "tdd_key", "band_key", "band_missing", "jobs_float", "window_zero"],
     )
     def test_bad_config_file_names_the_file(self, doc, message, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -94,6 +94,25 @@ class TestConfusionMatrix:
         with pytest.raises(EvalError, match="length"):
             ConfusionMatrix.from_labels(np.array([0, 1]), np.array([0]), ["a", "b"])
 
+    def test_negative_label_rejected(self):
+        # a negative index once wrapped round to the last class and scored
+        # [0, -1] against [0, 1] as two correct rows
+        with pytest.raises(EvalError, match=r"predicted label -1 at row 1 is outside \[0, 2\)"):
+            ConfusionMatrix.from_labels(np.array([0, 1]), np.array([0, -1]), ["a", "b"])
+
+    def test_label_past_last_class_rejected(self):
+        with pytest.raises(EvalError, match=r"true label 2 at row 0 is outside \[0, 2\)"):
+            ConfusionMatrix.from_labels(np.array([2, 1]), np.array([0, 1]), ["a", "b"])
+
+    def test_counts_match_loop_oracle(self):
+        rng = np.random.default_rng(0)
+        true, predicted = rng.integers(0, 5, 300), rng.integers(0, 5, 300)
+        expected = np.zeros((5, 5), dtype=np.int64)
+        for t, p in zip(true, predicted):
+            expected[t, p] += 1
+        cm = ConfusionMatrix.from_labels(true, predicted, list("abcde"))
+        np.testing.assert_array_equal(cm.counts, expected)
+
 
 class TestMetrics:
     def test_perfect_diagonal(self):
