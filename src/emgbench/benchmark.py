@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -58,6 +59,11 @@ class BenchmarkConfig:
         for m in self.models:
             if m not in MODEL_NAMES:
                 raise ConfigError(f"unknown model: {m!r}")
+        for key in ("families", "models"):
+            values = getattr(self, key)
+            duplicates = sorted({v for v in values if values.count(v) > 1})
+            if duplicates:
+                raise ConfigError(f"duplicate {key}: {duplicates}")
         if set(self.dataset) not in ({"manifest"}, {"synthetic"}):
             raise ConfigError("dataset must have exactly one of 'manifest' or 'synthetic'")
         if "synthetic" in self.dataset:
@@ -69,6 +75,8 @@ class BenchmarkConfig:
                 raise ConfigError(f"missing synthetic keys: {sorted(missing)}")
         if not (0 < self.test_fraction < 1):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if type(self.jobs) is not int or self.jobs < 1:
             raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         if not (isinstance(self.window_ms, (int, float)) and self.window_ms > 0):
@@ -270,18 +278,10 @@ def run_benchmark(config: BenchmarkConfig):
     return reports, errors
 
 
-def render_table(reports: list[EvaluationReport], errors: dict | None = None) -> str:
-    """Per-family tables in the row layout LDA .. AdaBoost, listing only the
-    cells that ran or failed."""
-    errors = errors or {}
+def render_table(families: Sequence[str], reports: list[EvaluationReport], errors: dict) -> str:
+    """Per-family tables, in the order of families, in the row layout
+    LDA .. AdaBoost, listing only the cells that ran or failed."""
     by_cell = {(r.family, r.model): r for r in reports}
-    families = []
-    for r in reports:
-        if r.family not in families:
-            families.append(r.family)
-    for fam, _ in errors:
-        if fam not in families:
-            families.append(fam)
     lines = []
     for family in families:
         lines.append(f"=== {family} ===")
@@ -325,7 +325,7 @@ def write_bundle(
     for r in reports:
         path = out_dir / f"{r.family}_{r.model}.json"
         path.write_text(json.dumps(r.to_json_dict(), indent=2, sort_keys=True))
-    (out_dir / "table.txt").write_text(render_table(reports, errors))
+    (out_dir / "table.txt").write_text(render_table(config.families, reports, errors))
     (out_dir / "table.csv").write_text(render_csv(reports))
     (out_dir / "resolved_config.json").write_text(
         json.dumps(config.echo(), indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from .knn import fit_knn, knn_predict
 from .lda import fit_lda
 from .pipeline import MODEL_NAMES, Pipeline, fit_pipeline
 from .svm import fit_linear_svm
-from .tree import DecisionTree, fit_tree
+from .tree import DecisionTree
 
 __all__ = [
     "MODEL_NAMES",
@@ -30,7 +30,6 @@ __all__ = [
     "fit_lda",
     "fit_pipeline",
     "fit_random_forest",
-    "fit_tree",
     "knn_predict",
     "majority_vote",
     "model_from_blob",

@@ -26,43 +26,13 @@ def _zscored(train: FeatureMatrix) -> tuple[Standardizer, FeatureMatrix]:
     return scaler, replace(train, values=scaler.apply(train.values))
 
 
-def _svm(train, seed, hyper, member):
-    return fit_linear_svm(train, C=hyper.get("svm_c", 1.0), seed=seed)
-
-
-def _knn(train, seed, hyper, member):
-    return fit_knn(train, k=hyper.get("knn_k", 5), seed=seed)
-
-
-def _forest(train, seed, hyper, member):
-    return fit_random_forest(train, n_trees=hyper.get("rf_trees", 100), seed=seed)
-
-
-def _bagging(base, warm_start=None):
-    def fit(train, seed, hyper, member):
-        start = member(warm_start).model if warm_start else None
-        return fit_bagging(
-            base, train, n_estimators=hyper.get("bag_estimators", 10), seed=seed, start=start
-        )
-    return fit
-
-
-def _adaboost(train, seed, hyper, member):
-    return fit_adaboost_rf(
-        train,
-        n_rounds=hyper.get("boost_rounds", 10),
-        trees_per_round=hyper.get("boost_trees", 25),
-        seed=seed,
-    )
-
-
 _VOTERS = ("svm", "knn", "random_forest")
 # The pipelines that others build on: the voters, and the SVM that
 # bagging_svm starts from.
 SHARED = frozenset(_VOTERS) | {"svm"}
 
 
-def _voting(train, seed, hyper, member):
+def _voting(train, seed, member):
     """A hard vote over the fitted voter pipelines, each member seeing the
     input as its pipeline does (z-scored or raw); it fits nothing itself.
     The z-scored voters share one standardizer, fitted on the same train."""
@@ -72,18 +42,21 @@ def _voting(train, seed, hyper, member):
                        scaled=[p.scaler is not None for p in voters], seed=seed)
 
 
-# name -> (z-score the input?, fit(train, seed, hyper, member)), in
-# results-table row order; member(name) is the fitted sibling pipeline `name`
-# on the same training set.
+# name -> (z-score the input?, fit(train, seed, member)), in results-table row
+# order; member(name) is the fitted sibling pipeline `name` on the same
+# training set. Each model fits with its fit function's defaults.
 _PIPELINES = {
-    "lda": (True, lambda train, seed, hyper, member: fit_lda(train, seed=seed)),
-    "svm": (True, _svm),
-    "knn": (True, _knn),
-    "random_forest": (False, _forest),
+    "lda": (True, lambda train, seed, member: fit_lda(train, seed=seed)),
+    "svm": (True, lambda train, seed, member: fit_linear_svm(train, seed=seed)),
+    "knn": (True, lambda train, seed, member: fit_knn(train, seed=seed)),
+    "random_forest": (False, lambda train, seed, member: fit_random_forest(train, seed=seed)),
     "voting": (False, _voting),
-    "bagging_knn": (True, _bagging("knn")),
-    "bagging_svm": (True, _bagging("svm", warm_start="svm")),
-    "adaboost": (False, _adaboost),
+    "bagging_knn": (True, lambda train, seed, member: fit_bagging("knn", train, seed=seed)),
+    "bagging_svm": (
+        True,
+        lambda train, seed, member: fit_bagging("svm", train, seed=seed, start=member("svm").model),
+    ),
+    "adaboost": (False, lambda train, seed, member: fit_adaboost_rf(train, seed=seed)),
 }
 MODEL_NAMES = tuple(_PIPELINES)
 
@@ -130,25 +103,24 @@ def fit_pipeline(
     train: FeatureMatrix,
     seed: int = 0,
     member: Callable[[str], Pipeline] | None = None,
-    **hyper,
 ) -> Pipeline:
     """Fit one of the benchmark's named pipelines on a feature matrix.
 
     Voting and bagging_svm build on sibling pipelines fitted on the same
     train, which member(name) returns. Without member, each sibling is
-    fitted here with this fit's seed and hyperparameters.
+    fitted here with this fit's seed.
     """
     if name not in _PIPELINES:
         raise ClassifyError(f"unknown model: {name!r} (expected one of {MODEL_NAMES})")
     if member is None:
         def member(sibling: str) -> Pipeline:
-            return _fit(sibling, train, seed, hyper, member)
-    return _fit(name, train, seed, hyper, member)
+            return _fit(sibling, train, seed, member)
+    return _fit(name, train, seed, member)
 
 
-def _fit(name, train, seed, hyper, member) -> Pipeline:
+def _fit(name, train, seed, member) -> Pipeline:
     zscore, fit = _PIPELINES[name]
     scaler = None
     if zscore:
         scaler, train = _zscored(train)
-    return Pipeline(name=name, scaler=scaler, model=fit(train, seed, hyper, member))
+    return Pipeline(name=name, scaler=scaler, model=fit(train, seed, member))

@@ -229,15 +229,3 @@ def fit_trees(
         for (g, node, rows), f, t in zip(steps, feature, threshold):
             g.split(node, rows, f, t, X, y, n_classes)
     return [g.tree(n_classes) for g in growths]
-
-
-def fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    rng: np.random.Generator,
-    max_features: int | None = None,
-) -> DecisionTree:
-    """One tree on all rows of X: fit_trees with one tree."""
-    rows = np.arange(np.shape(X)[0])
-    return fit_trees(X, y, n_classes, [rows], [rng], max_features)[0]

@@ -115,7 +115,7 @@ def _config_from_args(args) -> BenchmarkConfig:
 def cmd_bench(args) -> int:
     config = _config_from_args(args)
     reports, errors = run_benchmark(config)
-    print(render_table(reports, errors))
+    print(render_table(config.families, reports, errors))
     if args.out:
         out_dir = Path(args.out)
         write_bundle(out_dir, config, reports, errors)
@@ -140,9 +140,7 @@ def cmd_report(args) -> int:
         print(f"error: no cell reports found in {bundle}", file=sys.stderr)
         return 2
     families = json.loads((bundle / "resolved_config.json").read_text())["families"]
-    reports.sort(key=lambda r: families.index(r.family))
-    errors = dict(sorted(errors.items(), key=lambda item: families.index(item[0][0])))
-    print(render_table(reports, errors))
+    print(render_table(families, reports, errors))
     return 0
 
 

@@ -2,30 +2,25 @@ from .tdd import (
     FeatureError,
     TddParams,
     fuse,
-    ftdd_window,
     root_moments,
     tdd_base,
     tsd_signal_features,
-    tsd_window,
 )
-from .wavelet import SubbandSet, WaveletFilter, dwt, subband_features, wavelet_features
+from .wavelet import WaveletFilter, dwt, subband_features, wavelet_features
 from .extract import FAMILIES, FeatureMatrix, extract
 
 __all__ = [
     "FAMILIES",
     "FeatureError",
     "FeatureMatrix",
-    "SubbandSet",
     "TddParams",
     "WaveletFilter",
     "dwt",
     "extract",
     "fuse",
-    "ftdd_window",
     "root_moments",
     "subband_features",
     "tdd_base",
     "tsd_signal_features",
-    "tsd_window",
     "wavelet_features",
 ]

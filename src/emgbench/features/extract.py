@@ -8,9 +8,16 @@ import numpy as np
 
 from ..preprocess import WindowSet
 from .tdd import FeatureError, TddParams, ftdd_names, ftdd_windows, tsd_names, tsd_windows
-from .wavelet import WaveletFilter, dwt, wavelet_features, wavelet_names
+from .wavelet import wavelet_names, wavelet_windows
 
-FAMILIES = ("ftdd", "tsd", "wavelet")
+# family -> (names(n_channels), rows(windows, params)): the column names and
+# the batched feature rows of [w, C, N] windows.
+_FAMILIES = {
+    "ftdd": (ftdd_names, ftdd_windows),
+    "tsd": (tsd_names, tsd_windows),
+    "wavelet": (wavelet_names, lambda windows, params: wavelet_windows(windows)),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -72,36 +79,17 @@ class FeatureMatrix:
         )
 
 
-def extract(
-    ws: WindowSet,
-    family: str,
-    params: TddParams | None = None,
-    levels: int = 5,
-    entropy_guard: float = 1e-12,
-) -> FeatureMatrix:
+def extract(ws: WindowSet, family: str, params: TddParams | None = None) -> FeatureMatrix:
     """One feature row per window for the requested descriptor family,
     computed one trial's [w, C, N] window view at a time."""
-    if family not in FAMILIES:
+    if family not in _FAMILIES:
         raise FeatureError(f"unknown feature family: {family!r} (expected one of {FAMILIES})")
     if len(ws) == 0:
         raise FeatureError("empty window set")
     params = params or TddParams()
-    n_ch = ws.n_channels
-
-    if family == "ftdd":
-        names = ftdd_names(n_ch)
-        rows = [ftdd_windows(v, params) for v in ws.trial_windows()]
-    elif family == "tsd":
-        names = tsd_names(n_ch)
-        rows = [tsd_windows(v, params) for v in ws.trial_windows()]
-    else:
-        filt = WaveletFilter.sym8()
-        names = wavelet_names(n_ch, levels)
-        rows = [
-            wavelet_features(dwt(v, filt, levels), entropy_guard).reshape(len(v), -1)
-            for v in ws.trial_windows()
-        ]
-
+    names, rows = _FAMILIES[family]
     return FeatureMatrix(
-        values=np.concatenate(rows), feature_names=tuple(names), labels=ws.labels
+        values=np.concatenate([rows(v, params) for v in ws.trial_windows()]),
+        feature_names=tuple(names(ws.n_channels)),
+        labels=ws.labels,
     )

@@ -111,11 +111,6 @@ def ftdd_windows(windows: np.ndarray, params: TddParams | None = None) -> np.nda
     return fuse(a, b, params.eps).reshape(*windows.shape[:-2], -1)
 
 
-def ftdd_window(samples: np.ndarray, params: TddParams | None = None) -> np.ndarray:
-    """Fused descriptors for one multi-channel [C, N] window."""
-    return ftdd_windows(np.atleast_2d(np.asarray(samples, dtype=np.float64)), params)
-
-
 def ftdd_names(n_channels: int) -> list[str]:
     return [f"ch{i}_ftdd{j}" for i in range(n_channels) for j in range(6)]
 
@@ -152,11 +147,6 @@ def tsd_windows(windows: np.ndarray, params: TddParams | None = None) -> np.ndar
         for i in range(n_ch - 1)
     )
     return np.concatenate(rows, axis=-2).reshape(*windows.shape[:-2], -1)
-
-
-def tsd_window(samples: np.ndarray, params: TddParams | None = None) -> np.ndarray:
-    """Temporal-spatial descriptors for one multi-channel [C, N] window."""
-    return tsd_windows(np.atleast_2d(np.asarray(samples, dtype=np.float64)), params)
 
 
 def tsd_names(n_channels: int) -> list[str]:

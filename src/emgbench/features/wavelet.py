@@ -64,19 +64,7 @@ class WaveletFilter:
         return cls(name="sym8", dec_lo=lo, dec_hi=hi)
 
 
-@dataclass(frozen=True)
-class SubbandSet:
-    """Detail subbands D1..DJ (finest first) and the approximation AJ."""
-
-    details: tuple[np.ndarray, ...]
-    approx: np.ndarray
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
-    def all_bands(self) -> list[np.ndarray]:
-        return [*self.details, self.approx]
+SYM8 = WaveletFilter.sym8()
 
 
 def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
@@ -103,13 +91,13 @@ def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.n
     return np.concatenate([approx, x[..., n:]], axis=-1), detail
 
 
-def dwt(x: np.ndarray, filt: WaveletFilter | None = None, levels: int = 5) -> SubbandSet:
-    """Cascade DWT with periodized signal extension, over the last axis.
+def dwt(x: np.ndarray, filt: WaveletFilter = SYM8, levels: int = 5) -> list[np.ndarray]:
+    """Cascade DWT with periodized signal extension, over the last axis:
+    the detail bands D1..DJ (finest first), then the approximation AJ.
 
     Total coefficient count equals the input length and total energy is
     conserved to rounding.
     """
-    filt = filt or WaveletFilter.sym8()
     x = np.asarray(x, dtype=np.float64)
     if levels < 1:
         raise FeatureError(f"levels must be >= 1, got {levels}")
@@ -117,12 +105,12 @@ def dwt(x: np.ndarray, filt: WaveletFilter | None = None, levels: int = 5) -> Su
         raise FeatureError(
             f"signal too short for {levels} decomposition levels: {x.shape[-1]} < {2**levels}"
         )
-    details = []
+    bands = []
     approx = x
     for _ in range(levels):
         approx, detail = _analysis_step(approx, filt)
-        details.append(detail)
-    return SubbandSet(details=tuple(details), approx=approx)
+        bands.append(detail)
+    return [*bands, approx]
 
 
 SUBBAND_FEATURES = ("energy", "variance", "std", "wl", "entropy")
@@ -141,11 +129,15 @@ def subband_features(w: np.ndarray, entropy_guard: float = 1e-12) -> np.ndarray:
     return np.stack([np.sum(sq, axis=-1), variance, np.sqrt(variance), wl, entropy], axis=-1)
 
 
-def wavelet_features(subbands: SubbandSet, entropy_guard: float = 1e-12) -> np.ndarray:
+def wavelet_features(bands: list[np.ndarray]) -> np.ndarray:
     """Thirty features per signal: five per subband over D1..DJ, AJ."""
-    return np.concatenate(
-        [subband_features(band, entropy_guard) for band in subbands.all_bands()], axis=-1
-    )
+    return np.concatenate([subband_features(band) for band in bands], axis=-1)
+
+
+def wavelet_windows(windows: np.ndarray) -> np.ndarray:
+    """Subband features of [..., C, N] windows, one [..., 30C] row each,
+    channel by channel."""
+    return wavelet_features(dwt(windows)).reshape(*windows.shape[:-2], -1)
 
 
 def wavelet_names(n_channels: int, levels: int = 5) -> list[str]:

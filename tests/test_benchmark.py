@@ -168,8 +168,9 @@ class TestRun:
 
 class TestRendering:
     def test_table_layout(self):
-        reports, errors = run_benchmark(small_config(models=("lda", "knn")))
-        table = render_table(reports, errors)
+        config = small_config(models=("lda", "knn"))
+        reports, errors = run_benchmark(config)
+        table = render_table(config.families, reports, errors)
         lines = table.splitlines()
         assert lines[0] == "=== ftdd ==="
         assert lines[1].split() == ["Models", "ACC", "P", "R", "F1"]
@@ -180,7 +181,7 @@ class TestRendering:
     def test_failed_row_visible(self):
         config = small_config(families=("wavelet",), window_ms=10.0)
         reports, errors = run_benchmark(config)
-        table = render_table(reports, errors)
+        table = render_table(config.families, reports, errors)
         assert "FAILED" in table
         assert "=== wavelet ===" in table
 

@@ -23,7 +23,6 @@ from emgbench.classify import (
     fit_lda,
     fit_pipeline,
     fit_random_forest,
-    fit_tree,
     knn_predict,
     majority_vote,
     model_to_blob,
@@ -31,6 +30,7 @@ from emgbench.classify import (
 from emgbench.classify import svm as svm_module
 from emgbench.classify.knn import _nearest
 from emgbench.classify.svm import fit_linear_svms
+from emgbench.classify.tree import fit_trees
 from emgbench.evaluate import stratified_split
 from emgbench.features.extract import FeatureMatrix, extract
 from emgbench.preprocess import bandpass, segment_records
@@ -461,7 +461,8 @@ class TestTreeAndForest:
     def test_single_tree_reproduces_hand_traced_splits(self):
         # one feature, perfect cut between 1 and 10 at threshold 5.5
         train = fm(np.array([[0.0], [1.0], [10.0], [11.0]]), np.array([0, 0, 1, 1]))
-        tree = fit_tree(train.values, train.labels, 2, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        tree = fit_trees(train.values, train.labels, 2, [np.arange(4)], [rng])[0]
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(5.5)
         np.testing.assert_array_equal(tree.predict(np.array([[5.0], [6.0]])), [0, 1])
@@ -469,7 +470,7 @@ class TestTreeAndForest:
 
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0], [1.0]])
-        tree = fit_tree(X, np.array([1, 1]), 2, np.random.default_rng(0))
+        tree = fit_trees(X, np.array([1, 1]), 2, [np.arange(2)], [np.random.default_rng(0)])[0]
         assert tree.feature[0] == -1
         assert tree.leaf_label[0] == 1
 
@@ -592,7 +593,8 @@ class TestLockstepTrees:
 
     def test_single_tree_all_features(self):
         train = noisy_classes(np.random.default_rng(21), 60, 10, 4, spread=1.0)
-        tree = fit_tree(train.values, train.labels, 4, np.random.default_rng(3))
+        rows = [np.arange(train.n_rows)]
+        tree = fit_trees(train.values, train.labels, 4, rows, [np.random.default_rng(3)])[0]
         expected = scalar_tree(train.values, train.labels, 4, np.random.default_rng(3))
         assert tree_blobs([tree]) == tree_blobs([expected])
         assert tree.feature.size > 3
@@ -633,7 +635,7 @@ class TestLockstepTrees:
         train = fm(X, y)
         model = fit_random_forest(train, n_trees=30, seed=2)
         assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 30, 2))
-        tree = fit_tree(X, y, 3, np.random.default_rng(5))
+        tree = fit_trees(X, y, 3, [np.arange(len(y))], [np.random.default_rng(5)])[0]
         assert tree_blobs([tree]) == tree_blobs([scalar_tree(X, y, 3, np.random.default_rng(5))])
 
     @pytest.mark.parametrize(
@@ -658,7 +660,7 @@ class TestLockstepTrees:
     def test_non_finite_features_refused(self):
         X = np.array([[0.0], [np.nan], [1.0]])
         with pytest.raises(ClassifyError, match="finite"):
-            fit_tree(X, np.array([0, 1, 0]), 2, np.random.default_rng(0))
+            fit_trees(X, np.array([0, 1, 0]), 2, [np.arange(3)], [np.random.default_rng(0)])
 
 
 class TestBagging:
@@ -833,7 +835,7 @@ class TestPipelineSerialization:
     )
     def test_round_trip_preserves_predictions(self, name, blob_data, tmp_path):
         train, test = split_blobs(blob_data)
-        pipe = fit_pipeline(name, train, seed=2, rf_trees=10, boost_rounds=2, boost_trees=5)
+        pipe = fit_pipeline(name, train, seed=2)
         path = tmp_path / f"{name}.json"
         pipe.save(path)
         loaded = Pipeline.load(path)
@@ -867,31 +869,31 @@ class TestPipelineSerialization:
         ids=["missing", "extra"],
     )
     def test_member_with_wrong_fields_refused(self, edit, message, blob_data):
-        blob = fit_pipeline("bagging_knn", blob_data, bag_estimators=2).to_blob()
+        blob = fit_pipeline("bagging_knn", blob_data).to_blob()
         edit(blob["model"]["members"][1])
         with pytest.raises(ClassifyError, match=message):
             Pipeline.from_blob(blob)
 
     def test_bagging_members_not_a_list_refused(self, blob_data):
-        blob = fit_pipeline("bagging_svm", blob_data, bag_estimators=2).to_blob()
+        blob = fit_pipeline("bagging_svm", blob_data).to_blob()
         blob["model"]["members"] = 5
         with pytest.raises(ClassifyError, match="'bagging' blob: "):
             Pipeline.from_blob(blob)
 
     def test_voting_scaler_of_another_kind_refused(self, blob_data):
-        blob = fit_pipeline("voting", blob_data, rf_trees=2).to_blob()
+        blob = fit_pipeline("voting", blob_data).to_blob()
         blob["model"]["scaler"] = blob["model"]["members"][2]["trees"][0]
         with pytest.raises(ClassifyError, match="voting scaler must be a standardizer"):
             Pipeline.from_blob(blob)
 
     def test_voting_member_of_another_kind_refused(self, blob_data):
-        blob = fit_pipeline("voting", blob_data, rf_trees=2).to_blob()
+        blob = fit_pipeline("voting", blob_data).to_blob()
         blob["model"]["members"][1] = blob["model"]["scaler"]
         with pytest.raises(ClassifyError, match="ensemble members must be fitted models"):
             Pipeline.from_blob(blob)
 
     def test_unknown_kind_refused(self, blob_data):
-        blob = fit_pipeline("bagging_knn", blob_data, bag_estimators=2).to_blob()
+        blob = fit_pipeline("bagging_knn", blob_data).to_blob()
         blob["model"]["members"][1]["kind"] = "cnn"
         with pytest.raises(ClassifyError, match="unknown model kind in blob: 'cnn'"):
             Pipeline.from_blob(blob)
@@ -908,7 +910,7 @@ class TestPipelineSerialization:
         ids=["standardizer", "more_classes", "feature_out_of_range"],
     )
     def test_forest_tree_that_does_not_fit_refused(self, edit, message, blob_data):
-        blob = fit_pipeline("random_forest", blob_data, rf_trees=2).to_blob()
+        blob = fit_pipeline("random_forest", blob_data).to_blob()
         blob["model"]["trees"][0] = edit(blob["model"]["trees"][0])
         with pytest.raises(ClassifyError, match=message):
             Pipeline.from_blob(blob)
@@ -924,7 +926,7 @@ class TestPipelineSerialization:
         ids=["lengths_differ", "child_not_after_node", "child_out_of_range", "label_out_of_range"],
     )
     def test_malformed_tree_refused(self, edit, message, blob_data):
-        blob = fit_pipeline("adaboost", blob_data, boost_rounds=1, boost_trees=2).to_blob()
+        blob = fit_pipeline("adaboost", blob_data).to_blob()
         tree = blob["model"]["members"][0]["trees"][1]
         assert tree["feature"][0] >= 0 and tree["feature"][-1] == -1
         edit(tree)

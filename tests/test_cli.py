@@ -170,6 +170,27 @@ class TestTrainAndBench:
             f"=== {family} ===" for family in families
         ]
 
+    def test_failed_middle_family_keeps_its_place(self, tmp_path, capsys):
+        spec = {"n_classes": 2, "n_channels": 1, "fs": 1024, "trials_per_class": 3,
+                "trial_seconds": 2}  # tsd needs two channels
+        assert main(["bench", "--synthetic", json.dumps(spec), "--families", "ftdd", "tsd",
+                     "wavelet", "--models", "lda", "--out", str(tmp_path)]) == 1
+        printed = capsys.readouterr().out
+        assert main(["report", "--bundle", str(tmp_path)]) == 0
+        reported = capsys.readouterr().out
+        assert reported == (tmp_path / "table.txt").read_text() + "\n"
+        for out in (printed, reported):
+            assert [line for line in out.splitlines() if line.startswith("===")] == [
+                "=== ftdd ===", "=== tsd ===", "=== wavelet ==="
+            ]
+        assert "FAILED: temporal-spatial descriptors need at least 2 channels" in reported
+
+    def test_bench_duplicate_models_refused(self, tmp_path, capsys):
+        assert main(["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd",
+                     "--models", "lda", "knn", "lda", "--out", str(tmp_path / "b")]) == 2
+        assert "duplicate models: ['lda']" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_bench_flags_override_config_file(self, tmp_path):
         config = tmp_path / "c.json"
         spec = {**json.loads(SMALL_SPEC), "trial_seconds": 2.0}  # 10 rows to train KNN on
@@ -194,8 +215,13 @@ class TestTrainAndBench:
             ({"band": {"low": 20, "high": 450}}, r"missing band keys: \['order'\]"),
             ({"jobs": 1.5}, r"jobs must be an integer >= 1, got 1\.5"),
             ({"window_ms": 0}, r"window_ms must be > 0, got 0"),
+            ({"seed": "x"}, r"seed must be an integer, got 'x'"),
+            ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
+            ({"seed": True}, r"seed must be an integer, got True"),
+            ({"families": ["tsd", "ftdd", "tsd"]}, r"duplicate families: \['tsd'\]"),
         ],
-        ids=["list", "tdd_key", "band_key", "band_missing", "jobs_float", "window_zero"],
+        ids=["list", "tdd_key", "band_key", "band_missing", "jobs_float", "window_zero",
+             "seed_str", "seed_float", "seed_bool", "duplicate_family"],
     )
     def test_bad_config_file_names_the_file(self, doc, message, tmp_path, capsys):
         config = tmp_path / "c.json"

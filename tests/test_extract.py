@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from emgbench.features.extract import extract
-from emgbench.features.tdd import TddParams, ftdd_window, tsd_window
+from emgbench.features.tdd import TddParams, ftdd_windows, tsd_windows
 from emgbench.features.wavelet import WaveletFilter, dwt, wavelet_features
 from emgbench.preprocess import segment_records
 from emgbench.signal_io import SignalRecord
@@ -139,7 +139,7 @@ def test_window_sets_cover_the_cases(ws):
 @pytest.mark.parametrize("params", list(PARAMS.values()), ids=list(PARAMS))
 @pytest.mark.parametrize(
     "family, single, loop",
-    [("ftdd", ftdd_window, loop_ftdd), ("tsd", tsd_window, loop_tsd)],
+    [("ftdd", ftdd_windows, loop_ftdd), ("tsd", tsd_windows, loop_tsd)],
     ids=["ftdd", "tsd"],
 )
 def test_time_domain_families_match_row_by_row(ws, params, family, single, loop):

@@ -10,12 +10,12 @@ from emgbench.features.tdd import (
     TddParams,
     fuse,
     ftdd_names,
-    ftdd_window,
+    ftdd_windows,
     root_moments,
     tdd_base,
     tsd_names,
     tsd_signal_features,
-    tsd_window,
+    tsd_windows,
 )
 
 finite_windows = st.lists(
@@ -99,7 +99,7 @@ class TestFusion:
 class TestFtddWindow:
     def test_eight_channel_row_length_and_names(self):
         rng = np.random.default_rng(1)
-        row = ftdd_window(rng.standard_normal((8, 200)))
+        row = ftdd_windows(rng.standard_normal((8, 200)))
         assert row.shape == (48,)
         names = ftdd_names(8)
         assert len(names) == 48
@@ -108,13 +108,13 @@ class TestFtddWindow:
 
     def test_fused_sums_within_unit_interval(self):
         rng = np.random.default_rng(2)
-        row = ftdd_window(rng.standard_normal((4, 300)))
+        row = ftdd_windows(rng.standard_normal((4, 300)))
         sums = row.reshape(4, 6).sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-9)
         assert np.all(sums >= -1.0 - 1e-9)
 
     def test_constant_channels_finite(self):
-        row = ftdd_window(np.ones((2, 100)))
+        row = ftdd_windows(np.ones((2, 100)))
         assert np.all(np.isfinite(row))
 
 
@@ -146,13 +146,13 @@ class TestTsd:
 
     def test_four_channel_feature_count(self):
         rng = np.random.default_rng(4)
-        row = tsd_window(rng.standard_normal((4, 200)))
+        row = tsd_windows(rng.standard_normal((4, 200)))
         assert row.shape == (7 * (4 + 6),)
 
     def test_identical_channels_difference_is_finite(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(200)
-        row = tsd_window(np.vstack([x, x]))
+        row = tsd_windows(np.vstack([x, x]))
         assert np.all(np.isfinite(row))
 
     def test_two_channel_name_order(self):
@@ -169,15 +169,15 @@ class TestTsd:
 
     def test_single_channel_rejected(self):
         with pytest.raises(FeatureError, match="at least 2 channels"):
-            tsd_window(np.ones((1, 100)))
+            tsd_windows(np.ones((1, 100)))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_window_features_always_finite(self, seed):
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal((3, 64)) * rng.choice([0.0, 1e-6, 1.0, 1e3])
-        assert np.all(np.isfinite(tsd_window(samples)))
-        assert np.all(np.isfinite(ftdd_window(samples)))
+        assert np.all(np.isfinite(tsd_windows(samples)))
+        assert np.all(np.isfinite(ftdd_windows(samples)))
 
 
 class TestParams:
