@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .signal_io import DatasetManifest, SignalRecord, generate_synthetic
 from .preprocess import WindowSet, bandpass, segment_records
-from .features import FeatureMatrix, TddParams, extract
+from .features import FeatureMatrix, extract
 from .evaluate import ConfusionMatrix, EvaluationReport, metrics, stratified_split
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "EvaluationReport",
     "FeatureMatrix",
     "SignalRecord",
-    "TddParams",
     "WindowSet",
     "bandpass",
     "extract",

@@ -7,7 +7,7 @@ import json
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,8 @@ import numpy as np
 from .classify.pipeline import MODEL_NAMES, SHARED, Pipeline, fit_pipeline
 from .evaluate import ConfusionMatrix, EvalError, EvaluationReport, metrics, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
-from .features.tdd import TddParams
-from .preprocess import bandpass, segment_records
+from .features.tdd import EPS, K
+from .preprocess import WindowSet, bandpass, segment_records
 from .signal_io import generate_synthetic, load_canonical_csv, load_manifest
 
 MODEL_DISPLAY = {
@@ -30,7 +30,9 @@ MODEL_DISPLAY = {
     "adaboost": "AdaBoost",
 }
 
-_SYNTH_KEYS = {"n_classes", "n_channels", "fs", "trials_per_class", "trial_seconds"}
+# synthetic key -> int for a count, float for any number
+_SYNTH_KEYS = {"n_classes": int, "n_channels": int, "fs": float, "trials_per_class": int,
+               "trial_seconds": float}
 _BAND_KEYS = {"low", "high", "order"}
 
 
@@ -49,34 +51,37 @@ class BenchmarkConfig:
     overlap: float = 0.5
     band: tuple[float, float, int] = (20.0, 450.0, 8)
     jobs: int = 1
-    tdd: TddParams = field(default_factory=TddParams)
     subject_split: bool = False
 
     def __post_init__(self):
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ConfigError(f"unknown feature family: {fam!r}")
-        for m in self.models:
-            if m not in MODEL_NAMES:
-                raise ConfigError(f"unknown model: {m!r}")
-        for key in ("families", "models"):
+        for key, known, kind in (("families", FAMILIES, "feature family"),
+                                 ("models", MODEL_NAMES, "model")):
             values = getattr(self, key)
+            if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+                raise ConfigError(f"{key} must be a list of names, got {values!r}")
+            for v in values:
+                if v not in known:
+                    raise ConfigError(f"unknown {kind}: {v!r}")
             duplicates = sorted({v for v in values if values.count(v) > 1})
             if duplicates:
                 raise ConfigError(f"duplicate {key}: {duplicates}")
+            setattr(self, key, tuple(values))
         if set(self.dataset) not in ({"manifest"}, {"synthetic"}):
             raise ConfigError("dataset must have exactly one of 'manifest' or 'synthetic'")
         if "synthetic" in self.dataset:
-            unknown = set(self.dataset["synthetic"]) - _SYNTH_KEYS
-            if unknown:
-                raise ConfigError(f"unknown synthetic keys: {sorted(unknown)}")
-            missing = _SYNTH_KEYS - set(self.dataset["synthetic"])
+            spec = _section(self.dataset["synthetic"], "synthetic", set(_SYNTH_KEYS))
+            missing = set(_SYNTH_KEYS) - set(spec)
             if missing:
                 raise ConfigError(f"missing synthetic keys: {sorted(missing)}")
+            for key, kind in _SYNTH_KEYS.items():
+                _check_number(spec[key], f"synthetic {key}", kind)
+        elif not isinstance(self.dataset["manifest"], str):
+            raise ConfigError(f"manifest must be a path string, got {self.dataset['manifest']!r}")
+        _check_number(self.test_fraction, "test_fraction")
+        _check_number(self.overlap, "overlap")
         if not (0 < self.test_fraction < 1):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        _check_number(self.seed, "seed", int)
         if type(self.jobs) is not int or self.jobs < 1:
             raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         if not (isinstance(self.window_ms, (int, float)) and self.window_ms > 0):
@@ -90,19 +95,12 @@ class BenchmarkConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(doc)
-        if "families" in kwargs:
-            kwargs["families"] = tuple(kwargs["families"])
-        if "models" in kwargs:
-            kwargs["models"] = tuple(kwargs["models"])
         if "band" in kwargs:
             band = _section(kwargs["band"], "band", _BAND_KEYS)
             missing = _BAND_KEYS - set(band)
             if missing:
                 raise ConfigError(f"missing band keys: {sorted(missing)}")
             kwargs["band"] = (float(band["low"]), float(band["high"]), int(band["order"]))
-        if "tdd" in kwargs:
-            tdd_keys = {f.name for f in fields(TddParams)}
-            kwargs["tdd"] = TddParams(**_section(kwargs["tdd"], "tdd", tdd_keys))
         return cls(**kwargs)
 
     @classmethod
@@ -122,10 +120,10 @@ class BenchmarkConfig:
             "band": {"low": self.band[0], "high": self.band[1], "order": self.band[2]},
             "subject_split": self.subject_split,
             "decisions": {
-                "moment_exponent_k": self.tdd.k,
-                "lambda_mode": self.tdd.lambda_mode,
-                "eps": self.tdd.eps,
-                "irf_standard": self.tdd.irf_standard,
+                "moment_exponent_k": K,
+                "lambda_mode": "channel_median",
+                "eps": EPS,
+                "irf_standard": False,
                 "averaging": "macro",
                 "voting": "hard vote over the row's fitted svm, knn and random_forest cells, "
                 "each under its own cell seed",
@@ -133,6 +131,14 @@ class BenchmarkConfig:
                 "split": "subject-wise" if self.subject_split else "stratified by window",
             },
         }
+
+
+def _check_number(value, name: str, kind: type = float) -> None:
+    """Refuse a value that is not an int (kind int) or not an int or float
+    (kind float); bools are refused either way."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 def _section(doc, name: str, keys: set[str]) -> dict:
@@ -163,7 +169,9 @@ def cell_seed(global_seed: int, *keys: str) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _load_records(config: BenchmarkConfig):
+def load_windows(config: BenchmarkConfig) -> tuple[WindowSet, list[str], np.ndarray]:
+    """The config's dataset, band-passed and windowed: the windows, the
+    class names, and the subject of each window."""
     if "manifest" in config.dataset:
         manifest = load_manifest(config.dataset["manifest"])
         records = load_canonical_csv(config.dataset["manifest"])
@@ -172,7 +180,10 @@ def _load_records(config: BenchmarkConfig):
         spec = config.dataset["synthetic"]
         records = generate_synthetic(seed=config.seed, **spec)
         class_names = [f"class{i}" for i in range(spec["n_classes"])]
-    return records, class_names
+    low, high, order = config.band
+    filtered = [bandpass(rec, low, high, order) for rec in records]
+    ws = segment_records(filtered, config.window_ms, config.overlap)
+    return ws, class_names, np.array([rec.subject for rec in records])[ws.trial]
 
 
 def _subject_split(subjects: np.ndarray, test_fraction: float, seed: int):
@@ -193,18 +204,14 @@ def run_benchmark(config: BenchmarkConfig):
     Returns (reports, errors); a failing cell lands in errors and does not
     abort the rest of the grid.
     """
-    records, class_names = _load_records(config)
-    low, high, order = config.band
-    filtered = [bandpass(rec, low, high, order) for rec in records]
-    ws = segment_records(filtered, config.window_ms, config.overlap)
-    window_subjects = np.array([rec.subject for rec in records])[ws.trial]
+    ws, class_names, window_subjects = load_windows(config)
 
     # Every model of a family row trains and tests on the row's one split.
     partitions: dict[str, tuple[FeatureMatrix, FeatureMatrix]] = {}
     errors: dict[tuple[str, str], str] = {}
     for family in config.families:
         try:
-            fm = extract(ws, family, config.tdd)
+            fm = extract(ws, family)
             split_seed = cell_seed(config.seed, family)
             if config.subject_split:
                 train_idx, test_idx = _subject_split(

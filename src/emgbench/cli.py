@@ -14,6 +14,7 @@ from . import __version__
 from .benchmark import (
     BenchmarkConfig,
     ConfigError,
+    load_windows,
     read_config,
     render_table,
     run_benchmark,
@@ -22,13 +23,16 @@ from .benchmark import (
 from .classify.pipeline import MODEL_NAMES, fit_pipeline
 from .evaluate import ConfusionMatrix, EvaluationReport, metrics, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
-from .features.tdd import TddParams
-from .preprocess import bandpass, segment_records
-from .signal_io import generate_synthetic, load_canonical_csv, write_dataset
+from .signal_io import generate_synthetic, write_dataset
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("EMG_SEED", "0"))
+def _env_seed() -> int:
+    """The seed of a run given none: EMG_SEED, or 0 when it is unset."""
+    value = os.environ.get("EMG_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"EMG_SEED must be an integer, got {value!r}") from None
 
 
 def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -44,6 +48,7 @@ def cmd_synth(args) -> int:
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         print(f"error: output directory {out_dir} is not empty (use --force)", file=sys.stderr)
         return 2
+    args.seed = _env_seed() if args.seed is None else args.seed  # run_config.json records it
     records = generate_synthetic(
         n_classes=args.classes,
         n_channels=args.channels,
@@ -59,15 +64,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _tdd_params(args) -> TddParams:
-    return TddParams(k=args.k, eps=args.eps, irf_standard=args.irf_standard)
-
-
 def cmd_extract(args) -> int:
-    records = load_canonical_csv(args.manifest)
-    filtered = [bandpass(r, args.low, args.high, args.order) for r in records]
-    ws = segment_records(filtered, args.window_ms, args.overlap)
-    fm = extract(ws, args.family, _tdd_params(args))
+    """One family's features of the manifest's trials, windowed as by `bench`."""
+    ws, _, _ = load_windows(BenchmarkConfig(dataset={"manifest": args.manifest}))
+    fm = extract(ws, args.family)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fm.to_csv(out)
@@ -76,6 +76,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
+    args.seed = _env_seed() if args.seed is None else args.seed
     fm = FeatureMatrix.from_csv(args.features)
     train_idx, test_idx = stratified_split(fm.labels, args.test_fraction, args.seed)
     pipeline = fit_pipeline(args.model, fm.select(train_idx), seed=args.seed)
@@ -108,7 +109,8 @@ def _config_from_args(args) -> BenchmarkConfig:
     else:
         raise ConfigError("one of --config, --manifest, or --synthetic is required")
     doc.update({k: getattr(args, k) for k in _BENCH_FLAGS if getattr(args, k) is not None})
-    doc.setdefault("seed", _default_seed())
+    if "seed" not in doc:
+        doc["seed"] = _env_seed()
     return BenchmarkConfig.from_dict(doc)
 
 
@@ -155,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", type=float, default=2048.0)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seconds", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: $EMG_SEED, else 0")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
@@ -164,20 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window-ms", dest="window_ms", type=float, default=600.0)
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--low", type=float, default=20.0)
-    p.add_argument("--high", type=float, default=450.0)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--k", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--irf-standard", dest="irf_standard", action="store_true")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="fit one model on a feature CSV")
     p.add_argument("--features", required=True)
     p.add_argument("--model", choices=MODEL_NAMES, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: $EMG_SEED, else 0")
     p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -1,6 +1,5 @@
 from .tdd import (
     FeatureError,
-    TddParams,
     fuse,
     root_moments,
     tdd_base,
@@ -13,7 +12,6 @@ __all__ = [
     "FAMILIES",
     "FeatureError",
     "FeatureMatrix",
-    "TddParams",
     "WaveletFilter",
     "dwt",
     "extract",

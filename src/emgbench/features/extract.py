@@ -7,15 +7,15 @@ from pathlib import Path
 import numpy as np
 
 from ..preprocess import WindowSet
-from .tdd import FeatureError, TddParams, ftdd_names, ftdd_windows, tsd_names, tsd_windows
+from .tdd import FeatureError, ftdd_names, ftdd_windows, tsd_names, tsd_windows
 from .wavelet import wavelet_names, wavelet_windows
 
-# family -> (names(n_channels), rows(windows, params)): the column names and
-# the batched feature rows of [w, C, N] windows.
+# family -> (names(n_channels), rows(windows)): the column names and the
+# batched feature rows of [w, C, N] windows.
 _FAMILIES = {
     "ftdd": (ftdd_names, ftdd_windows),
     "tsd": (tsd_names, tsd_windows),
-    "wavelet": (wavelet_names, lambda windows, params: wavelet_windows(windows)),
+    "wavelet": (wavelet_names, wavelet_windows),
 }
 FAMILIES = tuple(_FAMILIES)
 
@@ -79,17 +79,16 @@ class FeatureMatrix:
         )
 
 
-def extract(ws: WindowSet, family: str, params: TddParams | None = None) -> FeatureMatrix:
+def extract(ws: WindowSet, family: str) -> FeatureMatrix:
     """One feature row per window for the requested descriptor family,
     computed one trial's [w, C, N] window view at a time."""
     if family not in _FAMILIES:
         raise FeatureError(f"unknown feature family: {family!r} (expected one of {FAMILIES})")
     if len(ws) == 0:
         raise FeatureError("empty window set")
-    params = params or TddParams()
     names, rows = _FAMILIES[family]
     return FeatureMatrix(
-        values=np.concatenate([rows(v, params) for v in ws.trial_windows()]),
+        values=np.concatenate([rows(v) for v in ws.trial_windows()]),
         feature_names=tuple(names(ws.n_channels)),
         labels=ws.labels,
     )

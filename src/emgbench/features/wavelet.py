@@ -114,9 +114,11 @@ def dwt(x: np.ndarray, filt: WaveletFilter = SYM8, levels: int = 5) -> list[np.n
 
 
 SUBBAND_FEATURES = ("energy", "variance", "std", "wl", "entropy")
+# Added to each squared coefficient inside the entropy's log.
+ENTROPY_GUARD = 1e-12
 
 
-def subband_features(w: np.ndarray, entropy_guard: float = 1e-12) -> np.ndarray:
+def subband_features(w: np.ndarray) -> np.ndarray:
     """Energy, variance, standard deviation, waveform length and entropy of
     each subband on the last axis, [..., n] -> [..., 5]."""
     w = np.asarray(w, dtype=np.float64)
@@ -125,7 +127,7 @@ def subband_features(w: np.ndarray, entropy_guard: float = 1e-12) -> np.ndarray:
     sq = w * w
     variance = np.var(w, axis=-1)
     wl = np.sum(np.abs(np.diff(w)), axis=-1)
-    entropy = -np.sum(sq * np.log(sq + entropy_guard), axis=-1)
+    entropy = -np.sum(sq * np.log(sq + ENTROPY_GUARD), axis=-1)
     return np.stack([np.sum(sq, axis=-1), variance, np.sqrt(variance), wl, entropy], axis=-1)
 
 

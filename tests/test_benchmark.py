@@ -56,8 +56,11 @@ class TestConfig:
 
     def test_echo_records_decisions(self):
         echo = small_config().echo()
-        assert echo["decisions"]["averaging"] == "macro"
-        assert "moment_exponent_k" in echo["decisions"]
+        decisions = echo["decisions"]
+        assert decisions["averaging"] == "macro"
+        # The descriptor constants, as every bundle records them.
+        assert (decisions["moment_exponent_k"], decisions["lambda_mode"]) == (0.1, "channel_median")
+        assert (decisions["eps"], decisions["irf_standard"]) == (1e-10, False)
         assert echo["band"] == {"low": 20.0, "high": 450.0, "order": 8}
 
     def test_cell_seed_distinguishes_cells(self):

@@ -130,6 +130,11 @@ class TestTrainAndBench:
         assert "missing synthetic keys" in err
         assert "'n_classes'" in err and "'trial_seconds'" in err
 
+    def test_bench_synthetic_spec_not_an_object(self, capsys):
+        code = main(["bench", "--synthetic", "5", "--families", "ftdd", "--models", "lda"])
+        assert code == 2
+        assert "'synthetic' must be a JSON object, got int" in capsys.readouterr().err
+
     def test_bench_test_fraction_out_of_range(self, capsys):
         code = main(["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd",
                      "--models", "lda", "--test-fraction", "1.5"])
@@ -209,7 +214,7 @@ class TestTrainAndBench:
         "doc, message",
         [
             ([1, 2], "config must be a JSON object, got list"),
-            ({"tdd": {"bogus": 1}}, r"unknown tdd keys: \['bogus'\]"),
+            ({"tdd": {"k": 0.1}}, r"unknown config keys: \['tdd'\]"),
             ({"band": {"low": 20, "high": 450, "order": 8, "bogus": 1}},
              r"unknown band keys: \['bogus'\]"),
             ({"band": {"low": 20, "high": 450}}, r"missing band keys: \['order'\]"),
@@ -219,9 +224,22 @@ class TestTrainAndBench:
             ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
             ({"seed": True}, r"seed must be an integer, got True"),
             ({"families": ["tsd", "ftdd", "tsd"]}, r"duplicate families: \['tsd'\]"),
+            ({"families": "ftdd"}, r"families must be a list of names, got 'ftdd'"),
+            ({"models": "lda"}, r"models must be a list of names, got 'lda'"),
+            ({"dataset": {"synthetic": 5}}, r"'synthetic' must be a JSON object, got int"),
+            ({"dataset": {"synthetic": {**json.loads(SMALL_SPEC), "trial_seconds": "1"}}},
+             r"synthetic trial_seconds must be a number, got '1'"),
+            ({"dataset": {"synthetic": {**json.loads(SMALL_SPEC), "n_classes": "2"}}},
+             r"synthetic n_classes must be an integer, got '2'"),
+            ({"dataset": {"manifest": 5}}, r"manifest must be a path string, got 5"),
+            ({"overlap": "x"}, r"overlap must be a number, got 'x'"),
+            ({"overlap": True}, r"overlap must be a number, got True"),
+            ({"test_fraction": "x"}, r"test_fraction must be a number, got 'x'"),
         ],
         ids=["list", "tdd_key", "band_key", "band_missing", "jobs_float", "window_zero",
-             "seed_str", "seed_float", "seed_bool", "duplicate_family"],
+             "seed_str", "seed_float", "seed_bool", "duplicate_family", "families_str",
+             "models_str", "synthetic_int", "trial_seconds_str", "n_classes_str",
+             "manifest_int", "overlap_str", "overlap_bool", "test_fraction_str"],
     )
     def test_bad_config_file_names_the_file(self, doc, message, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -240,3 +258,24 @@ class TestTrainAndBench:
                      "--trials", "2", "--seconds", "1", "--out", str(a)]) == 0
         b = make_dataset(tmp_path / "b", seed="3")
         assert (a / "trial_0000.csv").read_text() == (b.parent / "trial_0000.csv").read_text()
+        assert json.loads((a / "run_config.json").read_text())["seed"] == 3
+
+    def test_bad_env_seed_fails_only_where_a_seed_is_needed(self, tmp_path, monkeypatch, capsys):
+        manifest = make_dataset(tmp_path / "data")
+        bundle, features = tmp_path / "bundle", tmp_path / "ftdd.csv"
+        bench = ["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd", "--models", "lda"]
+        assert main([*bench, "--seed", "1", "--out", str(bundle)]) == 0
+        monkeypatch.setenv("EMG_SEED", "x")
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(bundle)]) == 0
+        assert capsys.readouterr().out == (bundle / "table.txt").read_text() + "\n"
+        assert main(["extract", "--manifest", str(manifest), "--family", "ftdd",
+                     "--out", str(features)]) == 0
+        assert main([*bench, "--seed", "1"]) == 0
+        capsys.readouterr()
+        synth = SYNTH_ARGS[: SYNTH_ARGS.index("--seed")] + ["--out", str(tmp_path / "s")]
+        train = ["train", "--features", str(features), "--model", "lda",
+                 "--out", str(tmp_path / "m.json")]
+        for argv in (synth, train, bench):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: EMG_SEED must be an integer, got 'x'\n"

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from emgbench.features import tdd, wavelet
 from emgbench.features.extract import extract
-from emgbench.features.tdd import TddParams, ftdd_windows, tsd_windows
+from emgbench.features.tdd import ftdd_windows, tsd_windows
 from emgbench.features.wavelet import WaveletFilter, dwt, wavelet_features
 from emgbench.preprocess import segment_records
 from emgbench.signal_io import SignalRecord
@@ -20,17 +21,14 @@ from emgbench.signal_io import SignalRecord
 RTOL, ATOL = 1e-10, 1e-12
 
 
-def _loop_base(x, params, lam, tsd):
+def _loop_base(x, lam, tsd):
     """Descriptors of one 1-D signal, one Python float at a time."""
-    n, eps, k = x.size, params.eps, params.k
+    n, eps, k = x.size, tdd.EPS, tdd.K
     dx = np.diff(x)
     ddx = np.diff(dx)
     m0, m2, m4 = (float(np.sqrt(np.sum(d * d) / n)) ** k / lam for d in (x, dx, ddx))
     sparseness = m0 / (np.sqrt(abs(m0 - m2)) * np.sqrt(abs(m0 - m4)) + eps)
-    if params.irf_standard:
-        irf = m2 / (np.sqrt(m0 * m4) + eps)
-    else:
-        irf = np.sqrt(m2 / (m0 * m4 + eps))
+    irf = np.sqrt(m2 / (m0 * m4 + eps))
     out = [np.log(f + eps) for f in (m0, m2, m4, sparseness, irf)]
     if tsd:
         cov = float(np.std(x, ddof=1)) / (abs(float(np.mean(x))) + eps)
@@ -42,31 +40,29 @@ def _loop_base(x, params, lam, tsd):
     return np.array(out)
 
 
-def _loop_lambda(channels, params):
-    if params.lambda_mode == "unit":
-        return 1.0
+def _loop_lambda(channels):
     m0s = [float(np.sqrt(np.sum(ch * ch) / ch.size)) for ch in channels]
-    lam = float(np.median([m**params.k for m in m0s]))
+    lam = float(np.median([m**tdd.K for m in m0s]))
     return lam if lam > 0 else 1.0
 
 
-def loop_ftdd(window, params):
-    transformed = np.log(window * window + params.eps)
-    lam_x, lam_z = _loop_lambda(window, params), _loop_lambda(transformed, params)
+def loop_ftdd(window):
+    transformed = np.log(window * window + tdd.EPS)
+    lam_x, lam_z = _loop_lambda(window), _loop_lambda(transformed)
     rows = []
     for x, z in zip(window, transformed):
-        a = _loop_base(x, params, lam_x, tsd=False)
-        b = _loop_base(z, params, lam_z, tsd=False)
-        rows.append(a * b / (np.sqrt(a @ a) * np.sqrt(b @ b) + params.eps))
+        a = _loop_base(x, lam_x, tsd=False)
+        b = _loop_base(z, lam_z, tsd=False)
+        rows.append(a * b / (np.sqrt(a @ a) * np.sqrt(b @ b) + tdd.EPS))
     return np.concatenate(rows)
 
 
-def loop_tsd(window, params):
-    lam = _loop_lambda(window, params)
+def loop_tsd(window):
+    lam = _loop_lambda(window)
     signals = list(window)
     n_ch = len(signals)
     signals += [window[i] - window[j] for i in range(n_ch) for j in range(i + 1, n_ch)]
-    return np.concatenate([_loop_base(x, params, lam, tsd=True) for x in signals])
+    return np.concatenate([_loop_base(x, lam, tsd=True) for x in signals])
 
 
 def loop_dwt_bands(x, filt, levels):
@@ -82,7 +78,8 @@ def loop_dwt_bands(x, filt, levels):
     return [*bands, x]
 
 
-def loop_wavelet(window, levels=5, guard=1e-12):
+def loop_wavelet(window, levels=5):
+    guard = wavelet.ENTROPY_GUARD
     out = []
     for ch in window:
         for w in loop_dwt_bands(ch, WaveletFilter.sym8(), levels):
@@ -118,11 +115,6 @@ WINDOW_SETS = {
     # fs 985 gives 591-sample windows, so the DWT cascade has odd lengths
     "fs985-odd": (985.0, [985, 600, 1500, 591]),
 }
-PARAMS = {
-    "default": TddParams(),
-    "unit-lambda": TddParams(lambda_mode="unit"),
-    "irf-standard": TddParams(irf_standard=True),
-}
 
 
 @pytest.fixture(scope="module", params=list(WINDOW_SETS), ids=list(WINDOW_SETS))
@@ -136,19 +128,19 @@ def test_window_sets_cover_the_cases(ws):
     assert len(ws.trials) > 2 and 1 in counts and len(set(counts)) > 1
 
 
-@pytest.mark.parametrize("params", list(PARAMS.values()), ids=list(PARAMS))
+# "default": the descriptors at the module constants tdd.K and tdd.EPS.
 @pytest.mark.parametrize(
     "family, single, loop",
     [("ftdd", ftdd_windows, loop_ftdd), ("tsd", tsd_windows, loop_tsd)],
-    ids=["ftdd", "tsd"],
+    ids=["ftdd-default", "tsd-default"],
 )
-def test_time_domain_families_match_row_by_row(ws, params, family, single, loop):
-    fm = extract(ws, family, params)
+def test_time_domain_families_match_row_by_row(ws, family, single, loop):
+    fm = extract(ws, family)
     windows = windows_of(ws)
     np.testing.assert_array_equal(fm.labels, ws.labels)
-    rows = np.vstack([single(w, params) for w in windows])
+    rows = np.vstack([single(w) for w in windows])
     np.testing.assert_allclose(fm.values, rows, rtol=RTOL, atol=ATOL)
-    reference = np.vstack([loop(w, params) for w in windows])
+    reference = np.vstack([loop(w) for w in windows])
     np.testing.assert_allclose(fm.values, reference, rtol=RTOL, atol=ATOL)
 
 

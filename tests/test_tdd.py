@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emgbench.features.tdd import (
+    EPS,
+    K,
     FeatureError,
-    TddParams,
     fuse,
     ftdd_names,
     ftdd_windows,
@@ -43,30 +44,20 @@ class TestTddBase:
         assert np.all(np.isfinite(out))
 
     def test_log_moment_shift_under_scaling(self):
-        params = TddParams(k=0.1)
         x = np.sin(0.3 * np.arange(200)) + 0.2
-        a = tdd_base(x, params, lam=1.0)
-        b = tdd_base(2 * x, params, lam=1.0)
+        a = tdd_base(x, lam=1.0)
+        b = tdd_base(2 * x, lam=1.0)
         for j in range(3):
-            assert b[j] - a[j] == pytest.approx(params.k * np.log(2), abs=1e-8)
+            assert b[j] - a[j] == pytest.approx(K * np.log(2), abs=1e-8)
 
     def test_shape_features_scale_invariant(self):
         # sparseness and waveform-length ratio are ratios of homogeneous terms
-        params = TddParams(k=0.1)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(300)
-        a = tdd_base(x, params, lam=1.0)
-        b = tdd_base(7.3 * x, params, lam=1.0)
+        a = tdd_base(x, lam=1.0)
+        b = tdd_base(7.3 * x, lam=1.0)
         assert b[3] == pytest.approx(a[3], abs=1e-6)
         assert b[5] == pytest.approx(a[5], abs=1e-6)
-
-    def test_irf_scale_invariant_in_standard_form(self):
-        params = TddParams(k=0.1, irf_standard=True)
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(300)
-        a = tdd_base(x, params, lam=1.0)
-        b = tdd_base(7.3 * x, params, lam=1.0)
-        assert b[4] == pytest.approx(a[4], abs=1e-6)
 
     @given(finite_windows)
     @settings(max_examples=80, deadline=None)
@@ -120,12 +111,11 @@ class TestFtddWindow:
 
 class TestTsd:
     def test_constant_window_hits_guards(self):
-        params = TddParams()
-        out = tsd_signal_features(np.full(100, 2.0), params)
+        out = tsd_signal_features(np.full(100, 2.0))
         assert np.all(np.isfinite(out))
-        # std = 0 and TKEO sum = 0 both bottom out at log(eps)
-        assert out[5] == pytest.approx(np.log(params.eps))
-        assert out[6] == pytest.approx(np.log(params.eps))
+        # std = 0 and TKEO sum = 0 both bottom out at log(EPS)
+        assert out[5] == pytest.approx(np.log(EPS))
+        assert out[6] == pytest.approx(np.log(EPS))
 
     def test_tkeo_sinusoid_identity(self):
         # TKEO of A sin(w n) is A^2 sin^2(w) per sample
@@ -178,15 +168,3 @@ class TestTsd:
         samples = rng.standard_normal((3, 64)) * rng.choice([0.0, 1e-6, 1.0, 1e3])
         assert np.all(np.isfinite(tsd_windows(samples)))
         assert np.all(np.isfinite(ftdd_windows(samples)))
-
-
-class TestParams:
-    def test_invalid_k(self):
-        with pytest.raises(FeatureError):
-            TddParams(k=0.0)
-        with pytest.raises(FeatureError):
-            TddParams(k=1.5)
-
-    def test_invalid_eps(self):
-        with pytest.raises(FeatureError):
-            TddParams(eps=0.0)

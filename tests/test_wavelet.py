@@ -5,6 +5,7 @@ import pytest
 
 from emgbench.features.tdd import FeatureError
 from emgbench.features.wavelet import (
+    ENTROPY_GUARD,
     WaveletFilter,
     dwt,
     subband_features,
@@ -87,8 +88,8 @@ class TestSubbandFeatures:
         assert b[3] == pytest.approx(2 * a[3], rel=1e-12)  # waveform length
 
     def test_single_coefficient_subband(self):
-        c = 1e-12
-        out = subband_features(np.array([3.0]), entropy_guard=c)
+        c = ENTROPY_GUARD
+        out = subband_features(np.array([3.0]))
         assert out[0] == pytest.approx(9.0)
         assert out[1] == 0.0
         assert out[3] == 0.0
