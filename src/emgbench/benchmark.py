@@ -84,8 +84,11 @@ class BenchmarkConfig:
         _check_number(self.seed, "seed", int)
         if type(self.jobs) is not int or self.jobs < 1:
             raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
-        if not (isinstance(self.window_ms, (int, float)) and self.window_ms > 0):
+        _check_number(self.window_ms, "window_ms")
+        if self.window_ms <= 0:
             raise ConfigError(f"window_ms must be > 0, got {self.window_ms!r}")
+        if not isinstance(self.subject_split, bool):
+            raise ConfigError(f"subject_split must be true or false, got {self.subject_split!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
@@ -100,7 +103,10 @@ class BenchmarkConfig:
             missing = _BAND_KEYS - set(band)
             if missing:
                 raise ConfigError(f"missing band keys: {sorted(missing)}")
-            kwargs["band"] = (float(band["low"]), float(band["high"]), int(band["order"]))
+            _check_number(band["low"], "band low")
+            _check_number(band["high"], "band high")
+            _check_number(band["order"], "band order", int)
+            kwargs["band"] = (float(band["low"]), float(band["high"]), band["order"])
         return cls(**kwargs)
 
     @classmethod

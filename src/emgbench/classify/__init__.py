@@ -2,11 +2,12 @@ from .base import (
     ClassifyError,
     Standardizer,
     TrainedModel,
+    VoteModel,
     majority_vote,
     model_from_blob,
     model_to_blob,
 )
-from .ensembles import VotingModel, boost_round_weight, fit_adaboost_rf, fit_bagging
+from .ensembles import boost_round_weight, fit_adaboost_rf, fit_bagging
 from .forest import fit_random_forest
 from .knn import fit_knn, knn_predict
 from .lda import fit_lda
@@ -21,7 +22,7 @@ __all__ = [
     "Pipeline",
     "Standardizer",
     "TrainedModel",
-    "VotingModel",
+    "VoteModel",
     "boost_round_weight",
     "fit_adaboost_rf",
     "fit_bagging",

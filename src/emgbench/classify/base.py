@@ -1,7 +1,7 @@
 """Shared classifier plumbing: z-score standardizer, the fitted-model
-contract (deterministic predict, feature-count validation) and the one
-model-file codec, whose kind -> class registry rebuilds any stored object
-from its blob."""
+contract (deterministic predict, feature-count validation), the one vote
+every ensemble is, and the one model-file codec, whose kind -> class
+registry rebuilds any stored object from its blob."""
 from __future__ import annotations
 
 import inspect
@@ -106,7 +106,15 @@ class Standardizer(Stored):
         return out
 
 
-class TrainedModel(Stored):
+class Predictor(Stored):
+    """A stored object whose predict(values) gives each row a class below
+    n_classes and reads no feature at or beyond n_features."""
+
+    n_classes: int
+    n_features: int
+
+
+class TrainedModel(Predictor):
     """Base fitted classifier: subclasses implement _predict on validated input."""
 
     def __init__(self, n_classes: int, n_features: int, seed: int = 0):
@@ -138,3 +146,38 @@ def majority_vote(votes: np.ndarray, n_classes: int, weights: np.ndarray | None 
         weights = np.repeat(np.asarray(weights, dtype=np.float64), n_queries)
     tally = np.bincount(bins, weights=weights, minlength=n_classes * n_queries)
     return np.argmax(tally.reshape(n_classes, n_queries), axis=0)
+
+
+class VoteModel(TrainedModel):
+    """Hard vote over fitted members, weighted if weights are given; ties go
+    to the lower class. The random forest votes over its trees, bagging over
+    its bootstrap fits, AdaBoost over its forests weighted by their SAMME
+    alphas, and voting over the row's fitted pipelines.
+
+    A member may know fewer classes than the vote (a bootstrap draw can lack
+    one), and a tree may read fewer features."""
+
+    kind = "vote"
+
+    def __init__(self, members, n_classes, n_features, weights=None, seed=0):
+        super().__init__(n_classes=n_classes, n_features=n_features, seed=seed)
+        if not isinstance(members, list) or not members:
+            raise ClassifyError(f"vote members must be a non-empty list, got {members!r}")
+        for m in members:
+            if not isinstance(m, Predictor):
+                raise ClassifyError(f"vote member is a {type(m).__name__}, not a predictor")
+            if m.n_classes > self.n_classes or m.n_features > self.n_features:
+                raise ClassifyError(
+                    f"vote member with {m.n_classes} classes, {m.n_features} features "
+                    f"exceeds the vote's {self.n_classes}, {self.n_features}"
+                )
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != (len(members),):
+                raise ClassifyError("vote weights must give one number per member")
+        self.members = members
+        self.weights = weights
+
+    def _predict(self, values: np.ndarray) -> np.ndarray:
+        votes = np.vstack([m.predict(values) for m in self.members])
+        return majority_vote(votes, self.n_classes, self.weights)

@@ -1,11 +1,11 @@
-"""Ensembles: bagging over KNN/SVM, multi-class boosting over random
-forests, and hard majority voting."""
+"""Ensembles: bagging over KNN/SVM and multi-class boosting over random
+forests, each a vote over its fitted members."""
 from __future__ import annotations
 
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, Standardizer, TrainedModel, majority_vote
+from .base import ClassifyError, TrainedModel, VoteModel
 from .forest import fit_random_forest
 from .knn import fit_knn
 from .svm import fit_linear_svms
@@ -22,33 +22,14 @@ _BASE_FITTERS = {
 }
 
 
-def _fitted(members) -> list[TrainedModel]:
-    members = list(members)
-    if not all(isinstance(m, TrainedModel) for m in members):
-        raise ClassifyError("ensemble members must be fitted models")
-    return members
-
-
-class BaggingModel(TrainedModel):
-    kind = "bagging"
-
-    def __init__(self, members, n_classes, n_features, seed=0):
-        super().__init__(n_classes=n_classes, n_features=n_features, seed=seed)
-        self.members = _fitted(members)
-
-    def _predict(self, values: np.ndarray) -> np.ndarray:
-        votes = np.vstack([m.predict(values) for m in self.members])
-        return majority_vote(votes, self.n_classes)
-
-
 def fit_bagging(
     base: str,
     train: FeatureMatrix,
     n_estimators: int = 10,
     seed: int = 0,
     start: TrainedModel | None = None,
-) -> BaggingModel:
-    """Bootstrap-resampled base learners with majority voting. An SVM base
+) -> VoteModel:
+    """A vote over base learners fitted on bootstrap draws. An SVM base
     starts each member's one-vs-rest problems from the fitted SVM start, if
     given (see fit_linear_svms); each problem's optimum is unique, so start
     changes only the path to it."""
@@ -64,11 +45,8 @@ def fit_bagging(
         row_sets.append(np.random.default_rng(ss).choice(n, size=n, replace=True))
         seeds.append(int(ss.generate_state(1)[0] % 2**31))
     members = _BASE_FITTERS[base](train, row_sets, seeds, start)
-    return BaggingModel(
-        members=members,
-        n_classes=int(train.labels.max()) + 1,
-        n_features=train.n_features,
-        seed=seed,
+    return VoteModel(
+        members, n_classes=int(train.labels.max()) + 1, n_features=train.n_features, seed=seed
     )
 
 
@@ -86,27 +64,15 @@ def boost_round_weight(error: float, n_classes: int) -> tuple[float, bool]:
     return float(alpha), True
 
 
-class AdaBoostModel(TrainedModel):
-    kind = "adaboost_rf"
-
-    def __init__(self, members, alphas, n_classes, n_features, seed=0):
-        super().__init__(n_classes=n_classes, n_features=n_features, seed=seed)
-        self.members = _fitted(members)
-        self.alphas = np.asarray(alphas, dtype=np.float64)
-
-    def _predict(self, values: np.ndarray) -> np.ndarray:
-        votes = np.vstack([m.predict(values) for m in self.members])
-        return majority_vote(votes, self.n_classes, weights=self.alphas)
-
-
 def fit_adaboost_rf(
     train: FeatureMatrix,
     n_rounds: int = 10,
     seed: int = 0,
     trees_per_round: int = 25,
-) -> AdaBoostModel:
+) -> VoteModel:
     """Boosted random forests: each round fits a forest on a weighted
-    bootstrap of the training data and is weighted by the SAMME rule."""
+    bootstrap of the training data, and the forests vote with their SAMME
+    weights."""
     if n_rounds < 1:
         raise ClassifyError(f"n_rounds must be >= 1, got {n_rounds}")
     if train.n_rows == 0:
@@ -134,40 +100,7 @@ def fit_adaboost_rf(
             break
         w = w * np.exp(alpha * miss)
         w = w / np.sum(w)
-    return AdaBoostModel(
-        members=members,
-        alphas=alphas,
-        n_classes=n_classes,
-        n_features=train.n_features,
-        seed=seed,
+    return VoteModel(
+        members, n_classes=n_classes, n_features=train.n_features, weights=alphas, seed=seed
     )
 
-
-class VotingModel(TrainedModel):
-    """Hard majority vote over fitted members; ties go to the lower class.
-
-    The model owns the standardizer of its z-scored members: member i sees
-    z-scored input when scaled[i] is true and raw input otherwise."""
-
-    kind = "voting"
-
-    def __init__(self, scaler: Standardizer, members, scaled, seed=0):
-        if not isinstance(scaler, Standardizer):
-            raise ClassifyError("voting scaler must be a standardizer")
-        members = _fitted(members)
-        if len(members) < 2:
-            raise ClassifyError("voting needs at least 2 models")
-        if len({(m.n_classes, m.n_features) for m in members}) > 1:
-            raise ClassifyError("voting members disagree in class count or feature count")
-        if len(scaled) != len(members):
-            raise ClassifyError("voting needs one scaled flag per member")
-        super().__init__(members[0].n_classes, members[0].n_features, seed=seed)
-        self.scaler = scaler
-        self.members = members
-        self.scaled = [bool(s) for s in scaled]
-
-    def _predict(self, values: np.ndarray) -> np.ndarray:
-        z = self.scaler.apply(values)
-        pairs = zip(self.members, self.scaled)
-        votes = np.vstack([m.predict(z if s else values) for m, s in pairs])
-        return majority_vote(votes, self.n_classes)

@@ -11,14 +11,22 @@ from pathlib import Path
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, Standardizer, TrainedModel, model_from_blob, model_to_blob
-from .ensembles import VotingModel, fit_adaboost_rf, fit_bagging
+from .base import (
+    ClassifyError,
+    Predictor,
+    Standardizer,
+    TrainedModel,
+    VoteModel,
+    model_from_blob,
+    model_to_blob,
+)
+from .ensembles import fit_adaboost_rf, fit_bagging
 from .forest import fit_random_forest
 from .knn import fit_knn
 from .lda import fit_lda
 from .svm import fit_linear_svm
 
-BLOB_VERSION = 3
+BLOB_VERSION = 4
 
 
 def _zscored(train: FeatureMatrix) -> tuple[Standardizer, FeatureMatrix]:
@@ -33,13 +41,10 @@ SHARED = frozenset(_VOTERS) | {"svm"}
 
 
 def _voting(train, seed, member):
-    """A hard vote over the fitted voter pipelines, each member seeing the
-    input as its pipeline does (z-scored or raw); it fits nothing itself.
-    The z-scored voters share one standardizer, fitted on the same train."""
+    """A hard vote over the fitted voter pipelines, each scaling its input
+    as it does alone; it fits nothing itself."""
     voters = [member(name) for name in _VOTERS]
-    scaler = next(p.scaler for p in voters if p.scaler is not None)
-    return VotingModel(scaler, [p.model for p in voters],
-                       scaled=[p.scaler is not None for p in voters], seed=seed)
+    return VoteModel(voters, int(train.labels.max()) + 1, train.n_features, seed=seed)
 
 
 # name -> (z-score the input?, fit(train, seed, member)), in results-table row
@@ -61,13 +66,21 @@ _PIPELINES = {
 MODEL_NAMES = tuple(_PIPELINES)
 
 
-class Pipeline:
+class Pipeline(Predictor):
     """A fitted model plus the standardizer, if any, that z-scores its input."""
 
+    kind = "pipeline"
+
     def __init__(self, name: str, scaler: Standardizer | None, model: TrainedModel):
+        if scaler is not None and not isinstance(scaler, Standardizer):
+            raise ClassifyError("pipeline scaler must be a standardizer")
+        if not isinstance(model, TrainedModel):
+            raise ClassifyError("pipeline model must be a fitted model")
         self.name = name
         self.scaler = scaler
         self.model = model
+        self.n_classes = model.n_classes
+        self.n_features = model.n_features
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -76,19 +89,16 @@ class Pipeline:
         return self.model.predict(values)
 
     def to_blob(self) -> dict:
-        return {
-            "version": BLOB_VERSION,
-            "pipeline": self.name,
-            "scaler": model_to_blob(self.scaler) if self.scaler else None,
-            "model": model_to_blob(self.model),
-        }
+        return {"version": BLOB_VERSION, **model_to_blob(self)}
 
     @classmethod
     def from_blob(cls, blob: dict) -> "Pipeline":
         if blob.get("version") != BLOB_VERSION:
             raise ClassifyError(f"unsupported model blob version: {blob.get('version')!r}")
-        scaler = model_from_blob(blob["scaler"]) if blob["scaler"] else None
-        return cls(name=blob["pipeline"], scaler=scaler, model=model_from_blob(blob["model"]))
+        pipeline = model_from_blob({k: v for k, v in blob.items() if k != "version"})
+        if not isinstance(pipeline, cls):
+            raise ClassifyError(f"model file holds a {blob.get('kind')!r}, not a pipeline")
+        return pipeline
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_blob(), sort_keys=True))

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ClassifyError, Stored
+from .base import ClassifyError, Predictor
 
 
-class DecisionTree(Stored):
+class DecisionTree(Predictor):
     """Binary CART classifier grown to purity, stored as flat node arrays in
     preorder: node 0 is the root, a node with feature -1 is a leaf, and an
     inner node's children come after it."""
@@ -33,6 +33,11 @@ class DecisionTree(Stored):
         labels = self.leaf_label[~inner]
         if np.any((labels < 0) | (labels >= self.n_classes)):
             raise ClassifyError(f"tree leaf labels must lie in [0, {self.n_classes})")
+
+    @property
+    def n_features(self) -> int:
+        """One past the largest feature index it splits on."""
+        return int(self.feature.max()) + 1
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         """Walk all rows down one level at a time; children come after their

@@ -18,17 +18,16 @@ class PreprocessError(ValueError):
 class WindowSet:
     """Overlapping windows of filtered trials, held as arrays.
 
-    Window i is trials[trial[i]][:, start[i] : start[i] + length] with label
-    labels[i]; windows are ordered by trial, then by start.
+    Window i is the j-th window of trial t = trial[i], the samples
+    trials[t][:, j * step : j * step + length], with label labels[i];
+    windows are ordered by trial, then by start.
     """
 
     trials: tuple[np.ndarray, ...]
     trial: np.ndarray
-    start: np.ndarray
     labels: np.ndarray
     length: int
     step: int
-    fs: float
 
     def __len__(self) -> int:
         return self.trial.size
@@ -101,7 +100,7 @@ def segment_records(
     step = int(np.floor(wlen * (1 - overlap)))
     if step < 1:
         raise PreprocessError("window step underflows to zero")
-    starts = []
+    counts = []
     for rec in records:
         if rec.fs != fs or rec.n_channels != n_channels:
             raise PreprocessError("records disagree in fs or channel count")
@@ -109,14 +108,11 @@ def segment_records(
             raise PreprocessError(
                 f"record shorter than one window: {rec.n_samples} < {wlen} samples"
             )
-        starts.append(np.arange(0, rec.n_samples - wlen + 1, step))
-    counts = [s.size for s in starts]
+        counts.append((rec.n_samples - wlen) // step + 1)
     return WindowSet(
         trials=tuple(rec.samples for rec in records),
         trial=np.repeat(np.arange(len(records)), counts),
-        start=np.concatenate(starts),
         labels=np.repeat(np.array([rec.label for rec in records], dtype=np.int64), counts),
         length=wlen,
         step=step,
-        fs=fs,
     )

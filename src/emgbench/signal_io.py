@@ -81,25 +81,42 @@ _MANIFEST_KEYS = {"path", "label", "subject", "session", "fs"}
 
 
 def load_manifest(manifest_path: str | Path) -> DatasetManifest:
+    """A JSON manifest: "class_names", a list of names, and "entries", each
+    an object with a "path", an integer "label" and, for a CSV file, its
+    sampling rate "fs" (optional "subject" and "session" strings). An error
+    in it names the file."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise IngestError(f"manifest file not found: {manifest_path}")
-    doc = json.loads(manifest_path.read_text())
-    entries = []
-    for raw in doc.get("entries", []):
-        unknown = set(raw) - _MANIFEST_KEYS
-        if unknown:
-            raise IngestError(f"unknown manifest entry keys: {sorted(unknown)}")
-        entries.append(
-            ManifestEntry(
-                path=raw["path"],
-                label=int(raw["label"]),
-                subject=raw.get("subject", ""),
-                session=raw.get("session", ""),
-                fs=float(raw.get("fs", 0.0)),
-            )
-        )
-    return DatasetManifest(entries=tuple(entries), class_names=tuple(doc["class_names"]))
+    try:
+        doc = json.loads(manifest_path.read_text())
+        if not (isinstance(doc, dict) and _list_of(doc.get("class_names"), str)
+                and _list_of(doc.get("entries"), dict)):
+            raise IngestError('manifest must be an object with a "class_names" list of strings '
+                              'and an "entries" list of objects')
+        entries = tuple(_manifest_entry(raw) for raw in doc["entries"])
+        return DatasetManifest(entries=entries, class_names=tuple(doc["class_names"]))
+    except ValueError as exc:  # bad JSON or a bad value
+        raise IngestError(f"{manifest_path}: {exc}") from None
+
+
+def _list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _manifest_entry(raw: dict) -> ManifestEntry:
+    unknown = set(raw) - _MANIFEST_KEYS
+    if unknown:
+        raise IngestError(f"unknown manifest entry keys: {sorted(unknown)}")
+    path, label, fs = raw.get("path"), raw.get("label"), raw.get("fs")
+    if not isinstance(path, str):
+        raise IngestError(f"manifest entry path must be a string, got {path!r}")
+    if type(label) is not int:
+        raise IngestError(f"entry {path!r}: label must be an integer, got {label!r}")
+    if Path(path).suffix != ".hea" and not (type(fs) in (int, float) and fs > 0):
+        raise IngestError(f"entry {path!r}: a CSV entry needs an fs > 0, got {fs!r}")
+    subject, session = raw.get("subject", ""), raw.get("session", "")
+    return ManifestEntry(path, label, subject, session, fs=float(fs or 0.0))
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:

@@ -14,11 +14,10 @@ from emgbench.classify import (
     Pipeline,
     Standardizer,
     TrainedModel,
-    VotingModel,
+    VoteModel,
     boost_round_weight,
     fit_adaboost_rf,
     fit_bagging,
-    fit_knn,
     fit_linear_svm,
     fit_lda,
     fit_pipeline,
@@ -603,7 +602,7 @@ class TestLockstepTrees:
     def test_forest(self, d):
         train = noisy_classes(np.random.default_rng(d), 76, d, 4, spread=1.0)
         model = fit_random_forest(train, n_trees=100, seed=d)
-        assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 100, d))
+        assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 100, d))
 
     def test_weighted_forest(self):
         rng = np.random.default_rng(4)
@@ -611,7 +610,7 @@ class TestLockstepTrees:
         w = rng.random(train.n_rows)
         w /= w.sum()
         model = fit_random_forest(train, n_trees=25, seed=7, sample_weights=w)
-        assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 25, 7, w))
+        assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 25, 7, w))
 
     def test_full_feature_fallback(self):
         rng = np.random.default_rng(6)
@@ -623,7 +622,7 @@ class TestLockstepTrees:
         expected = scalar_forest(train, 20, 1, fallbacks=fallbacks)
         assert len(fallbacks) > 0
         model = fit_random_forest(train, n_trees=20, seed=1)
-        assert tree_blobs(model.trees) == tree_blobs(expected)
+        assert tree_blobs(model.members) == tree_blobs(expected)
 
     def test_tied_and_duplicated_values(self):
         rng = np.random.default_rng(8)
@@ -634,7 +633,7 @@ class TestLockstepTrees:
         y = rng.integers(0, 3, size=40)
         train = fm(X, y)
         model = fit_random_forest(train, n_trees=30, seed=2)
-        assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 30, 2))
+        assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 30, 2))
         tree = fit_trees(X, y, 3, [np.arange(len(y))], [np.random.default_rng(5)])[0]
         assert tree_blobs([tree]) == tree_blobs([scalar_tree(X, y, 3, np.random.default_rng(5))])
 
@@ -644,8 +643,8 @@ class TestLockstepTrees:
     def test_degenerate_training_sets(self, n_rows, labels):
         train = fm(np.random.default_rng(0).standard_normal((n_rows, 5)), np.array(labels))
         model = fit_random_forest(train, n_trees=5, seed=3)
-        assert tree_blobs(model.trees) == tree_blobs(scalar_forest(train, 5, 3))
-        assert all(t.feature.tolist() == [-1] for t in model.trees)
+        assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 5, 3))
+        assert all(t.feature.tolist() == [-1] for t in model.members)
 
     def test_level_wise_predict_equals_row_walk(self):
         rng = np.random.default_rng(10)
@@ -653,8 +652,8 @@ class TestLockstepTrees:
         model = fit_random_forest(train, n_trees=10, seed=4)
         query = np.vstack([rng.standard_normal((50, 12)), train.values])
         # rows that sit exactly on a threshold go left
-        query[:10, model.trees[0].feature[0]] = model.trees[0].threshold[0]
-        for tree in model.trees:
+        query[:10, model.members[0].feature[0]] = model.members[0].threshold[0]
+        for tree in model.members:
             np.testing.assert_array_equal(tree.predict(query), walk_rows(tree, query))
 
     def test_non_finite_features_refused(self):
@@ -736,36 +735,28 @@ class _ConstantModel(TrainedModel):
         return np.full(values.shape[0], self.label, dtype=np.int64)
 
 
-def voting(members, scaled=None, scaler=None):
-    scaler = scaler or Standardizer(mean=np.zeros(2), std=np.ones(2))
-    return VotingModel(scaler, members, scaled=scaled or [False] * len(members))
-
-
 class TestVoting:
     def test_unanimous(self):
-        model = voting([_ConstantModel(2) for _ in range(3)])
+        model = VoteModel([_ConstantModel(2) for _ in range(3)], n_classes=3, n_features=2)
         np.testing.assert_array_equal(model.predict(np.zeros((4, 2))), [2, 2, 2, 2])
 
     def test_three_way_tie_breaks_low(self):
-        model = voting([_ConstantModel(2), _ConstantModel(0), _ConstantModel(1)])
+        members = [_ConstantModel(2), _ConstantModel(0), _ConstantModel(1)]
+        model = VoteModel(members, n_classes=3, n_features=2)
         np.testing.assert_array_equal(model.predict(np.zeros((2, 2))), [0, 0])
 
     def test_three_copies_equal_single_model(self, blob_data):
         train, test = split_blobs(blob_data)
-        scaler = Standardizer.fit(train.values)
-        knn = fit_knn(fm(scaler.apply(train.values), train.labels), k=5)
-        model = voting([knn, knn, knn], scaled=[True] * 3, scaler=scaler)
-        np.testing.assert_array_equal(
-            model.predict(test.values), knn.predict(scaler.apply(test.values))
-        )
+        knn = fit_pipeline("knn", train)  # z-scores its input
+        model = VoteModel([knn, knn, knn], n_classes=4, n_features=train.n_features)
+        np.testing.assert_array_equal(model.predict(test.values), knn.predict(test.values))
 
     def test_inconsistent_class_counts_rejected(self):
-        with pytest.raises(ClassifyError, match="class count"):
-            voting([_ConstantModel(0, n_classes=2), _ConstantModel(0, n_classes=3)])
-
-    def test_fewer_than_two_models_rejected(self):
-        with pytest.raises(ClassifyError, match="at least 2"):
-            voting([_ConstantModel(0)])
+        """A member may know fewer classes than the vote, not more."""
+        fewer = [_ConstantModel(0, n_classes=2), _ConstantModel(1, n_classes=3)]
+        assert VoteModel(fewer, n_classes=3, n_features=2).predict(np.zeros((1, 2))).tolist() == [0]
+        with pytest.raises(ClassifyError, match="exceeds the vote's 2, 2"):
+            VoteModel(fewer, n_classes=2, n_features=2)
 
     def test_standalone_fit_votes_over_sibling_pipelines(self, blob_data):
         """Without a member lookup, voting fits its svm, knn and forest with
@@ -773,10 +764,7 @@ class TestVoting:
         train, _ = split_blobs(blob_data)
         model = fit_pipeline("voting", train, seed=3).model
         siblings = [fit_pipeline(name, train, seed=3) for name in ("svm", "knn", "random_forest")]
-        assert [model_to_blob(m) for m in model.members] == [
-            model_to_blob(p.model) for p in siblings
-        ]
-        assert model_to_blob(model.scaler) == model_to_blob(siblings[0].scaler)
+        assert [model_to_blob(m) for m in model.members] == [model_to_blob(p) for p in siblings]
 
     def test_member_lookup_supplies_the_voters(self, blob_data):
         train, _ = split_blobs(blob_data)
@@ -790,8 +778,7 @@ class TestVoting:
 
         model = fit_pipeline("voting", train, seed=9, member=member).model
         assert asked == ["svm", "knn", "random_forest"]
-        assert [m.seed for m in model.members] == [1, 2, 3]
-        assert all(m is fitted[n].model for m, n in zip(model.members, asked))
+        assert all(m is fitted[n] for m, n in zip(model.members, asked))
 
 
 def loop_vote(votes, n_classes, weights):
@@ -826,6 +813,14 @@ class TestMajorityVote:
         votes = np.array([[1], [1], [1], [0]])
         assert majority_vote(votes, 2, np.array([0.1, 0.2, 0.3, 0.6])).tolist() == [1]
         assert majority_vote(votes, 2, np.array([0.3, 0.2, 0.1, 0.6])).tolist() == [0]
+
+
+def _members(blob):
+    """The member blobs of a pipeline blob's vote, or of a vote blob."""
+    return blob.get("model", blob)["members"]
+
+
+_STANDARDIZER_6 = model_to_blob(Standardizer(mean=np.zeros(6), std=np.ones(6)))
 
 
 class TestPipelineSerialization:
@@ -874,24 +869,6 @@ class TestPipelineSerialization:
         with pytest.raises(ClassifyError, match=message):
             Pipeline.from_blob(blob)
 
-    def test_bagging_members_not_a_list_refused(self, blob_data):
-        blob = fit_pipeline("bagging_svm", blob_data).to_blob()
-        blob["model"]["members"] = 5
-        with pytest.raises(ClassifyError, match="'bagging' blob: "):
-            Pipeline.from_blob(blob)
-
-    def test_voting_scaler_of_another_kind_refused(self, blob_data):
-        blob = fit_pipeline("voting", blob_data).to_blob()
-        blob["model"]["scaler"] = blob["model"]["members"][2]["trees"][0]
-        with pytest.raises(ClassifyError, match="voting scaler must be a standardizer"):
-            Pipeline.from_blob(blob)
-
-    def test_voting_member_of_another_kind_refused(self, blob_data):
-        blob = fit_pipeline("voting", blob_data).to_blob()
-        blob["model"]["members"][1] = blob["model"]["scaler"]
-        with pytest.raises(ClassifyError, match="ensemble members must be fitted models"):
-            Pipeline.from_blob(blob)
-
     def test_unknown_kind_refused(self, blob_data):
         blob = fit_pipeline("bagging_knn", blob_data).to_blob()
         blob["model"]["members"][1]["kind"] = "cnn"
@@ -899,21 +876,47 @@ class TestPipelineSerialization:
             Pipeline.from_blob(blob)
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "name, edit, message",
         [
-            (lambda tree: model_to_blob(Standardizer(mean=np.zeros(6), std=np.ones(6))),
-             "forest trees must be decision trees"),
-            (lambda tree: {**tree, "n_classes": 5}, "the forest's classes and features"),
-            (lambda tree: {**tree, "feature": [6] + tree["feature"][1:]},
-             "the forest's classes and features"),
+            ("random_forest", lambda b: _members(b).__setitem__(0, _STANDARDIZER_6),
+             "vote member is a Standardizer, not a predictor"),
+            ("voting", lambda b: _members(b).__setitem__(1, _members(b)[1]["scaler"]),
+             "vote member is a Standardizer, not a predictor"),
+            ("random_forest", lambda b: _members(b)[0].update(n_classes=5),
+             "vote member with 5 classes"),
+            ("random_forest", lambda b: _members(b)[0]["feature"].__setitem__(0, 6),
+             "7 features exceeds the vote's 4, 6"),
+            ("bagging_svm", lambda b: b["model"].update(members=5),
+             "'vote' blob: vote members must be a non-empty list, got 5"),
+            ("bagging_knn", lambda b: b["model"].update(members=[]), "non-empty list, got \\[\\]"),
+            ("adaboost", lambda b: b["model"].update(weights=[1.0, 1.0]), "one number per member"),
+            ("voting", lambda b: _members(b)[0].update(scaler=_members(_members(b)[2]["model"])[0]),
+             "pipeline scaler must be a standardizer"),
+            ("lda", lambda b: b.update(version=3), "unsupported model blob version: 3"),
         ],
-        ids=["standardizer", "more_classes", "feature_out_of_range"],
+        ids=["tree_standardizer", "voting_member_standardizer", "more_classes",
+             "feature_out_of_range", "members_not_a_list", "no_members", "weights_per_member",
+             "pipeline_scaler_tree", "v3_blob"],
     )
-    def test_forest_tree_that_does_not_fit_refused(self, edit, message, blob_data):
-        blob = fit_pipeline("random_forest", blob_data).to_blob()
-        blob["model"]["trees"][0] = edit(blob["model"]["trees"][0])
+    def test_vote_member_refused(self, name, edit, message, blob_data):
+        blob = fit_pipeline(name, blob_data).to_blob()
+        edit(blob)
         with pytest.raises(ClassifyError, match=message):
             Pipeline.from_blob(blob)
+
+    def test_blob_of_another_kind_refused(self, blob_data):
+        model = fit_pipeline("knn", blob_data).to_blob()["model"]
+        with pytest.raises(ClassifyError, match="holds a 'knn', not a pipeline"):
+            Pipeline.from_blob({"version": 4, **model})
+
+    def test_bagging_member_lacking_a_class_round_trips(self):
+        rng = np.random.default_rng(5)
+        train = noisy_classes(rng, 40, 6, 3, spread=2.0)
+        train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
+        pipe = Pipeline("bagging_svm", None, fit_bagging("svm", train, n_estimators=6, seed=2))
+        assert {m.n_classes for m in pipe.model.members} == {3, 4}
+        loaded = Pipeline.from_blob(json.loads(json.dumps(pipe.to_blob())))
+        np.testing.assert_array_equal(loaded.predict(train.values), pipe.predict(train.values))
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -927,7 +930,7 @@ class TestPipelineSerialization:
     )
     def test_malformed_tree_refused(self, edit, message, blob_data):
         blob = fit_pipeline("adaboost", blob_data).to_blob()
-        tree = blob["model"]["members"][0]["trees"][1]
+        tree = _members(blob["model"]["members"][0])[1]
         assert tree["feature"][0] >= 0 and tree["feature"][-1] == -1
         edit(tree)
         with pytest.raises(ClassifyError, match=message):

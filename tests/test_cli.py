@@ -95,7 +95,8 @@ class TestTrainAndBench:
         code = main(["train", "--features", str(features), "--model", "lda",
                      "--out", str(model_path)])
         assert code == 0
-        assert json.loads(model_path.read_text())["pipeline"] == "lda"
+        blob = json.loads(model_path.read_text())
+        assert (blob["version"], blob["kind"], blob["name"]) == (4, "pipeline", "lda")
         assert "held-out accuracy" in capsys.readouterr().out
 
     def test_bench_single_cell(self, tmp_path, capsys):
@@ -235,11 +236,19 @@ class TestTrainAndBench:
             ({"overlap": "x"}, r"overlap must be a number, got 'x'"),
             ({"overlap": True}, r"overlap must be a number, got True"),
             ({"test_fraction": "x"}, r"test_fraction must be a number, got 'x'"),
+            ({"subject_split": "no"}, r"subject_split must be true or false, got 'no'"),
+            ({"window_ms": True}, r"window_ms must be a number, got True"),
+            ({"band": {"low": "x", "high": 450, "order": 8}}, r"band low must be a number, got 'x'"),
+            ({"band": {"low": 20, "high": 450, "order": 8.5}},
+             r"band order must be an integer, got 8\.5"),
+            ({"band": {"low": 20, "high": 450, "order": True}},
+             r"band order must be an integer, got True"),
         ],
         ids=["list", "tdd_key", "band_key", "band_missing", "jobs_float", "window_zero",
              "seed_str", "seed_float", "seed_bool", "duplicate_family", "families_str",
              "models_str", "synthetic_int", "trial_seconds_str", "n_classes_str",
-             "manifest_int", "overlap_str", "overlap_bool", "test_fraction_str"],
+             "manifest_int", "overlap_str", "overlap_bool", "test_fraction_str",
+             "subject_split_str", "window_bool", "band_low_str", "order_float", "order_bool"],
     )
     def test_bad_config_file_names_the_file(self, doc, message, tmp_path, capsys):
         config = tmp_path / "c.json"

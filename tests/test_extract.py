@@ -106,7 +106,11 @@ def window_set(fs, lengths, n_channels=3, seed=0):
 
 
 def windows_of(ws):
-    return [ws.trials[t][:, s : s + ws.length] for t, s in zip(ws.trial, ws.start)]
+    return [
+        x[:, j * ws.step : j * ws.step + ws.length]
+        for x, n in zip(ws.trials, np.bincount(ws.trial))
+        for j in range(n)
+    ]
 
 
 WINDOW_SETS = {

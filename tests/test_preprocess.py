@@ -94,8 +94,10 @@ class TestSegment:
         ws = segment_records([rec])
         assert window_length(2048.0) == 1228
         assert len(ws) == 5
-        assert ws.start.tolist() == [0, 614, 1228, 1842, 2456]
+        starts = np.arange(len(ws)) * ws.step
+        assert starts.tolist() == [0, 614, 1228, 1842, 2456]
         assert [v.shape for v in ws.trial_windows()] == [(5, 2, 1228)]
+        np.testing.assert_array_equal(ws.trial_windows()[0][:, 0, 0], starts)  # sample i is i
         assert ws.labels.tolist() == [3] * 5
 
     def test_forsemg_rate_example(self):
@@ -103,7 +105,7 @@ class TestSegment:
         ws = segment_records([rec])
         assert window_length(985.0) == 591
         assert len(ws) == 2
-        assert ws.start.tolist() == [0, 295]
+        assert (np.arange(len(ws)) * ws.step).tolist() == [0, 295]
 
     def test_record_shorter_than_window(self):
         rec = SignalRecord(samples=np.zeros((1, 1000)), fs=2048.0, label=0)
@@ -157,8 +159,8 @@ class TestSegment:
             assert view.shape[1:] == (2, 1228)
             assert not view.flags.writeable
             assert np.shares_memory(view, samples)
-            for w, s in zip(view, ws.start[ws.trial == t]):
-                np.testing.assert_array_equal(w, samples[:, s : s + 1228])
+            for j, w in enumerate(view):
+                np.testing.assert_array_equal(w, samples[:, j * ws.step : j * ws.step + 1228])
 
     def test_segment_records_rejects_mixed_rates(self):
         recs = [

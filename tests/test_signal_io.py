@@ -13,6 +13,7 @@ from emgbench.signal_io import (
     SignalRecord,
     generate_synthetic,
     load_canonical_csv,
+    load_manifest,
     load_wfdb_record,
     write_canonical_csv,
     write_dataset,
@@ -96,6 +97,31 @@ class TestCanonicalCsv:
         )
         with pytest.raises(IngestError, match="not unique"):
             load_canonical_csv(manifest)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"entries": [', "Expecting value"),
+            ("[1]", "manifest must be an object with"),
+            ('{"entries": []}', 'a "class_names" list of strings'),
+            ('{"entries": 3, "class_names": ["g"]}', 'an "entries" list of objects'),
+            ('{"entries": [{"label": 0, "fs": 10.0}], "class_names": ["g"]}',
+             "manifest entry path must be a string, got None"),
+            ('{"entries": [{"path": "a.csv", "label": "a", "fs": 10.0}], "class_names": ["g"]}',
+             "entry 'a.csv': label must be an integer, got 'a'"),
+            ('{"entries": [{"path": "a.csv", "label": 0}], "class_names": ["g"]}',
+             "entry 'a.csv': a CSV entry needs an fs > 0, got None"),
+        ],
+        ids=["bad_json", "not_an_object", "no_class_names", "entries_int", "no_path",
+             "label_str", "csv_without_fs"],
+    )
+    def test_malformed_manifest_names_the_file(self, tmp_path, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        with pytest.raises(IngestError) as info:
+            load_manifest(manifest)
+        assert str(info.value).startswith(f"{manifest}: ")
+        assert message in str(info.value)
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
