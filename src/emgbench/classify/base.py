@@ -134,6 +134,17 @@ class TrainedModel(Predictor):
         raise NotImplementedError
 
 
+def class_bound(classes: np.ndarray) -> int:
+    """n_classes of a model that predicts only `classes`: one past the
+    largest. The classes must be non-empty, non-negative and strictly
+    increasing."""
+    if classes.ndim != 1 or classes.size == 0 or classes[0] < 0 or np.any(np.diff(classes) <= 0):
+        raise ClassifyError(
+            f"classes must be non-negative and strictly increasing, got {classes.tolist()}"
+        )
+    return int(classes[-1]) + 1
+
+
 def majority_vote(votes: np.ndarray, n_classes: int, weights: np.ndarray | None = None) -> np.ndarray:
     """Column-wise weighted vote over votes [n_voters x n_queries];
     ties break toward the lower class index (argmax convention)."""

@@ -62,6 +62,8 @@ class KnnModel(TrainedModel):
         self.train_values = np.asarray(train_values, dtype=np.float64)
         super().__init__(n_classes=n_classes, n_features=self.train_values.shape[1], seed=seed)
         self.train_labels = np.asarray(train_labels, dtype=np.int64)
+        if np.any((self.train_labels < 0) | (self.train_labels >= self.n_classes)):
+            raise ClassifyError(f"knn training labels must lie in [0, {self.n_classes})")
         self.k = int(k)
 
     def _predict(self, values: np.ndarray) -> np.ndarray:

@@ -5,18 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, TrainedModel
+from .base import ClassifyError, TrainedModel, class_bound
 
 
 class LdaModel(TrainedModel):
     kind = "lda"
 
     def __init__(self, whitener, class_means_w, log_priors, classes, n_features, seed=0):
-        super().__init__(n_classes=len(classes), n_features=n_features, seed=seed)
+        self.classes = np.asarray(classes, dtype=np.int64)
+        super().__init__(n_classes=class_bound(self.classes), n_features=n_features, seed=seed)
         self.whitener = np.asarray(whitener, dtype=np.float64)  # [d x r]
         self.class_means_w = np.asarray(class_means_w, dtype=np.float64)  # [K x r]
         self.log_priors = np.asarray(log_priors, dtype=np.float64)
-        self.classes = np.asarray(classes, dtype=np.int64)
 
     def decision_values(self, values: np.ndarray) -> np.ndarray:
         xw = values @ self.whitener

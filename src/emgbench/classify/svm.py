@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, TrainedModel
+from .base import ClassifyError, TrainedModel, class_bound
 
 
 def _loss_terms(M, Y, cn):
@@ -132,9 +132,9 @@ class LinearSvmModel(TrainedModel):
     kind = "svm"
 
     def __init__(self, weights, classes, n_features, seed=0, C=1.0):
-        super().__init__(n_classes=len(classes), n_features=n_features, seed=seed)
-        self.weights = np.asarray(weights, dtype=np.float64)  # [K x d+1]
         self.classes = np.asarray(classes, dtype=np.int64)
+        super().__init__(n_classes=class_bound(self.classes), n_features=n_features, seed=seed)
+        self.weights = np.asarray(weights, dtype=np.float64)  # [K x d+1]
         self.C = float(C)
 
     def decision_values(self, values: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's gettext imports it on the first parse; load it here
 import os
 import sys
 from pathlib import Path

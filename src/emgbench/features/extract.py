@@ -18,6 +18,10 @@ _FAMILIES = {
     "wavelet": (wavelet_names, wavelet_windows),
 }
 FAMILIES = tuple(_FAMILIES)
+# Samples per batch of windows. Each temporary of the feature code is about
+# one batch, so the allocator reuses its memory; per-trial batches (about
+# 1 MB at 8 channels, 600 ms, 2048 Hz) were mapped and faulted in afresh.
+BATCH_BYTES = 320 * 1024
 
 
 @dataclass(frozen=True)
@@ -81,14 +85,18 @@ class FeatureMatrix:
 
 def extract(ws: WindowSet, family: str) -> FeatureMatrix:
     """One feature row per window for the requested descriptor family,
-    computed one trial's [w, C, N] window view at a time."""
+    computed on [w, C, N] views of a trial's windows, a few windows
+    (BATCH_BYTES of samples) at a time."""
     if family not in _FAMILIES:
         raise FeatureError(f"unknown feature family: {family!r} (expected one of {FAMILIES})")
     if len(ws) == 0:
         raise FeatureError("empty window set")
     names, rows = _FAMILIES[family]
+    step = max(1, BATCH_BYTES // (ws.n_channels * ws.length * 8))
     return FeatureMatrix(
-        values=np.concatenate([rows(v) for v in ws.trial_windows()]),
+        values=np.concatenate(
+            [rows(v[i : i + step]) for v in ws.trial_windows() for i in range(0, len(v), step)]
+        ),
         feature_names=tuple(names(ws.n_channels)),
         labels=ws.labels,
     )

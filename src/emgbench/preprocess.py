@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sps
 
+from .iir import butter_bandpass, sosfiltfilt
 from .signal_io import SignalRecord
 
 
@@ -51,11 +51,13 @@ def design_bandpass(low: float, high: float, order: int, fs: float) -> np.ndarra
     `order` is the prototype order per band edge; the default of 8 keeps the
     zero-phase stopband attenuation at 500 Hz (fs 2048) above 20 dB.
     """
+    if order < 1:
+        raise PreprocessError(f"filter order must be >= 1, got {order}")
     if not (0 < low < high):
         raise PreprocessError(f"need 0 < low < high, got {low}, {high}")
     if high >= fs / 2:
         raise PreprocessError(f"high edge {high} Hz is at or above Nyquist ({fs / 2} Hz)")
-    return sps.butter(order, [low, high], btype="bandpass", fs=fs, output="sos")
+    return butter_bandpass(order, low, high, fs)
 
 
 def bandpass(
@@ -72,7 +74,7 @@ def bandpass(
         raise PreprocessError(
             f"window shorter than filter warm-up length ({padlen} samples): {record.n_samples}"
         )
-    filtered = sps.sosfiltfilt(sos, record.samples, axis=1, padtype="even", padlen=padlen)
+    filtered = sosfiltfilt(sos, record.samples, padtype="even", padlen=padlen)
     return SignalRecord(
         samples=filtered,
         fs=record.fs,

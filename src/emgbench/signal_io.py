@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
+
+from .iir import butter_bandpass, sosfiltfilt
 
 
 class IngestError(ValueError):
@@ -324,15 +325,12 @@ def generate_synthetic(
     widths = np.full(n_classes, 25.0)
     gains = 0.35 + 1.8 * rng.random((n_classes, n_channels))
 
-    filters = [
-        sps.butter(4, [c - w, c + w], btype="bandpass", fs=fs, output="sos")
-        for c, w in zip(centers, widths)
-    ]
+    filters = [butter_bandpass(4, c - w, c + w, fs) for c, w in zip(centers, widths)]
     records = []
     for g in range(n_classes):
         for t in range(trials_per_class):
             noise = rng.standard_normal((n_channels, n))
-            shaped = sps.sosfiltfilt(filters[g], noise, axis=1)
+            shaped = sosfiltfilt(filters[g], noise)
             shaped = shaped / (np.std(shaped, axis=1, keepdims=True) + 1e-12)
             samples = gains[g][:, None] * shaped + 0.05 * rng.standard_normal((n_channels, n))
             records.append(

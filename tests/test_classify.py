@@ -904,6 +904,27 @@ class TestPipelineSerialization:
         with pytest.raises(ClassifyError, match=message):
             Pipeline.from_blob(blob)
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("bagging_svm", lambda m: _members(m)[0].update(classes=[0, 1, 2, 7]),
+             "vote member with 8 classes"),
+            ("svm", lambda m: m.update(classes=[0, 2, 1, 3]), "strictly increasing, got \\[0, 2, 1, 3\\]"),
+            ("lda", lambda m: m.update(classes=[-1, 0, 1, 2]), "non-negative"),
+            ("lda", lambda m: m.update(classes=[]), "non-negative and strictly increasing, got \\[\\]"),
+            ("bagging_knn", lambda m: _members(m)[0]["train_labels"].__setitem__(0, 7),
+             r"knn training labels must lie in \[0, 4\)"),
+            ("knn", lambda m: m["train_labels"].__setitem__(0, -1), r"must lie in \[0, 4\)"),
+        ],
+        ids=["bagged_svm_class_beyond_vote", "svm_classes_unordered", "lda_negative_class",
+             "lda_no_classes", "bagged_knn_label_beyond_vote", "knn_negative_label"],
+    )
+    def test_model_predicting_an_uncountable_label_refused(self, name, edit, message, blob_data):
+        blob = fit_pipeline(name, blob_data).to_blob()
+        edit(blob["model"])
+        with pytest.raises(ClassifyError, match=message):
+            Pipeline.from_blob(blob)
+
     def test_blob_of_another_kind_refused(self, blob_data):
         model = fit_pipeline("knn", blob_data).to_blob()["model"]
         with pytest.raises(ClassifyError, match="holds a 'knn', not a pipeline"):

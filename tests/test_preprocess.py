@@ -66,6 +66,11 @@ class TestBandpass:
         with pytest.raises(PreprocessError, match="Nyquist"):
             bandpass(rec, low=20, high=450)
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one(self, order):
+        with pytest.raises(PreprocessError, match="order must be >= 1"):
+            bandpass(sine_record(100.0), order=order)
+
     def test_too_short_for_warmup(self):
         rec = SignalRecord(samples=np.ones((1, 20)), fs=2048.0, label=0)
         with pytest.raises(PreprocessError, match="warm-up"):
