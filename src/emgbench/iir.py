@@ -92,10 +92,11 @@ def sosfiltfilt(
     buf[:, :padlen] = left
     buf[:, padlen + n : m] = right
 
-    y = _filter_blocks(ops, buf, buf[:, :1])
-    buf[:, :m] = y[:, m - 1 :: -1]
-    y = _filter_blocks(ops, buf, buf[:, :1])
-    return np.ascontiguousarray(y[:, padlen : m - padlen][:, ::-1])
+    scratch = np.empty((buf.size // L, ops[0].shape[1]))
+    _filter_blocks(ops, buf, scratch)
+    buf[:, :m] = buf[:, m - 1 :: -1]  # samples from m on only reach outputs from m on
+    _filter_blocks(ops, buf, scratch)
+    return np.ascontiguousarray(buf[:, padlen : m - padlen][:, ::-1])
 
 
 def _steady_state(sos: np.ndarray) -> np.ndarray:
@@ -148,17 +149,19 @@ def _block_operators(key: bytes) -> tuple[np.ndarray, ...]:
     return ops
 
 
-def _filter_blocks(ops: tuple[np.ndarray, ...], u: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Filter each row of u ([rows, blocks * L]) from the steady state
-    scaled by `first` ([rows, 1]); returns a new [rows, blocks * L] array."""
+def _filter_blocks(ops: tuple[np.ndarray, ...], u: np.ndarray, scratch: np.ndarray) -> None:
+    """Filter each row of the C-ordered u ([rows, blocks * L]) in place,
+    from the steady state scaled by the row's first sample; scratch
+    ([rows * blocks, L + 2 * sections]) takes the zero-state products."""
     zero_state, from_state, carry, zi = ops
     rows, blocks = u.shape[0], u.shape[1] // L
-    zs = u.reshape(rows * blocks, L) @ zero_state
+    flat = u.reshape(rows * blocks, L)
+    s = u[:, :1] * zi
+    zs = np.matmul(flat, zero_state, out=scratch)
     ends = zs[:, L:].reshape(rows, blocks, -1)
     states = np.empty_like(ends)
-    s = first * zi
     for j in range(blocks):
         states[:, j] = s
         s = s @ carry + ends[:, j]
-    y = zs[:, :L] + states.reshape(rows * blocks, -1) @ from_state
-    return y.reshape(rows, blocks * L)
+    np.matmul(states.reshape(rows * blocks, -1), from_state, out=flat)
+    flat += zs[:, :L]
