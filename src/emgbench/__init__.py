@@ -7,23 +7,3 @@ __version__ = "0.1.0"
 # them with the package keeps that work out of a run.
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
-
-from .signal_io import DatasetManifest, SignalRecord, generate_synthetic
-from .preprocess import WindowSet, bandpass, segment_records
-from .features import FeatureMatrix, extract
-from .evaluate import ConfusionMatrix, EvaluationReport, metrics, stratified_split
-
-__all__ = [
-    "ConfusionMatrix",
-    "DatasetManifest",
-    "EvaluationReport",
-    "FeatureMatrix",
-    "SignalRecord",
-    "WindowSet",
-    "bandpass",
-    "extract",
-    "generate_synthetic",
-    "metrics",
-    "segment_records",
-    "stratified_split",
-]

@@ -198,7 +198,7 @@ def _subject_split(subjects: np.ndarray, test_fraction: float, seed: int):
         raise EvalError("subject-wise split needs at least 2 subjects")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(unique)
-    n_test = max(1, int(round(len(unique) * test_fraction)))
+    n_test = min(max(1, int(round(len(unique) * test_fraction))), len(unique) - 1)
     test_subjects = set(perm[:n_test].tolist())
     mask = np.array([s in test_subjects for s in subjects])
     return np.flatnonzero(~mask), np.flatnonzero(mask)

@@ -117,10 +117,9 @@ class Predictor(Stored):
 class TrainedModel(Predictor):
     """Base fitted classifier: subclasses implement _predict on validated input."""
 
-    def __init__(self, n_classes: int, n_features: int, seed: int = 0):
+    def __init__(self, n_classes: int, n_features: int):
         self.n_classes = int(n_classes)
         self.n_features = int(n_features)
-        self.seed = int(seed)
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -170,8 +169,8 @@ class VoteModel(TrainedModel):
 
     kind = "vote"
 
-    def __init__(self, members, n_classes, n_features, weights=None, seed=0):
-        super().__init__(n_classes=n_classes, n_features=n_features, seed=seed)
+    def __init__(self, members, n_classes, n_features, weights=None):
+        super().__init__(n_classes=n_classes, n_features=n_features)
         if not isinstance(members, list) or not members:
             raise ClassifyError(f"vote members must be a non-empty list, got {members!r}")
         for m in members:

@@ -10,44 +10,37 @@ from .forest import fit_random_forest
 from .knn import fit_knn
 from .svm import fit_linear_svms
 
-# base -> fit(train, row_sets, seeds, start): one fitted member per row set;
-# an SVM member's problems start from the fitted SVM start, if given.
+N_ESTIMATORS = 10  # bootstrap members of a bagging vote
+N_ROUNDS = 10  # most boosting rounds
+TREES_PER_ROUND = 25  # trees of each boosted forest
+
+# base -> fit(train, row_sets, start): one fitted member per row set; an SVM
+# member's problems start from the fitted SVM start, if given.
 _BASE_FITTERS = {
-    "knn": lambda train, row_sets, seeds, start: [
-        fit_knn(train.select(rows), seed=seed) for rows, seed in zip(row_sets, seeds)
-    ],
-    "svm": lambda train, row_sets, seeds, start: fit_linear_svms(
-        train, row_sets, seeds, start=start
-    ),
+    "knn": lambda train, row_sets, start: [fit_knn(train.select(rows)) for rows in row_sets],
+    "svm": lambda train, row_sets, start: fit_linear_svms(train, row_sets, start=start),
 }
 
 
 def fit_bagging(
     base: str,
     train: FeatureMatrix,
-    n_estimators: int = 10,
     seed: int = 0,
     start: TrainedModel | None = None,
 ) -> VoteModel:
-    """A vote over base learners fitted on bootstrap draws. An SVM base
-    starts each member's one-vs-rest problems from the fitted SVM start, if
-    given (see fit_linear_svms); each problem's optimum is unique, so start
-    changes only the path to it."""
+    """A vote over N_ESTIMATORS base learners fitted on bootstrap draws. An
+    SVM base starts each member's one-vs-rest problems from the fitted SVM
+    start, if given (see fit_linear_svms); each problem's optimum is
+    unique, so start changes only the path to it."""
     if base not in _BASE_FITTERS:
         raise ClassifyError(f"unsupported bagging base: {base!r}")
-    if n_estimators < 1:
-        raise ClassifyError(f"n_estimators must be >= 1, got {n_estimators}")
     if train.n_rows == 0:
         raise ClassifyError("empty training set")
     n = train.n_rows
-    row_sets, seeds = [], []
-    for ss in np.random.SeedSequence(seed).spawn(n_estimators):
-        row_sets.append(np.random.default_rng(ss).choice(n, size=n, replace=True))
-        seeds.append(int(ss.generate_state(1)[0] % 2**31))
-    members = _BASE_FITTERS[base](train, row_sets, seeds, start)
-    return VoteModel(
-        members, n_classes=int(train.labels.max()) + 1, n_features=train.n_features, seed=seed
-    )
+    row_sets = [np.random.default_rng(ss).choice(n, size=n, replace=True)
+                for ss in np.random.SeedSequence(seed).spawn(N_ESTIMATORS)]
+    members = _BASE_FITTERS[base](train, row_sets, start)
+    return VoteModel(members, n_classes=int(train.labels.max()) + 1, n_features=train.n_features)
 
 
 def boost_round_weight(error: float, n_classes: int) -> tuple[float, bool]:
@@ -64,17 +57,10 @@ def boost_round_weight(error: float, n_classes: int) -> tuple[float, bool]:
     return float(alpha), True
 
 
-def fit_adaboost_rf(
-    train: FeatureMatrix,
-    n_rounds: int = 10,
-    seed: int = 0,
-    trees_per_round: int = 25,
-) -> VoteModel:
-    """Boosted random forests: each round fits a forest on a weighted
-    bootstrap of the training data, and the forests vote with their SAMME
-    weights."""
-    if n_rounds < 1:
-        raise ClassifyError(f"n_rounds must be >= 1, got {n_rounds}")
+def fit_adaboost_rf(train: FeatureMatrix, seed: int = 0) -> VoteModel:
+    """Boosted random forests: each of at most N_ROUNDS rounds fits a forest
+    of TREES_PER_ROUND trees on a weighted bootstrap of the training data,
+    and the forests vote with their SAMME weights."""
     if train.n_rows == 0:
         raise ClassifyError("empty training set")
     X, y = train.values, train.labels
@@ -82,11 +68,10 @@ def fit_adaboost_rf(
     n_classes = int(y.max()) + 1
     w = np.full(n, 1.0 / n)
     members, alphas = [], []
-    seeds = np.random.SeedSequence(seed).spawn(n_rounds)
-    for r, ss in enumerate(seeds):
+    for ss in np.random.SeedSequence(seed).spawn(N_ROUNDS):
         member = fit_random_forest(
             train,
-            n_trees=trees_per_round,
+            n_trees=TREES_PER_ROUND,
             seed=int(ss.generate_state(1)[0] % 2**31),
             sample_weights=w,
         )
@@ -100,7 +85,4 @@ def fit_adaboost_rf(
             break
         w = w * np.exp(alpha * miss)
         w = w / np.sum(w)
-    return VoteModel(
-        members, n_classes=n_classes, n_features=train.n_features, weights=alphas, seed=seed
-    )
-
+    return VoteModel(members, n_classes=n_classes, n_features=train.n_features, weights=alphas)

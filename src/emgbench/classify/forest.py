@@ -27,4 +27,4 @@ def fit_random_forest(
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
     row_sets = [rng.choice(n, size=n, replace=True, p=sample_weights) for rng in rngs]
     trees = fit_trees(X, y, n_classes, row_sets, rngs, max_features)
-    return VoteModel(trees, n_classes=n_classes, n_features=d, seed=seed)
+    return VoteModel(trees, n_classes=n_classes, n_features=d)

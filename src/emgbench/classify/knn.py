@@ -6,6 +6,8 @@ import numpy as np
 from ..features.extract import FeatureMatrix
 from .base import ClassifyError, TrainedModel
 
+K = 5  # neighbours that vote
+
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """The first k columns of each row of d2 in (distance, column) order,
@@ -26,7 +28,7 @@ def knn_predict(
     train_values: np.ndarray,
     train_labels: np.ndarray,
     query: np.ndarray,
-    k: int = 5,
+    k: int,
 ) -> np.ndarray:
     """Majority vote among the k nearest training rows.
 
@@ -58,27 +60,24 @@ def knn_predict(
 class KnnModel(TrainedModel):
     kind = "knn"
 
-    def __init__(self, train_values, train_labels, k, n_classes, seed=0):
+    def __init__(self, train_values, train_labels, n_classes):
         self.train_values = np.asarray(train_values, dtype=np.float64)
-        super().__init__(n_classes=n_classes, n_features=self.train_values.shape[1], seed=seed)
+        super().__init__(n_classes=n_classes, n_features=self.train_values.shape[1])
         self.train_labels = np.asarray(train_labels, dtype=np.int64)
         if np.any((self.train_labels < 0) | (self.train_labels >= self.n_classes)):
             raise ClassifyError(f"knn training labels must lie in [0, {self.n_classes})")
-        self.k = int(k)
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
-        return knn_predict(self.train_values, self.train_labels, values, self.k)
+        return knn_predict(self.train_values, self.train_labels, values, K)
 
 
-def fit_knn(train: FeatureMatrix, k: int = 5, seed: int = 0) -> KnnModel:
+def fit_knn(train: FeatureMatrix) -> KnnModel:
     if train.n_rows == 0:
         raise ClassifyError("empty training set")
-    if k > train.n_rows:
-        raise ClassifyError(f"k={k} exceeds training size {train.n_rows}")
+    if K > train.n_rows:
+        raise ClassifyError(f"k={K} exceeds training size {train.n_rows}")
     return KnnModel(
         train_values=train.values,
         train_labels=train.labels,
-        k=k,
         n_classes=int(train.labels.max()) + 1,
-        seed=seed,
     )

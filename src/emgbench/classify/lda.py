@@ -11,27 +11,25 @@ from .base import ClassifyError, TrainedModel, class_bound
 class LdaModel(TrainedModel):
     kind = "lda"
 
-    def __init__(self, whitener, class_means_w, log_priors, classes, n_features, seed=0):
+    def __init__(self, whitener, class_means_w, log_priors, classes, n_features):
         self.classes = np.asarray(classes, dtype=np.int64)
-        super().__init__(n_classes=class_bound(self.classes), n_features=n_features, seed=seed)
+        super().__init__(n_classes=class_bound(self.classes), n_features=n_features)
         self.whitener = np.asarray(whitener, dtype=np.float64)  # [d x r]
         self.class_means_w = np.asarray(class_means_w, dtype=np.float64)  # [K x r]
         self.log_priors = np.asarray(log_priors, dtype=np.float64)
 
-    def decision_values(self, values: np.ndarray) -> np.ndarray:
+    def _predict(self, values: np.ndarray) -> np.ndarray:
         xw = values @ self.whitener
         # Gaussian discriminant with shared (whitened identity) covariance
-        return (
+        scores = (
             xw @ self.class_means_w.T
             - 0.5 * np.sum(self.class_means_w**2, axis=1)
             + self.log_priors
         )
-
-    def _predict(self, values: np.ndarray) -> np.ndarray:
-        return self.classes[np.argmax(self.decision_values(values), axis=1)]
+        return self.classes[np.argmax(scores, axis=1)]
 
 
-def fit_lda(train: FeatureMatrix, seed: int = 0) -> LdaModel:
+def fit_lda(train: FeatureMatrix) -> LdaModel:
     X = train.values
     y = train.labels
     classes, counts = np.unique(y, return_counts=True)
@@ -54,12 +52,10 @@ def fit_lda(train: FeatureMatrix, seed: int = 0) -> LdaModel:
         whitener = np.eye(d)
     else:
         whitener = vt[keep].T / s[keep]
-    model = LdaModel(
+    return LdaModel(
         whitener=whitener,
         class_means_w=means @ whitener,
         log_priors=np.log(counts / n),
         classes=classes,
         n_features=d,
-        seed=seed,
     )
-    return model

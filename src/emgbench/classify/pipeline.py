@@ -26,7 +26,7 @@ from .knn import fit_knn
 from .lda import fit_lda
 from .svm import fit_linear_svm
 
-BLOB_VERSION = 4
+BLOB_VERSION = 5
 
 
 def _zscored(train: FeatureMatrix) -> tuple[Standardizer, FeatureMatrix]:
@@ -44,16 +44,16 @@ def _voting(train, seed, member):
     """A hard vote over the fitted voter pipelines, each scaling its input
     as it does alone; it fits nothing itself."""
     voters = [member(name) for name in _VOTERS]
-    return VoteModel(voters, int(train.labels.max()) + 1, train.n_features, seed=seed)
+    return VoteModel(voters, int(train.labels.max()) + 1, train.n_features)
 
 
 # name -> (z-score the input?, fit(train, seed, member)), in results-table row
 # order; member(name) is the fitted sibling pipeline `name` on the same
-# training set. Each model fits with its fit function's defaults.
+# training set. Each model's settings are constants of its module.
 _PIPELINES = {
-    "lda": (True, lambda train, seed, member: fit_lda(train, seed=seed)),
-    "svm": (True, lambda train, seed, member: fit_linear_svm(train, seed=seed)),
-    "knn": (True, lambda train, seed, member: fit_knn(train, seed=seed)),
+    "lda": (True, lambda train, seed, member: fit_lda(train)),
+    "svm": (True, lambda train, seed, member: fit_linear_svm(train)),
+    "knn": (True, lambda train, seed, member: fit_knn(train)),
     "random_forest": (False, lambda train, seed, member: fit_random_forest(train, seed=seed)),
     "voting": (False, _voting),
     "bagging_knn": (True, lambda train, seed, member: fit_bagging("knn", train, seed=seed)),

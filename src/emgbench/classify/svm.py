@@ -14,6 +14,10 @@ import numpy as np
 from ..features.extract import FeatureMatrix
 from .base import ClassifyError, TrainedModel, class_bound
 
+C = 1.0  # weight of the loss against 0.5|w|^2
+MAX_ITER = 100  # Newton steps a problem may take
+TOL = 1e-6  # a problem stops once |g| <= TOL |g0|
+
 
 def _loss_terms(M, Y, cn):
     """Per-row terms of the objective's derivatives at margins M = W X^T:
@@ -131,34 +135,25 @@ def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray, C: float,
 class LinearSvmModel(TrainedModel):
     kind = "svm"
 
-    def __init__(self, weights, classes, n_features, seed=0, C=1.0):
+    def __init__(self, weights, classes, n_features):
         self.classes = np.asarray(classes, dtype=np.int64)
-        super().__init__(n_classes=class_bound(self.classes), n_features=n_features, seed=seed)
+        super().__init__(n_classes=class_bound(self.classes), n_features=n_features)
         self.weights = np.asarray(weights, dtype=np.float64)  # [K x d+1]
-        self.C = float(C)
-
-    def decision_values(self, values: np.ndarray) -> np.ndarray:
-        aug = np.column_stack([values, np.ones(values.shape[0])])
-        return aug @ self.weights.T
 
     def _predict(self, values: np.ndarray) -> np.ndarray:
-        return self.classes[np.argmax(self.decision_values(values), axis=1)]
+        aug = np.column_stack([values, np.ones(values.shape[0])])
+        return self.classes[np.argmax(aug @ self.weights.T, axis=1)]
 
 
 def fit_linear_svms(
     train: FeatureMatrix,
     row_sets: list[np.ndarray],
-    seeds: list[int],
-    C: float = 1.0,
-    max_iter: int = 100,
-    tol: float = 1e-6,
     start: LinearSvmModel | None = None,
 ) -> list[LinearSvmModel]:
     """One one-vs-rest SVM per row set of train (a row drawn twice counts
-    twice, as in a bootstrap draw); seeds only label the models. Each
-    class's problem starts from start's weights for that class, if start
-    has that class, and from zero otherwise. Warns when a problem stops at
-    max_iter short of tol."""
+    twice, as in a bootstrap draw). Each class's problem starts from
+    start's weights for that class, if start has that class, and from zero
+    otherwise. Warns when a problem stops at MAX_ITER short of TOL."""
     if start is not None and start.n_features != train.n_features:
         raise ClassifyError("start SVM has another feature count than the training set")
     starts = dict(zip(start.classes.tolist(), start.weights)) if start is not None else {}
@@ -177,28 +172,21 @@ def fit_linear_svms(
             W0.append(starts.get(int(c), zero))
     aug = np.column_stack([train.values, np.ones(train.n_rows)])
     W, iters, rel_grad = _train_primal(aug, np.array(counts, dtype=np.float64), np.array(labels),
-                                       C, max_iter, tol, np.array(W0) if starts else None)
-    stuck = rel_grad > tol
+                                       C, MAX_ITER, TOL, np.array(W0) if starts else None)
+    stuck = rel_grad > TOL
     if stuck.any():
         warnings.warn(
-            f"SVM: {stuck.sum()} of {stuck.size} problems stopped at max_iter={max_iter} "
-            f"with relative gradient up to {rel_grad.max():.3g} > tol={tol:g}",
+            f"SVM: {stuck.sum()} of {stuck.size} problems stopped at max_iter={MAX_ITER} "
+            f"with relative gradient up to {rel_grad.max():.3g} > tol={TOL:g}",
             RuntimeWarning,
             stacklevel=2,
         )
     bounds = np.cumsum([0] + [cs.size for cs in classes])
     return [
-        LinearSvmModel(weights=W[lo:hi], classes=cs, n_features=train.n_features, seed=seed, C=C)
-        for cs, seed, lo, hi in zip(classes, seeds, bounds[:-1], bounds[1:])
+        LinearSvmModel(weights=W[lo:hi], classes=cs, n_features=train.n_features)
+        for cs, lo, hi in zip(classes, bounds[:-1], bounds[1:])
     ]
 
 
-def fit_linear_svm(
-    train: FeatureMatrix,
-    C: float = 1.0,
-    seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-) -> LinearSvmModel:
-    rows = np.arange(train.n_rows)
-    return fit_linear_svms(train, [rows], [seed], C=C, max_iter=max_iter, tol=tol)[0]
+def fit_linear_svm(train: FeatureMatrix) -> LinearSvmModel:
+    return fit_linear_svms(train, [np.arange(train.n_rows)])[0]

@@ -19,7 +19,8 @@ from emgbench.benchmark import (
     render_table,
     run_benchmark,
 )
-from emgbench.classify import fit_pipeline, knn_predict
+from emgbench.classify.knn import knn_predict
+from emgbench.classify.pipeline import fit_pipeline
 from emgbench.evaluate import ConfusionMatrix, metrics
 from emgbench.features.extract import FAMILIES, extract
 from emgbench.features.tdd import fuse, root_moments, tsd_signal_features

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,9 @@ from emgbench.benchmark import (
     run_benchmark,
     write_bundle,
 )
-from emgbench.classify import MODEL_NAMES
+from emgbench.classify.base import model_to_blob
+from emgbench.classify.pipeline import MODEL_NAMES
+from emgbench.signal_io import generate_synthetic, write_dataset
 
 SMALL_SYNTH = {
     "synthetic": {
@@ -88,6 +91,18 @@ class TestRun:
         assert [(r.family, r.model) for r in reports] == [("ftdd", "lda")]
         assert set(errors) == {("wavelet", "lda")}
 
+    def test_subject_split_keeps_a_training_subject(self, tmp_path):
+        """However large the test fraction, one subject stays in training."""
+        records = generate_synthetic(2, 2, 1024.0, 4, 1.0, seed=7)
+        records = [replace(r, subject=f"s{i % 2}") for i, r in enumerate(records)]
+        manifest = write_dataset(records, ["class0", "class1"], tmp_path)
+        config = small_config(dataset={"manifest": str(manifest)}, subject_split=True,
+                              test_fraction=0.8)
+        reports, errors = run_benchmark(config)
+        assert errors == {}
+        _, _, subjects = benchmark.load_windows(config)
+        assert reports[0].confusion.total * 2 == len(subjects)  # one subject of two
+
     def test_report_order_matches_grid_order(self):
         config = small_config(families=("tsd", "ftdd"), models=("knn", "lda"))
         reports, _ = run_benchmark(config)
@@ -153,7 +168,7 @@ class TestRun:
         fit = benchmark.fit_pipeline
 
         def recorded(name, train, seed=0, member=None):
-            fits.append(name)
+            fits.append((name, train))
             seen[name] = fit(name, train, seed=seed, member=member)
             return seen[name]
 
@@ -161,12 +176,15 @@ class TestRun:
         models = ("voting", "svm", "knn", "random_forest", "bagging_svm")
         _, errors = run_benchmark(small_config(models=models))
         assert errors == {}
-        assert sorted(fits) == sorted(models)
+        assert sorted(name for name, _ in fits) == sorted(models)
         voters = seen["voting"].model.members
         assert [v.name for v in voters] == ["svm", "knn", "random_forest"]
         for voter in voters:
             assert voter is seen[voter.name]
-            assert voter.model.seed == cell_seed(7, "ftdd", voter.name)
+        # the forest voting votes with is the row's random_forest cell
+        train = dict(fits)["random_forest"]
+        forest = fit("random_forest", train, seed=cell_seed(7, "ftdd", "random_forest"))
+        assert model_to_blob(voters[2]) == model_to_blob(forest)
 
 
 class TestRendering:

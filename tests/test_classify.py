@@ -8,28 +8,23 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import split_blobs
-from emgbench.classify import (
+from emgbench.classify import ensembles
+from emgbench.classify import svm as svm_module
+from emgbench.classify.base import (
     ClassifyError,
-    DecisionTree,
-    Pipeline,
     Standardizer,
     TrainedModel,
     VoteModel,
-    boost_round_weight,
-    fit_adaboost_rf,
-    fit_bagging,
-    fit_linear_svm,
-    fit_lda,
-    fit_pipeline,
-    fit_random_forest,
-    knn_predict,
     majority_vote,
     model_to_blob,
 )
-from emgbench.classify import svm as svm_module
-from emgbench.classify.knn import _nearest
-from emgbench.classify.svm import fit_linear_svms
-from emgbench.classify.tree import fit_trees
+from emgbench.classify.ensembles import boost_round_weight, fit_adaboost_rf, fit_bagging
+from emgbench.classify.forest import fit_random_forest
+from emgbench.classify.knn import _nearest, knn_predict
+from emgbench.classify.lda import fit_lda
+from emgbench.classify.pipeline import Pipeline, fit_pipeline
+from emgbench.classify.svm import fit_linear_svm, fit_linear_svms
+from emgbench.classify.tree import DecisionTree, fit_trees
 from emgbench.evaluate import stratified_split
 from emgbench.features.extract import FeatureMatrix, extract
 from emgbench.preprocess import bandpass, segment_records
@@ -190,16 +185,15 @@ class TestLinearSvm:
 
     def test_deterministic_per_seed(self, blob_data):
         train, test = split_blobs(blob_data)
-        a = fit_linear_svm(train, seed=4).predict(test.values)
-        b = fit_linear_svm(train, seed=4).predict(test.values)
+        a = fit_linear_svm(train).predict(test.values)
+        b = fit_linear_svm(train).predict(test.values)
         np.testing.assert_array_equal(a, b)
 
 
 def bootstrap_draws(n, n_estimators, seed):
-    """The row sets and member seeds that fit_bagging draws."""
+    """The row sets that fit_bagging draws."""
     spawned = np.random.SeedSequence(seed).spawn(n_estimators)
-    rows = [np.random.default_rng(ss).choice(n, size=n, replace=True) for ss in spawned]
-    return rows, [int(ss.generate_state(1)[0] % 2**31) for ss in spawned]
+    return [np.random.default_rng(ss).choice(n, size=n, replace=True) for ss in spawned]
 
 
 def noisy_classes(rng, n, d, n_classes, spread):
@@ -246,19 +240,20 @@ def bench_grid_features(family):
     return replace(train, values=Standardizer.fit(train.values).apply(train.values))
 
 
-TOL = 1e-6  # fit_linear_svms' default relative-gradient tolerance
+TOL = svm_module.TOL
 
 
 class TestPrimalSvm:
     """Optimality oracles for the batched Newton-CG solve: the objective is
     1-strongly convex, so |w - w*| <= |g(w)| for its minimiser w*."""
 
-    def test_gradient_below_tolerance(self):
+    def test_gradient_below_tolerance(self, monkeypatch):
+        monkeypatch.setattr(ensembles, "N_ESTIMATORS", 6)
         rng = np.random.default_rng(5)
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
-        bagged = fit_bagging("svm", train, n_estimators=6, seed=2)
-        rows, _ = bootstrap_draws(train.n_rows, 6, 2)
+        bagged = fit_bagging("svm", train, seed=2)
+        rows = bootstrap_draws(train.n_rows, 6, 2)
         assert {len(m.classes) for m in bagged.members} == {3, 4}
         for member, r in zip(bagged.members, rows):
             for f, w in problems(member, train, r):
@@ -288,19 +283,21 @@ class TestPrimalSvm:
             assert slope0 < 0 and t > 0
             assert abs(f.gradient(w + t * s) @ s) <= 1e-9 * abs(slope0)
 
-    def test_bagging_member_matches_solo_solve(self):
+    def test_bagging_member_matches_solo_solve(self, monkeypatch):
+        monkeypatch.setattr(ensembles, "N_ESTIMATORS", 5)
         train = noisy_classes(np.random.default_rng(8), 50, 5, 3, spread=2.0)
-        bagged = fit_bagging("svm", train, n_estimators=5, seed=4)
-        rows, seeds = bootstrap_draws(train.n_rows, 5, 4)
-        for member, r, s in zip(bagged.members, rows, seeds):
-            solo = fit_linear_svms(train, [r], [s])[0]
+        bagged = fit_bagging("svm", train, seed=4)
+        rows = bootstrap_draws(train.n_rows, 5, 4)
+        for member, r in zip(bagged.members, rows):
+            solo = fit_linear_svms(train, [r])[0]
             np.testing.assert_array_equal(member.classes, solo.classes)
             for (f, w), w_solo in zip(problems(member, train, r), solo.weights):
                 assert np.linalg.norm(w - w_solo) <= 2 * TOL * f.g0()
 
-    def test_repeated_fits_bit_identical(self):
+    def test_repeated_fits_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(ensembles, "N_ESTIMATORS", 4)
         train = noisy_classes(np.random.default_rng(9), 60, 12, 4, spread=1.0)
-        a, b = (fit_bagging("svm", train, n_estimators=4, seed=1) for _ in range(2))
+        a, b = (fit_bagging("svm", train, seed=1) for _ in range(2))
         assert [m.weights.tobytes() for m in a.members] == [m.weights.tobytes() for m in b.members]
 
     @pytest.mark.parametrize("family", ["ftdd", "tsd", "wavelet"])
@@ -315,22 +312,23 @@ class TestPrimalSvm:
         monkeypatch.setattr(svm_module, "_train_primal", recorded)
         train = bench_grid_features(family)
         fit_linear_svm(train)
-        fit_bagging("svm", train, n_estimators=10, seed=1)
+        fit_bagging("svm", train, seed=1)
         assert [w.shape[0] for w, _, _ in solves] == [4, 40]
         for _, iters, rel_grad in solves:
             assert np.all(rel_grad <= TOL) and np.all(iters < 100)
 
-    def test_warm_started_bagging_meets_the_cold_tolerance(self):
+    def test_warm_started_bagging_meets_the_cold_tolerance(self, monkeypatch):
         """Bagging members warm-started from the full-data SVM stop where
         |g| <= tol |g0|, g0 still the gradient at w = 0, and end within
         2 tol |g0| of their cold-started weights."""
+        monkeypatch.setattr(ensembles, "N_ESTIMATORS", 6)
         rng = np.random.default_rng(5)
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
         start = fit_linear_svm(train)
-        warm = fit_bagging("svm", train, n_estimators=6, seed=2, start=start)
-        cold = fit_bagging("svm", train, n_estimators=6, seed=2)
-        rows, _ = bootstrap_draws(train.n_rows, 6, 2)
+        warm = fit_bagging("svm", train, seed=2, start=start)
+        cold = fit_bagging("svm", train, seed=2)
+        rows = bootstrap_draws(train.n_rows, 6, 2)
         for w_member, c_member, r in zip(warm.members, cold.members, rows):
             np.testing.assert_array_equal(w_member.classes, c_member.classes)
             for (f, w), w_cold in zip(problems(w_member, train, r), c_member.weights):
@@ -354,11 +352,12 @@ class TestPrimalSvm:
         W2, iters2, rel_grad2 = svm_module._train_primal(X, counts, Y, 1.0, 100, TOL, W1)
         assert iters2[0] == 0 and W2.tobytes() == W1.tobytes() and rel_grad2[0] == rel_grad[0]
 
-    def test_unconverged_problems_are_reported(self):
+    def test_unconverged_problems_are_reported(self, monkeypatch):
+        monkeypatch.setattr(svm_module, "MAX_ITER", 1)
         train = noisy_classes(np.random.default_rng(4), 40, 6, 3, spread=1.0)
-        rows, seeds = bootstrap_draws(train.n_rows, 3, 7)
+        rows = bootstrap_draws(train.n_rows, 3, 7)
         with pytest.warns(RuntimeWarning, match=r"9 of 9 problems stopped at max_iter=1"):
-            fit_linear_svms(train, rows, seeds, max_iter=1)
+            fit_linear_svms(train, rows)
         X = np.column_stack([train.values, np.ones(train.n_rows)])
         Y = np.where(train.labels == 0, 1.0, -1.0)[None]
         W, iters, rel_grad = svm_module._train_primal(X, np.ones_like(Y), Y, 1.0, 1, TOL)
@@ -407,18 +406,17 @@ class TestLockstepSvm:
     @pytest.mark.parametrize("d", [48, 252])  # d + 1 = 49 and 253 with the bias column
     def test_single_fit(self, d):
         train = noisy_classes(np.random.default_rng(d), 60, d, 4, spread=3.0)
-        model = fit_linear_svm(train, seed=11)
-        assert model.seed == 11
+        model = fit_linear_svm(train)
         assert_lockstep_matches_solo(train, [np.arange(train.n_rows)], [model])
 
-    def test_bag_members_with_different_class_counts(self):
+    def test_bag_members_with_different_class_counts(self, monkeypatch):
+        monkeypatch.setattr(ensembles, "N_ESTIMATORS", 6)
         rng = np.random.default_rng(5)
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
-        bagged = fit_bagging("svm", train, n_estimators=6, seed=2)
-        rows, seeds = bootstrap_draws(train.n_rows, 6, 2)
+        bagged = fit_bagging("svm", train, seed=2)
+        rows = bootstrap_draws(train.n_rows, 6, 2)
         assert {len(m.classes) for m in bagged.members} == {3, 4}
-        assert [m.seed for m in bagged.members] == seeds
         assert_lockstep_matches_solo(train, rows, bagged.members)
 
     @pytest.mark.parametrize("start_classes", [4, 3])
@@ -429,29 +427,31 @@ class TestLockstepSvm:
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
         start_rows = np.flatnonzero(train.labels < start_classes)
-        start = fit_linear_svms(train, [start_rows], [0])[0]
+        start = fit_linear_svms(train, [start_rows])[0]
         assert len(start.classes) == start_classes
-        rows, seeds = bootstrap_draws(train.n_rows, 6, 2)
-        models = fit_linear_svms(train, rows, seeds, start=start)
+        rows = bootstrap_draws(train.n_rows, 6, 2)
+        models = fit_linear_svms(train, rows, start=start)
         assert {len(m.classes) for m in models} == {3, 4}
         assert_lockstep_matches_solo(train, rows, models, start=start)
 
-    def test_mixed_convergence(self):
+    def test_mixed_convergence(self, monkeypatch):
         """Problems that converge stop stepping while the rest go on to
         max_iter."""
+        monkeypatch.setattr(svm_module, "MAX_ITER", 6)
         train = noisy_classes(np.random.default_rng(8), 50, 5, 3, spread=8.0)
-        rows, seeds = bootstrap_draws(train.n_rows, 3, 4)
+        rows = bootstrap_draws(train.n_rows, 3, 4)
         with pytest.warns(RuntimeWarning, match="stopped at max_iter=6"):
-            models = fit_linear_svms(train, rows, seeds, max_iter=6)
+            models = fit_linear_svms(train, rows)
         iters = assert_lockstep_matches_solo(train, rows, models, max_iter=6)
         assert iters.min() < 6 and iters.max() == 6
 
-    def test_one_epoch(self):
+    def test_one_epoch(self, monkeypatch):
         """One Newton step, one pass over the data, per problem."""
+        monkeypatch.setattr(svm_module, "MAX_ITER", 1)
         train = noisy_classes(np.random.default_rng(9), 30, 8, 3, spread=2.0)
-        rows, seeds = bootstrap_draws(train.n_rows, 4, 1)
+        rows = bootstrap_draws(train.n_rows, 4, 1)
         with pytest.warns(RuntimeWarning, match="12 of 12 problems stopped at max_iter=1"):
-            models = fit_linear_svms(train, rows, seeds, max_iter=1)
+            models = fit_linear_svms(train, rows)
         iters = assert_lockstep_matches_solo(train, rows, models, max_iter=1)
         assert iters.tolist() == [1] * 12
 
@@ -663,9 +663,10 @@ class TestLockstepTrees:
 
 
 class TestBagging:
-    def test_members_are_bootstrap_fits_and_vote(self, blob_data):
+    def test_members_are_bootstrap_fits_and_vote(self, blob_data, monkeypatch):
+        monkeypatch.setattr(ensembles, "N_ESTIMATORS", 3)
         train, test = split_blobs(blob_data)
-        bagged = fit_bagging("knn", train, n_estimators=3, seed=0)
+        bagged = fit_bagging("knn", train, seed=0)
         rows = {tuple(r): label for r, label in zip(train.values, train.labels)}
         for member in bagged.members:
             drawn = [tuple(r) for r in member.train_values]
@@ -706,20 +707,21 @@ class TestAdaBoost:
 
     def test_perfect_first_round_single_member(self, blob_data):
         train, test = split_blobs(blob_data)
-        model = fit_adaboost_rf(train, n_rounds=10, seed=0)
+        model = fit_adaboost_rf(train, seed=0)
         # separable blobs: the first forest is perfect, boosting stops
         assert len(model.members) == 1
         np.testing.assert_array_equal(
             model.predict(test.values), model.members[0].predict(test.values)
         )
 
-    def test_not_much_worse_than_plain_forest(self, blob_data):
+    def test_not_much_worse_than_plain_forest(self, blob_data, monkeypatch):
+        monkeypatch.setattr(ensembles, "N_ROUNDS", 3)
         train, test = split_blobs(blob_data)
         rf_acc = np.mean(
             fit_random_forest(train, n_trees=25, seed=3).predict(test.values) == test.labels
         )
         ada_acc = np.mean(
-            fit_adaboost_rf(train, n_rounds=3, seed=3).predict(test.values) == test.labels
+            fit_adaboost_rf(train, seed=3).predict(test.values) == test.labels
         )
         assert ada_acc >= rf_acc - 0.02
 
@@ -858,7 +860,7 @@ class TestPipelineSerialization:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda member: member.pop("k"), r"'knn' blob: missing fields \['k'\]"),
+            (lambda member: member.pop("n_classes"), r"'knn' blob: missing fields \['n_classes'\]"),
             (lambda member: member.update(n_features=2), r"unexpected fields \['n_features'\]"),
         ],
         ids=["missing", "extra"],
@@ -893,10 +895,11 @@ class TestPipelineSerialization:
             ("voting", lambda b: _members(b)[0].update(scaler=_members(_members(b)[2]["model"])[0]),
              "pipeline scaler must be a standardizer"),
             ("lda", lambda b: b.update(version=3), "unsupported model blob version: 3"),
+            ("lda", lambda b: b.update(version=4), "unsupported model blob version: 4"),
         ],
         ids=["tree_standardizer", "voting_member_standardizer", "more_classes",
              "feature_out_of_range", "members_not_a_list", "no_members", "weights_per_member",
-             "pipeline_scaler_tree", "v3_blob"],
+             "pipeline_scaler_tree", "v3_blob", "v4_blob"],
     )
     def test_vote_member_refused(self, name, edit, message, blob_data):
         blob = fit_pipeline(name, blob_data).to_blob()
@@ -928,13 +931,14 @@ class TestPipelineSerialization:
     def test_blob_of_another_kind_refused(self, blob_data):
         model = fit_pipeline("knn", blob_data).to_blob()["model"]
         with pytest.raises(ClassifyError, match="holds a 'knn', not a pipeline"):
-            Pipeline.from_blob({"version": 4, **model})
+            Pipeline.from_blob({"version": 5, **model})
 
-    def test_bagging_member_lacking_a_class_round_trips(self):
+    def test_bagging_member_lacking_a_class_round_trips(self, monkeypatch):
+        monkeypatch.setattr(ensembles, "N_ESTIMATORS", 6)
         rng = np.random.default_rng(5)
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
-        pipe = Pipeline("bagging_svm", None, fit_bagging("svm", train, n_estimators=6, seed=2))
+        pipe = Pipeline("bagging_svm", None, fit_bagging("svm", train, seed=2))
         assert {m.n_classes for m in pipe.model.members} == {3, 4}
         loaded = Pipeline.from_blob(json.loads(json.dumps(pipe.to_blob())))
         np.testing.assert_array_equal(loaded.predict(train.values), pipe.predict(train.values))

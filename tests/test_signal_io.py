@@ -273,6 +273,15 @@ class TestSynthetic:
         b = generate_synthetic(2, 2, 2048, 3, 1.0, seed=8)
         assert not np.array_equal(a[0].samples, b[0].samples)
 
+    def test_short_trial_rejected(self):
+        """The band-pass pads 27 samples each side, so 28 is the shortest
+        trial; a shorter one is refused by name, not by the filter."""
+        assert generate_synthetic(1, 1, 1024, 1, 28 / 1024, seed=0)[0].samples.shape == (1, 28)
+        with pytest.raises(IngestError, match=r"trial_seconds 0\.02 gives 20 samples.* 28 samples"):
+            generate_synthetic(2, 2, 1024, 1, 0.02, seed=0)
+        with pytest.raises(IngestError, match=r"trial_seconds 0 gives 0 samples"):
+            generate_synthetic(2, 2, 1024, 1, 0, seed=0)
+
     def test_low_fs_rejected(self):
         with pytest.raises(IngestError, match="450 Hz band edge"):
             generate_synthetic(2, 2, 500, 1, 1.0, seed=0)
