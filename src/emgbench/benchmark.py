@@ -16,7 +16,7 @@ from .classify.pipeline import MODEL_NAMES, SHARED, Pipeline, fit_pipeline
 from .evaluate import ConfusionMatrix, EvalError, EvaluationReport, metrics, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
 from .features.tdd import EPS, K
-from .preprocess import WindowSet, bandpass, segment_records
+from .preprocess import HIGH, LOW, ORDER, OVERLAP, WINDOW_MS, WindowSet, bandpass, segment_records
 from .signal_io import generate_synthetic, load_canonical_csv, load_manifest
 
 MODEL_DISPLAY = {
@@ -33,7 +33,6 @@ MODEL_DISPLAY = {
 # synthetic key -> int for a count, float for any number
 _SYNTH_KEYS = {"n_classes": int, "n_channels": int, "fs": float, "trials_per_class": int,
                "trial_seconds": float}
-_BAND_KEYS = {"low", "high", "order"}
 
 
 class ConfigError(ValueError):
@@ -47,9 +46,6 @@ class BenchmarkConfig:
     models: tuple[str, ...] = MODEL_NAMES
     seed: int = 0
     test_fraction: float = 0.2
-    window_ms: float = 600.0
-    overlap: float = 0.5
-    band: tuple[float, float, int] = (20.0, 450.0, 8)
     jobs: int = 1
     subject_split: bool = False
 
@@ -78,15 +74,11 @@ class BenchmarkConfig:
         elif not isinstance(self.dataset["manifest"], str):
             raise ConfigError(f"manifest must be a path string, got {self.dataset['manifest']!r}")
         _check_number(self.test_fraction, "test_fraction")
-        _check_number(self.overlap, "overlap")
         if not (0 < self.test_fraction < 1):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         _check_number(self.seed, "seed", int)
         if type(self.jobs) is not int or self.jobs < 1:
             raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
-        _check_number(self.window_ms, "window_ms")
-        if self.window_ms <= 0:
-            raise ConfigError(f"window_ms must be > 0, got {self.window_ms!r}")
         if not isinstance(self.subject_split, bool):
             raise ConfigError(f"subject_split must be true or false, got {self.subject_split!r}")
 
@@ -97,17 +89,7 @@ class BenchmarkConfig:
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "band" in kwargs:
-            band = _section(kwargs["band"], "band", _BAND_KEYS)
-            missing = _BAND_KEYS - set(band)
-            if missing:
-                raise ConfigError(f"missing band keys: {sorted(missing)}")
-            _check_number(band["low"], "band low")
-            _check_number(band["high"], "band high")
-            _check_number(band["order"], "band order", int)
-            kwargs["band"] = (float(band["low"]), float(band["high"]), band["order"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "BenchmarkConfig":
@@ -121,9 +103,9 @@ class BenchmarkConfig:
             "models": list(self.models),
             "seed": self.seed,
             "test_fraction": self.test_fraction,
-            "window_ms": self.window_ms,
-            "overlap": self.overlap,
-            "band": {"low": self.band[0], "high": self.band[1], "order": self.band[2]},
+            "window_ms": WINDOW_MS,
+            "overlap": OVERLAP,
+            "band": {"low": LOW, "high": HIGH, "order": ORDER},
             "subject_split": self.subject_split,
             "decisions": {
                 "moment_exponent_k": K,
@@ -186,9 +168,7 @@ def load_windows(config: BenchmarkConfig) -> tuple[WindowSet, list[str], np.ndar
         spec = config.dataset["synthetic"]
         records = generate_synthetic(seed=config.seed, **spec)
         class_names = [f"class{i}" for i in range(spec["n_classes"])]
-    low, high, order = config.band
-    filtered = [bandpass(rec, low, high, order) for rec in records]
-    ws = segment_records(filtered, config.window_ms, config.overlap)
+    ws = segment_records([bandpass(rec) for rec in records])
     return ws, class_names, np.array([rec.subject for rec in records])[ws.trial]
 
 

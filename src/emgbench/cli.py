@@ -128,21 +128,28 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Re-render the aggregate table from a bundle of per-cell JSON files
-    and its errors.json."""
+    """Re-render the aggregate table from a bundle of per-cell JSON files,
+    its errors.json and its resolved_config.json. A file that is not JSON,
+    or lacks a field the table reads, is a usage error that names it."""
     bundle = Path(args.bundle)
-    reports = []
+    reports, errors, families = [], {}, None
     for path in sorted(bundle.glob("*.json")):
-        doc = json.loads(path.read_text())
-        if "family" in doc and "model" in doc:
-            reports.append(EvaluationReport.from_json_dict(doc))
-    errors_path = bundle / "errors.json"
-    errors = json.loads(errors_path.read_text()) if errors_path.exists() else {}
-    errors = {tuple(cell.split(":", 1)): message for cell, message in errors.items()}
+        try:
+            doc = json.loads(path.read_text())
+            if path.name == "errors.json":
+                errors = {tuple(cell.split(":", 1)): message for cell, message in doc.items()}
+            elif path.name == "resolved_config.json":
+                families = doc["families"]
+            elif "family" in doc and "model" in doc:
+                reports.append(EvaluationReport.from_json_dict(doc))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"{path}: {detail}") from None
     if not reports and not errors:
         print(f"error: no cell reports found in {bundle}", file=sys.stderr)
         return 2
-    families = json.loads((bundle / "resolved_config.json").read_text())["families"]
+    if families is None:
+        raise ConfigError(f"{bundle}: no resolved_config.json")
     print(render_table(families, reports, errors))
     return 0
 

@@ -70,17 +70,25 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
+        """The matrix `to_csv` wrote; a file it cannot read is refused by name."""
         path = Path(path)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-        if not header or header[-1] != "label":
-            raise FeatureError(f"feature CSV {path} lacks a trailing label column")
-        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(
-            values=body[:, :-1],
-            feature_names=tuple(header[:-1]),
-            labels=body[:, -1].astype(np.int64),
-        )
+            if header[-1] != "label":
+                raise FeatureError(f"{path}: feature CSV lacks a trailing label column")
+            start = fh.tell()
+            if not any(line.strip() for line in fh):
+                raise FeatureError(f"{path}: feature CSV has no data rows")
+            fh.seek(start)
+            try:
+                body = np.loadtxt(fh, delimiter=",", ndmin=2)
+                return cls(
+                    values=body[:, :-1],
+                    feature_names=tuple(header[:-1]),
+                    labels=body[:, -1].astype(np.int64),
+                )
+            except ValueError as exc:  # a non-numeric cell, a ragged row, rows unlike the header
+                raise FeatureError(f"{path}: {exc}") from None
 
 
 def extract(ws: WindowSet, family: str) -> FeatureMatrix:

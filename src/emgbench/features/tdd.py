@@ -31,12 +31,6 @@ def _moments(parts) -> list[np.ndarray]:
     return [np.sqrt(np.sum(d * d, axis=-1) / n) for d in parts]
 
 
-def root_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Root-squared moments of the signal and its first/second differences
-    over the last axis, all three normalized by the original length N."""
-    return tuple(_moments(_differences(x)))
-
-
 def resolve_lambda(channels: np.ndarray) -> np.ndarray:
     """Normalization factor per window of [..., C, N] channels: the median
     of m0^K over the channels, shaped [..., 1]."""

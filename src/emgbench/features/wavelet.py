@@ -3,16 +3,13 @@ per-subband features: energy, variance, standard deviation, waveform
 length, and energy-weighted entropy."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tdd import FeatureError
 
 # Symlet-8 scaling (decomposition low-pass) filter. Obtained by spectral
 # factorization of the degree-8 half-band polynomial with the
-# least-asymmetric root selection; validated by the orthonormality checks
-# in WaveletFilter.
+# least-asymmetric root selection; the tests check that it is orthonormal.
 _SYM8_SCALING = (
     0.0018899503327594609,
     -0.0003029205147213668,
@@ -33,41 +30,15 @@ _SYM8_SCALING = (
 )
 
 
-@dataclass(frozen=True)
-class WaveletFilter:
-    """Orthonormal two-channel decomposition filter bank."""
-
-    name: str
-    dec_lo: np.ndarray
-    dec_hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.dec_lo, dtype=np.float64)
-        hi = np.asarray(self.dec_hi, dtype=np.float64)
-        object.__setattr__(self, "dec_lo", lo)
-        object.__setattr__(self, "dec_hi", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise FeatureError("filter pair must be two equal-length 1-D sequences")
-        for h in (lo, hi):
-            if abs(np.sum(h * h) - 1.0) > 1e-10:
-                raise FeatureError(f"{self.name}: filter is not unit-norm")
-            for m in range(1, h.size // 2):
-                if abs(np.sum(h[: -2 * m] * h[2 * m :])) > 1e-10:
-                    raise FeatureError(f"{self.name}: filter shifts are not orthogonal")
-
-    @classmethod
-    def sym8(cls) -> "WaveletFilter":
-        lo = np.array(_SYM8_SCALING[::-1])
-        # Quadrature mirror: hi[k] = (-1)^k lo[L-1-k]
-        sign = np.where(np.arange(lo.size) % 2 == 0, 1.0, -1.0)
-        hi = sign * lo[::-1]
-        return cls(name="sym8", dec_lo=lo, dec_hi=hi)
+# The decomposition pair: the scaling filter reversed, and its quadrature
+# mirror hi[k] = (-1)^k lo[L-1-k].
+DEC_LO = np.array(_SYM8_SCALING[::-1])
+DEC_HI = np.where(np.arange(DEC_LO.size) % 2 == 0, 1.0, -1.0) * DEC_LO[::-1]
+# Decomposition levels: bands D1..D5, then A5.
+LEVELS = 5
 
 
-SYM8 = WaveletFilter.sym8()
-
-
-def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
+def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One periodized decomposition level over the last axis.
 
     Odd-length inputs pass their trailing sample straight into the
@@ -75,7 +46,7 @@ def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.n
     conserved exactly.
     """
     n = x.shape[-1] - x.shape[-1] % 2
-    taps = filt.dec_lo.size
+    taps = DEC_LO.size
     # Output i is the filter applied to xp[2i : 2i + taps], xp being x
     # extended periodically. With xp split into its even and odd samples,
     # tap k reads one contiguous slice of one of the two.
@@ -86,12 +57,12 @@ def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.n
     product = np.empty_like(approx)
     for k in range(taps):
         tap = phases[k % 2][..., k // 2 : k // 2 + n // 2]
-        approx += np.multiply(tap, filt.dec_lo[k], out=product)
-        detail += np.multiply(tap, filt.dec_hi[k], out=product)
+        approx += np.multiply(tap, DEC_LO[k], out=product)
+        detail += np.multiply(tap, DEC_HI[k], out=product)
     return np.concatenate([approx, x[..., n:]], axis=-1), detail
 
 
-def dwt(x: np.ndarray, filt: WaveletFilter = SYM8, levels: int = 5) -> list[np.ndarray]:
+def dwt(x: np.ndarray) -> list[np.ndarray]:
     """Cascade DWT with periodized signal extension, over the last axis:
     the detail bands D1..DJ (finest first), then the approximation AJ.
 
@@ -99,16 +70,14 @@ def dwt(x: np.ndarray, filt: WaveletFilter = SYM8, levels: int = 5) -> list[np.n
     conserved to rounding.
     """
     x = np.asarray(x, dtype=np.float64)
-    if levels < 1:
-        raise FeatureError(f"levels must be >= 1, got {levels}")
-    if x.shape[-1] < 2**levels:
+    if x.shape[-1] < 2**LEVELS:
         raise FeatureError(
-            f"signal too short for {levels} decomposition levels: {x.shape[-1]} < {2**levels}"
+            f"signal too short for {LEVELS} decomposition levels: {x.shape[-1]} < {2**LEVELS}"
         )
     bands = []
     approx = x
-    for _ in range(levels):
-        approx, detail = _analysis_step(approx, filt)
+    for _ in range(LEVELS):
+        approx, detail = _analysis_step(approx)
         bands.append(detail)
     return [*bands, approx]
 
@@ -142,8 +111,8 @@ def wavelet_windows(windows: np.ndarray) -> np.ndarray:
     return wavelet_features(dwt(windows)).reshape(*windows.shape[:-2], -1)
 
 
-def wavelet_names(n_channels: int, levels: int = 5) -> list[str]:
-    bands = [f"D{j + 1}" for j in range(levels)] + [f"A{levels}"]
+def wavelet_names(n_channels: int) -> list[str]:
+    bands = [f"D{j + 1}" for j in range(LEVELS)] + [f"A{LEVELS}"]
     return [
         f"ch{i}_{band}_{feat}"
         for i in range(n_channels)

@@ -9,6 +9,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .iir import butter_bandpass, sosfiltfilt
 from .signal_io import SignalRecord
 
+# The paper's one chain, on both of its datasets: a 20-450 Hz band-pass, then
+# 600 ms windows at 50 % overlap. ORDER is the prototype order per band edge;
+# 8 keeps the zero-phase stopband attenuation at 500 Hz (fs 2048) above 20 dB.
+WINDOW_MS = 600.0
+OVERLAP = 0.5
+LOW, HIGH = 20.0, 450.0
+ORDER = 8
+
 
 class PreprocessError(ValueError):
     pass
@@ -45,31 +53,22 @@ class WindowSet:
         ]
 
 
-def design_bandpass(low: float, high: float, order: int, fs: float) -> np.ndarray:
-    """Butterworth bandpass as second-order sections.
-
-    `order` is the prototype order per band edge; the default of 8 keeps the
-    zero-phase stopband attenuation at 500 Hz (fs 2048) above 20 dB.
-    """
-    if order < 1:
-        raise PreprocessError(f"filter order must be >= 1, got {order}")
-    if not (0 < low < high):
-        raise PreprocessError(f"need 0 < low < high, got {low}, {high}")
-    if high >= fs / 2:
-        raise PreprocessError(f"high edge {high} Hz is at or above Nyquist ({fs / 2} Hz)")
-    return butter_bandpass(order, low, high, fs)
+def design_bandpass(fs: float) -> np.ndarray:
+    """The LOW-HIGH Hz Butterworth bandpass of ORDER at fs, as second-order
+    sections."""
+    if HIGH >= fs / 2:
+        raise PreprocessError(f"high edge {HIGH} Hz is at or above Nyquist ({fs / 2} Hz)")
+    return butter_bandpass(ORDER, LOW, HIGH, fs)
 
 
-def bandpass(
-    record: SignalRecord, low: float = 20.0, high: float = 450.0, order: int = 8
-) -> SignalRecord:
+def bandpass(record: SignalRecord) -> SignalRecord:
     """Zero-phase (forward-backward) Butterworth bandpass per channel.
 
     Reflect-pads by 3x the filter order to suppress edge transients;
     output length equals input length.
     """
-    sos = design_bandpass(low, high, order, record.fs)
-    padlen = 3 * order
+    sos = design_bandpass(record.fs)
+    padlen = 3 * ORDER
     if record.n_samples <= padlen:
         raise PreprocessError(
             f"window shorter than filter warm-up length ({padlen} samples): {record.n_samples}"
@@ -84,22 +83,18 @@ def bandpass(
     )
 
 
-def window_length(fs: float, window_ms: float = 600.0) -> int:
-    return int(np.floor(window_ms / 1000.0 * fs))
+def window_length(fs: float) -> int:
+    return int(np.floor(WINDOW_MS / 1000.0 * fs))
 
 
-def segment_records(
-    records: list[SignalRecord], window_ms: float = 600.0, overlap: float = 0.5
-) -> WindowSet:
+def segment_records(records: list[SignalRecord]) -> WindowSet:
     """Split each record into overlapping windows; trailing partial windows
     are discarded and windows never straddle trials."""
     if not records:
         raise PreprocessError("no records to segment")
-    if not (0 <= overlap < 1):
-        raise PreprocessError(f"overlap must be in [0, 1), got {overlap}")
     fs, n_channels = records[0].fs, records[0].n_channels
-    wlen = window_length(fs, window_ms)
-    step = int(np.floor(wlen * (1 - overlap)))
+    wlen = window_length(fs)
+    step = int(np.floor(wlen * (1 - OVERLAP)))
     if step < 1:
         raise PreprocessError("window step underflows to zero")
     counts = []

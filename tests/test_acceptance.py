@@ -23,8 +23,8 @@ from emgbench.classify.knn import knn_predict
 from emgbench.classify.pipeline import fit_pipeline
 from emgbench.evaluate import ConfusionMatrix, metrics
 from emgbench.features.extract import FAMILIES, extract
-from emgbench.features.tdd import fuse, root_moments, tsd_signal_features
-from emgbench.features.wavelet import WaveletFilter, dwt
+from emgbench.features.tdd import EPS, K, fuse, tdd_base, tsd_signal_features
+from emgbench.features.wavelet import dwt
 from emgbench.preprocess import design_bandpass, segment_records
 from emgbench.signal_io import generate_synthetic
 from test_classify import knn_oracle
@@ -57,7 +57,7 @@ def synthetic_grid():
     from emgbench.preprocess import bandpass
 
     filtered = [bandpass(r) for r in records]
-    ws = segment_records(filtered, window_ms=600.0, overlap=0.5)
+    ws = segment_records(filtered)
     accuracy = {}
     for family in FAMILIES:
         fm = extract(ws, family)
@@ -136,21 +136,24 @@ class TestAcceptance:
         rng = np.random.default_rng(23)
         problems = []
         # wavelet analysis conserves energy on 100 random signals (rel 1e-8)
-        filt = WaveletFilter.sym8()
         for _ in range(100):
             n = int(rng.integers(32, 1500))
             x = rng.standard_normal(n)
-            total = sum(float(np.sum(b * b)) for b in dwt(x, filt))
+            total = sum(float(np.sum(b * b)) for b in dwt(x))
             rel = abs(total - float(np.sum(x * x))) / float(np.sum(x * x))
             if rel > 1e-8:
                 problems.append(f"energy drift {rel:.2e}")
                 break
-        # moment ratio of a sinusoid: m2/m0 = 2 sin(pi f) within 1%
+        # moment ratio of a sinusoid: m2/m0 = 2 sin(pi f) within 1%, and
+        # tdd_base's first two descriptors are those moments' log powers
         f = 0.05
         x = np.sin(2 * np.pi * f * np.arange(4000))
-        m0, m2, _ = root_moments(x)
+        m0, m2 = (np.sqrt(np.sum(d * d) / x.size) for d in (x, np.diff(x)))
         if abs(m2 / m0 - 2 * np.sin(np.pi * f)) > 0.01 * 2 * np.sin(np.pi * f):
             problems.append("moment ratio off by more than 1%")
+        if not np.allclose(tdd_base(x)[:2], np.log(np.power([m0, m2], K) + EPS),
+                           rtol=1e-12, atol=0):
+            problems.append("tdd_base log moments differ from the root-squared moments")
         # TKEO of a sinusoid within 1% of (N-2) A^2 sin^2(w)
         amp, omega, n = 0.8, 0.4, 2000
         x = amp * np.sin(omega * np.arange(n))
@@ -213,7 +216,7 @@ class TestAcceptance:
 
     def test_8_filter_band_behaviour(self, announce):
         fs = 2048.0
-        sos = design_bandpass(20.0, 450.0, 8, fs)
+        sos = design_bandpass(fs)
         # |H|^2 is the amplitude gain of the forward-backward application
         _, h = sps.sosfreqz(sos, worN=np.array([5.0, 100.0, 500.0]), fs=fs)
         gain = np.abs(h) ** 2

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from emgbench import benchmark
+from emgbench import benchmark, preprocess
 from emgbench.benchmark import (
     BenchmarkConfig,
     ConfigError,
@@ -83,10 +83,11 @@ class TestRun:
         assert r.confusion.total > 0
         assert "fit_seconds" in r.timing
 
-    def test_failing_family_is_attributed_not_fatal(self):
+    def test_failing_family_is_attributed_not_fatal(self, monkeypatch):
         # 10 ms windows are too short for a 5-level wavelet cascade but fine
         # for the time-domain family
-        config = small_config(families=("ftdd", "wavelet"), window_ms=10.0)
+        monkeypatch.setattr(preprocess, "WINDOW_MS", 10.0)
+        config = small_config(families=("ftdd", "wavelet"))
         reports, errors = run_benchmark(config)
         assert [(r.family, r.model) for r in reports] == [("ftdd", "lda")]
         assert set(errors) == {("wavelet", "lda")}
@@ -199,8 +200,9 @@ class TestRendering:
         assert lines[3].startswith("KNN")
         assert len(lines) == 4  # the computed rows only: no placeholder rows
 
-    def test_failed_row_visible(self):
-        config = small_config(families=("wavelet",), window_ms=10.0)
+    def test_failed_row_visible(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "WINDOW_MS", 10.0)
+        config = small_config(families=("wavelet",))
         reports, errors = run_benchmark(config)
         table = render_table(config.families, reports, errors)
         assert "FAILED" in table

@@ -14,7 +14,7 @@ import pytest
 from emgbench.features import tdd, wavelet
 from emgbench.features.extract import extract
 from emgbench.features.tdd import ftdd_windows, tsd_windows
-from emgbench.features.wavelet import WaveletFilter, dwt, wavelet_features
+from emgbench.features.wavelet import DEC_HI, DEC_LO, dwt, wavelet_features
 from emgbench.preprocess import segment_records
 from emgbench.signal_io import SignalRecord
 
@@ -65,14 +65,14 @@ def loop_tsd(window):
     return np.concatenate([_loop_base(x, lam, tsd=True) for x in signals])
 
 
-def loop_dwt_bands(x, filt, levels):
+def loop_dwt_bands(x, levels):
     """Periodized cascade as an explicit per-coefficient sum."""
     bands = []
     for _ in range(levels):
         tail = x[x.size - x.size % 2 :]
         n = x.size - tail.size
-        approx = [sum(filt.dec_lo[k] * x[(2 * i + k) % n] for k in range(16)) for i in range(n // 2)]
-        detail = [sum(filt.dec_hi[k] * x[(2 * i + k) % n] for k in range(16)) for i in range(n // 2)]
+        approx = [sum(DEC_LO[k] * x[(2 * i + k) % n] for k in range(16)) for i in range(n // 2)]
+        detail = [sum(DEC_HI[k] * x[(2 * i + k) % n] for k in range(16)) for i in range(n // 2)]
         bands.append(np.array(detail))
         x = np.concatenate([approx, tail])
     return [*bands, x]
@@ -82,7 +82,7 @@ def loop_wavelet(window, levels=5):
     guard = wavelet.ENTROPY_GUARD
     out = []
     for ch in window:
-        for w in loop_dwt_bands(ch, WaveletFilter.sym8(), levels):
+        for w in loop_dwt_bands(ch, levels):
             sq = w * w
             var = float(np.mean((w - np.mean(w)) ** 2))
             wl = sum(abs(w[j + 1] - w[j]) for j in range(w.size - 1))
@@ -150,11 +150,8 @@ def test_time_domain_families_match_row_by_row(ws, family, single, loop):
 
 def test_wavelet_matches_per_channel_dwt(ws):
     fm = extract(ws, "wavelet")
-    filt = WaveletFilter.sym8()
     windows = windows_of(ws)
-    rows = np.vstack(
-        [np.concatenate([wavelet_features(dwt(ch, filt, 5)) for ch in w]) for w in windows]
-    )
+    rows = np.vstack([np.concatenate([wavelet_features(dwt(ch)) for ch in w]) for w in windows])
     np.testing.assert_allclose(fm.values, rows, rtol=RTOL, atol=ATOL)
     reference = np.vstack([loop_wavelet(w) for w in windows[:4]])
     np.testing.assert_allclose(fm.values[:4], reference, rtol=RTOL, atol=ATOL)

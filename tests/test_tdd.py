@@ -12,7 +12,6 @@ from emgbench.features.tdd import (
     fuse,
     ftdd_names,
     ftdd_windows,
-    root_moments,
     tdd_base,
     tsd_names,
     tsd_signal_features,
@@ -24,17 +23,28 @@ finite_windows = st.lists(
 ).map(np.array)
 
 
+def root_moments(x):
+    """Root-squared moments of x and its first and second differences, each
+    normalized by the length of x."""
+    dx = np.diff(x)
+    return [np.sqrt(np.sum(d * d) / x.size) for d in (x, dx, np.diff(dx))]
+
+
 class TestRootMoments:
     def test_sinusoid_derivative_ratio(self):
         # RMS of the first difference of sin(2 pi f n) is 2 sin(pi f) x RMS
         f, n = 0.05, 1228
         x = np.sin(2 * np.pi * f * np.arange(n))
-        m0, m2, _ = root_moments(x)
+        m0, m2, m4 = root_moments(x)
         assert m2 / m0 == pytest.approx(2 * np.sin(np.pi * f), rel=0.01)
+        # tdd_base's first three descriptors are these moments' log powers
+        np.testing.assert_allclose(
+            tdd_base(x)[:3], np.log(np.power([m0, m2, m4], K) + EPS), rtol=1e-12, atol=0
+        )
 
     def test_too_short(self):
         with pytest.raises(FeatureError, match="too short"):
-            root_moments(np.array([1.0, 2.0]))
+            tdd_base(np.array([1.0, 2.0]))
 
 
 class TestTddBase:

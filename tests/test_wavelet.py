@@ -5,8 +5,9 @@ import pytest
 
 from emgbench.features.tdd import FeatureError
 from emgbench.features.wavelet import (
+    DEC_HI,
+    DEC_LO,
     ENTROPY_GUARD,
-    WaveletFilter,
     dwt,
     subband_features,
     wavelet_features,
@@ -14,58 +15,47 @@ from emgbench.features.wavelet import (
 )
 
 
-@pytest.fixture(scope="module")
-def sym8():
-    return WaveletFilter.sym8()
-
-
 class TestFilterBank:
-    def test_orthonormality(self, sym8):
-        for h in (sym8.dec_lo, sym8.dec_hi):
+    def test_orthonormality(self):
+        for h in (DEC_LO, DEC_HI):
             assert np.sum(h * h) == pytest.approx(1.0, abs=1e-12)
             for m in range(1, 8):
                 assert np.sum(h[: -2 * m] * h[2 * m :]) == pytest.approx(0.0, abs=1e-10)
 
-    def test_sixteen_taps(self, sym8):
-        assert sym8.dec_lo.size == 16
-        assert sym8.dec_hi.size == 16
+    def test_sixteen_taps(self):
+        assert DEC_LO.shape == DEC_HI.shape == (16,)
 
-    def test_lowpass_dc_gain(self, sym8):
-        assert np.sum(sym8.dec_lo) == pytest.approx(np.sqrt(2), abs=1e-10)
-        assert np.sum(sym8.dec_hi) == pytest.approx(0.0, abs=1e-10)
-
-    def test_non_orthonormal_rejected(self):
-        bad = np.ones(16) / 2.0
-        with pytest.raises(FeatureError):
-            WaveletFilter(name="bad", dec_lo=bad, dec_hi=bad)
+    def test_lowpass_dc_gain(self):
+        assert np.sum(DEC_LO) == pytest.approx(np.sqrt(2), abs=1e-10)
+        assert np.sum(DEC_HI) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestDwt:
-    def test_zero_signal(self, sym8):
-        for band in dwt(np.zeros(256), sym8):
+    def test_zero_signal(self):
+        for band in dwt(np.zeros(256)):
             np.testing.assert_array_equal(band, 0.0)
 
     @pytest.mark.parametrize("n", [64, 256, 1228])
-    def test_energy_conservation(self, sym8, n):
+    def test_energy_conservation(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
-        total = sum(float(np.sum(b * b)) for b in dwt(x, sym8))
+        total = sum(float(np.sum(b * b)) for b in dwt(x))
         assert total == pytest.approx(float(np.sum(x * x)), rel=1e-8)
 
-    def test_total_coefficient_count_equals_input_length(self, sym8):
-        bands = dwt(np.sin(0.01 * np.arange(1228)), sym8, levels=5)
+    def test_total_coefficient_count_equals_input_length(self):
+        bands = dwt(np.sin(0.01 * np.arange(1228)))
         assert sum(b.size for b in bands) == 1228
         assert len(bands) == 5 + 1
-        bands = [name.split("_")[1] for name in wavelet_names(1, 5)[::5]]
+        bands = [name.split("_")[1] for name in wavelet_names(1)[::5]]
         assert bands == ["D1", "D2", "D3", "D4", "D5", "A5"]
 
-    def test_too_short(self, sym8):
+    def test_too_short(self):
         with pytest.raises(FeatureError, match="too short"):
-            dwt(np.zeros(16), sym8, levels=5)
+            dwt(np.zeros(16))
 
-    def test_constant_signal_energy_in_approximation(self, sym8):
+    def test_constant_signal_energy_in_approximation(self):
         x = np.full(256, 2.0)
-        *details, approx = dwt(x, sym8)
+        *details, approx = dwt(x)
         detail_energy = sum(float(np.sum(d * d)) for d in details)
         approx_energy = float(np.sum(approx**2))
         assert approx_energy == pytest.approx(float(np.sum(x * x)), rel=1e-8)
@@ -99,9 +89,9 @@ class TestSubbandFeatures:
         with pytest.raises(FeatureError, match="empty subband"):
             subband_features(np.array([]))
 
-    def test_thirty_features_per_channel(self, sym8):
+    def test_thirty_features_per_channel(self):
         rng = np.random.default_rng(11)
-        out = wavelet_features(dwt(rng.standard_normal(256), sym8))
+        out = wavelet_features(dwt(rng.standard_normal(256)))
         assert out.shape == (30,)
         names = wavelet_names(8)
         assert len(names) == 240
