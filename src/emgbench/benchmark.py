@@ -241,7 +241,6 @@ def run_benchmark(config: BenchmarkConfig):
                 model=model,
                 metrics=metrics(cm),
                 confusion=cm,
-                config=config.echo(),
                 seed=cell_seed(config.seed, family, model),
                 timing={"fit_seconds": t1 - t0, "predict_seconds": t2 - t1},
             )

@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # noqa: F401  argparse's gettext imports it on the first parse; load it here
-import os
 import sys
 from pathlib import Path
 
@@ -27,15 +26,6 @@ from .features.extract import FAMILIES, FeatureMatrix, extract
 from .signal_io import generate_synthetic, write_dataset
 
 
-def _env_seed() -> int:
-    """The seed of a run given none: EMG_SEED, or 0 when it is unset."""
-    value = os.environ.get("EMG_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"EMG_SEED must be an integer, got {value!r}") from None
-
-
 def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
     """Every run directory records its resolved arguments and versions."""
     doc = {k: v for k, v in vars(args).items() if k != "func"}
@@ -49,7 +39,6 @@ def cmd_synth(args) -> int:
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         print(f"error: output directory {out_dir} is not empty (use --force)", file=sys.stderr)
         return 2
-    args.seed = _env_seed() if args.seed is None else args.seed  # run_config.json records it
     records = generate_synthetic(
         n_classes=args.classes,
         n_channels=args.channels,
@@ -77,7 +66,6 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    args.seed = _env_seed() if args.seed is None else args.seed
     fm = FeatureMatrix.from_csv(args.features)
     train_idx, test_idx = stratified_split(fm.labels, args.test_fraction, args.seed)
     pipeline = fit_pipeline(args.model, fm.select(train_idx), seed=args.seed)
@@ -110,8 +98,6 @@ def _config_from_args(args) -> BenchmarkConfig:
     else:
         raise ConfigError("one of --config, --manifest, or --synthetic is required")
     doc.update({k: getattr(args, k) for k in _BENCH_FLAGS if getattr(args, k) is not None})
-    if "seed" not in doc:
-        doc["seed"] = _env_seed()
     return BenchmarkConfig.from_dict(doc)
 
 
@@ -129,8 +115,10 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     """Re-render the aggregate table from a bundle of per-cell JSON files,
-    its errors.json and its resolved_config.json. A file that is not JSON,
-    or lacks a field the table reads, is a usage error that names it."""
+    its errors.json and its resolved_config.json; each cell's metrics are
+    recomputed from its confusion matrix. A file that is not JSON, or lacks
+    or mistypes a field the table is built from, is a usage error that
+    names it."""
     bundle = Path(args.bundle)
     reports, errors, families = [], {}, None
     for path in sorted(bundle.glob("*.json")):
@@ -165,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", type=float, default=2048.0)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seconds", type=float, default=5.0)
-    p.add_argument("--seed", type=int, help="default: $EMG_SEED, else 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
@@ -179,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit one model on a feature CSV")
     p.add_argument("--features", required=True)
     p.add_argument("--model", choices=MODEL_NAMES, required=True)
-    p.add_argument("--seed", type=int, help="default: $EMG_SEED, else 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

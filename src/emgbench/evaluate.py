@@ -122,7 +122,6 @@ class EvaluationReport:
     model: str
     metrics: MetricsReport
     confusion: ConfusionMatrix
-    config: dict = field(default_factory=dict)
     seed: int = 0
     timing: dict = field(default_factory=dict)
 
@@ -141,31 +140,35 @@ class EvaluationReport:
             },
             "confusion": self.confusion.counts.tolist(),
             "class_names": list(self.confusion.class_names),
-            "config": self.config,
             "seed": self.seed,
             "timing": self.timing,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EvaluationReport":
-        """Inverse of `to_json_dict`; a missing timing field reads as empty."""
-        per_class = doc["per_class"]
+        """The cell `to_json_dict` wrote, with its metrics recomputed from
+        its confusion matrix: the metric fields are written for readers and
+        not read back. A missing seed or timing field reads as empty."""
+        for key in ("family", "model"):
+            if not isinstance(doc[key], str):
+                raise EvalError(f"{key} must be a string, got {doc[key]!r}")
+        names, counts = doc["class_names"], doc["confusion"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise EvalError(f"class_names must be a list of strings, got {names!r}")
+        k = len(names)
+        if not (isinstance(counts, list) and len(counts) == k
+                and all(isinstance(row, list) and len(row) == k for row in counts)):
+            raise EvalError(f"confusion must be a {k} x {k} list of lists, one per class name")
+        # type(v) is int: numpy would coerce a bool, float or string count
+        bad = [v for row in counts for v in row if type(v) is not int]
+        if bad:
+            raise EvalError(f"confusion counts must be integers, got {bad[0]!r}")
+        cm = ConfusionMatrix(counts=counts, class_names=tuple(names))
         return cls(
             family=doc["family"],
             model=doc["model"],
-            metrics=MetricsReport(
-                accuracy=doc["accuracy"],
-                per_class_precision=tuple(per_class["precision"]),
-                per_class_recall=tuple(per_class["recall"]),
-                per_class_f1=tuple(per_class["f1"]),
-                macro_precision=doc["macro_precision"],
-                macro_recall=doc["macro_recall"],
-                macro_f1=doc["macro_f1"],
-            ),
-            confusion=ConfusionMatrix(
-                counts=doc["confusion"], class_names=tuple(doc["class_names"])
-            ),
-            config=doc.get("config", {}),
+            metrics=metrics(cm),
+            confusion=cm,
             seed=doc.get("seed", 0),
             timing=doc.get("timing", {}),
         )

@@ -82,12 +82,18 @@ class FeatureMatrix:
             fh.seek(start)
             try:
                 body = np.loadtxt(fh, delimiter=",", ndmin=2)
+                labels = body[:, -1]
+                whole = np.isfinite(labels) & (labels >= 0) & (labels == np.floor(labels))
+                if not whole.all():
+                    i = np.flatnonzero(~whole)[0]
+                    raise FeatureError(f"data row {i + 1} has label {labels[i]:g}, "
+                                       "not a non-negative whole number")
                 return cls(
                     values=body[:, :-1],
                     feature_names=tuple(header[:-1]),
-                    labels=body[:, -1].astype(np.int64),
+                    labels=labels.astype(np.int64),
                 )
-            except ValueError as exc:  # a non-numeric cell, a ragged row, rows unlike the header
+            except ValueError as exc:  # a bad cell or label, a ragged row, rows unlike the header
                 raise FeatureError(f"{path}: {exc}") from None
 
 

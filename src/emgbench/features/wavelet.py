@@ -4,6 +4,7 @@ length, and energy-weighted entropy."""
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tdd import FeatureError
 
@@ -34,6 +35,8 @@ _SYM8_SCALING = (
 # mirror hi[k] = (-1)^k lo[L-1-k].
 DEC_LO = np.array(_SYM8_SCALING[::-1])
 DEC_HI = np.where(np.arange(DEC_LO.size) % 2 == 0, 1.0, -1.0) * DEC_LO[::-1]
+# Both filters as the columns of one [taps, 2] bank.
+_BANK = np.stack([DEC_LO, DEC_HI], axis=1)
 # Decomposition levels: bands D1..D5, then A5.
 LEVELS = 5
 
@@ -47,19 +50,11 @@ def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = x.shape[-1] - x.shape[-1] % 2
     taps = DEC_LO.size
-    # Output i is the filter applied to xp[2i : 2i + taps], xp being x
-    # extended periodically. With xp split into its even and odd samples,
-    # tap k reads one contiguous slice of one of the two.
-    idx = np.arange(n + taps - 2) % n
-    phases = np.take(x, idx[0::2], axis=-1), np.take(x, idx[1::2], axis=-1)
-    approx = np.zeros((*x.shape[:-1], n // 2))
-    detail = np.zeros_like(approx)
-    product = np.empty_like(approx)
-    for k in range(taps):
-        tap = phases[k % 2][..., k // 2 : k // 2 + n // 2]
-        approx += np.multiply(tap, DEC_LO[k], out=product)
-        detail += np.multiply(tap, DEC_HI[k], out=product)
-    return np.concatenate([approx, x[..., n:]], axis=-1), detail
+    # Output i is the filter bank applied to xp[2i : 2i + taps], xp being x
+    # extended periodically: one product over the even-offset windows.
+    xp = np.take(x, np.arange(n + taps - 2) % n, axis=-1)
+    bands = sliding_window_view(xp, taps, axis=-1)[..., ::2, :] @ _BANK
+    return np.concatenate([bands[..., 0], x[..., n:]], axis=-1), bands[..., 1]
 
 
 def dwt(x: np.ndarray) -> list[np.ndarray]:

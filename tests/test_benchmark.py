@@ -154,8 +154,7 @@ class TestRun:
             reports, errors = run_benchmark(small_config(families=("ftdd", "tsd"), models=models))
             assert errors == {}
             return {
-                (r.family, r.model): {k: v for k, v in r.to_json_dict().items()
-                                      if k not in ("timing", "config")}
+                (r.family, r.model): {k: v for k, v in r.to_json_dict().items() if k != "timing"}
                 for r in reports if r.model in ("voting", "bagging_svm")
             }
 
@@ -217,4 +216,6 @@ class TestRendering:
             assert (tmp_path / name).exists()
         doc = json.loads((tmp_path / "ftdd_lda.json").read_text())
         assert doc["family"] == "ftdd"
-        assert doc["config"]["decisions"]["averaging"] == "macro"
+        assert "config" not in doc  # the run's config is written once, below
+        resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+        assert resolved["decisions"]["averaging"] == "macro"

@@ -31,6 +31,13 @@ def make_dataset(path, seed="3"):
     return path / "manifest.json"
 
 
+def small_bundle(out):
+    """A bench bundle of ftdd x (lda, knn); returns its knn cell file."""
+    assert main(["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd",
+                 "--models", "lda", "knn", "--out", str(out)]) == 0
+    return out / "ftdd_knn.json"
+
+
 class TestSynth:
     def test_writes_manifest_and_run_config(self, tmp_path, capsys):
         manifest_path = make_dataset(tmp_path / "data")
@@ -103,8 +110,10 @@ class TestTrainAndBench:
     @pytest.mark.parametrize(
         "damage, message",
         [("cell", "could not convert string 'x' to float64"),
-         ("header_only", "feature CSV has no data rows")],
-        ids=["cell", "header_only"],
+         ("header_only", "feature CSV has no data rows"),
+         ("label_fraction", "data row 1 has label 1.5, not a non-negative whole number"),
+         ("label_negative", "data row 1 has label -1, not a non-negative whole number")],
+        ids=["cell", "header_only", "label_fraction", "label_negative"],
     )
     def test_train_names_an_unreadable_feature_csv(self, damage, message, tmp_path, capsys):
         manifest = make_dataset(tmp_path / "data")
@@ -112,7 +121,11 @@ class TestTrainAndBench:
         main(["extract", "--manifest", str(manifest), "--family", "ftdd",
               "--out", str(features)])
         header, first, *rest = features.read_text().splitlines()
-        rows = [] if damage == "header_only" else ["x," + first.split(",", 1)[1], *rest]
+        if damage == "cell":
+            first = "x," + first.split(",", 1)[1]
+        elif damage.startswith("label"):
+            first = first.rsplit(",", 1)[0] + (",1.5" if damage == "label_fraction" else ",-1")
+        rows = [] if damage == "header_only" else [first, *rest]
         features.write_text("\n".join([header, *rows]) + "\n")
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -123,21 +136,60 @@ class TestTrainAndBench:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {features}: ")
         assert message in err
+        assert not (tmp_path / "model.json").exists()
 
-    @pytest.mark.parametrize("damage", ["no_per_class", "not_json"])
-    def test_report_names_a_malformed_cell_file(self, damage, tmp_path, capsys):
-        out = tmp_path / "bundle"
-        assert main(["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd",
-                     "--models", "lda", "knn", "--out", str(out)]) == 0
-        cell = out / "ftdd_knn.json"
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("no_confusion", "missing field 'confusion'"),
+            ("not_json", "Expecting"),
+            ("count_str", "confusion counts must be integers, got '1'"),
+            ("count_float", "confusion counts must be integers, got 1.0"),
+            ("count_bool", "confusion counts must be integers, got True"),
+            ("ragged", "confusion must be a 2 x 2 list of lists"),
+            ("not_square", "confusion must be a 2 x 2 list of lists"),
+            ("class_names_ints", "class_names must be a list of strings, got [0, 1]"),
+        ],
+        ids=["no_confusion", "not_json", "count_str", "count_float", "count_bool", "ragged",
+             "not_square", "class_names_ints"],
+    )
+    def test_report_names_a_malformed_cell_file(self, damage, message, tmp_path, capsys):
+        cell = small_bundle(tmp_path / "bundle")
         doc = json.loads(cell.read_text())
-        del doc["per_class"]
-        cell.write_text(json.dumps(doc) if damage == "no_per_class" else '{"family": ')
+        cm = doc["confusion"]
+        if damage == "no_confusion":
+            del doc["confusion"]
+        elif damage.startswith("count_"):
+            cm[0][0] = {"count_str": "1", "count_float": 1.0, "count_bool": True}[damage]
+        elif damage == "ragged":
+            cm[1].pop()
+        elif damage == "not_square":
+            doc["confusion"] = [row + [0] for row in cm]
+        elif damage == "class_names_ints":
+            doc["class_names"] = [0, 1]
+        cell.write_text('{"family": ' if damage == "not_json" else json.dumps(doc))
         capsys.readouterr()
-        assert main(["report", "--bundle", str(out)]) == 2
+        assert main(["report", "--bundle", str(cell.parent)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cell}: ")
-        assert ("missing field 'per_class'" if damage == "no_per_class" else "Expecting") in err
+        assert message in err
+
+    @pytest.mark.parametrize("edit", ["string_accuracy", "config_copy"])
+    def test_report_recomputes_metrics_from_the_confusion_matrix(self, edit, tmp_path, capsys):
+        """report reads no metric field back, so a cell whose accuracy is a
+        string still renders as written; so does a cell that carries a copy
+        of the run's config, as cell files once did."""
+        cell = small_bundle(tmp_path / "bundle")
+        bundle = cell.parent
+        doc = json.loads(cell.read_text())
+        if edit == "string_accuracy":
+            doc["accuracy"] = str(doc["accuracy"])
+        else:
+            doc["config"] = json.loads((bundle / "resolved_config.json").read_text())
+        cell.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(bundle)]) == 0
+        assert capsys.readouterr().out == (bundle / "table.txt").read_text() + "\n"
 
     def test_bench_single_cell(self, tmp_path, capsys):
         manifest = make_dataset(tmp_path / "data")
@@ -301,32 +353,3 @@ class TestTrainAndBench:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: ")
         assert re.search(message, err)
-
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EMG_SEED", "3")
-        a = tmp_path / "a"
-        assert main(["synth", "--classes", "2", "--channels", "2", "--fs", "1024",
-                     "--trials", "2", "--seconds", "1", "--out", str(a)]) == 0
-        b = make_dataset(tmp_path / "b", seed="3")
-        assert (a / "trial_0000.csv").read_text() == (b.parent / "trial_0000.csv").read_text()
-        assert json.loads((a / "run_config.json").read_text())["seed"] == 3
-
-    def test_bad_env_seed_fails_only_where_a_seed_is_needed(self, tmp_path, monkeypatch, capsys):
-        manifest = make_dataset(tmp_path / "data")
-        bundle, features = tmp_path / "bundle", tmp_path / "ftdd.csv"
-        bench = ["bench", "--synthetic", SMALL_SPEC, "--families", "ftdd", "--models", "lda"]
-        assert main([*bench, "--seed", "1", "--out", str(bundle)]) == 0
-        monkeypatch.setenv("EMG_SEED", "x")
-        capsys.readouterr()
-        assert main(["report", "--bundle", str(bundle)]) == 0
-        assert capsys.readouterr().out == (bundle / "table.txt").read_text() + "\n"
-        assert main(["extract", "--manifest", str(manifest), "--family", "ftdd",
-                     "--out", str(features)]) == 0
-        assert main([*bench, "--seed", "1"]) == 0
-        capsys.readouterr()
-        synth = SYNTH_ARGS[: SYNTH_ARGS.index("--seed")] + ["--out", str(tmp_path / "s")]
-        train = ["train", "--features", str(features), "--model", "lda",
-                 "--out", str(tmp_path / "m.json")]
-        for argv in (synth, train, bench):
-            assert main(argv) == 2
-            assert capsys.readouterr().err == "error: EMG_SEED must be an integer, got 'x'\n"

@@ -166,7 +166,6 @@ class TestEvaluationReport:
             model="knn",
             metrics=metrics(cm),
             confusion=cm,
-            config={"seed": 4, "band": {"low": 20.0}},
             seed=123,
             timing={"fit_seconds": 0.25, "predict_seconds": 0.5},
         )
