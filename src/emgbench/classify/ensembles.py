@@ -1,46 +1,49 @@
-"""Ensembles: bagging over KNN/SVM and multi-class boosting over random
-forests, each a vote over its fitted members."""
+"""Ensembles: the random forest, bagging and boosting over random forests,
+each a vote over members fitted on bootstrap draws of the training rows."""
 from __future__ import annotations
 
 import numpy as np
 
 from ..features.extract import FeatureMatrix
-from .base import ClassifyError, TrainedModel, VoteModel
-from .forest import fit_random_forest
-from .knn import fit_knn
-from .svm import fit_linear_svms
+from .base import ClassifyError, VoteModel
+from .tree import fit_trees
 
+N_TREES = 100  # trees of a random forest
 N_ESTIMATORS = 10  # bootstrap members of a bagging vote
 N_ROUNDS = 10  # most boosting rounds
 TREES_PER_ROUND = 25  # trees of each boosted forest
 
-# base -> fit(train, row_sets, start): one fitted member per row set; an SVM
-# member's problems start from the fitted SVM start, if given.
-_BASE_FITTERS = {
-    "knn": lambda train, row_sets, start: [fit_knn(train.select(rows)) for rows in row_sets],
-    "svm": lambda train, row_sets, start: fit_linear_svms(train, row_sets, start=start),
-}
+
+def bootstrap(n: int, count: int, seed: int, p: np.ndarray | None = None):
+    """count generators spawned from seed and, from each, n rows of 0..n-1
+    drawn with replacement (weighted by p, if given); a forest goes on to
+    draw each tree's split features from its generator."""
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(count)]
+    return rngs, [rng.choice(n, size=n, replace=True, p=p) for rng in rngs]
 
 
-def fit_bagging(
-    base: str,
-    train: FeatureMatrix,
-    seed: int = 0,
-    start: TrainedModel | None = None,
-) -> VoteModel:
-    """A vote over N_ESTIMATORS base learners fitted on bootstrap draws. An
-    SVM base starts each member's one-vs-rest problems from the fitted SVM
-    start, if given (see fit_linear_svms); each problem's optimum is
-    unique, so start changes only the path to it."""
-    if base not in _BASE_FITTERS:
-        raise ClassifyError(f"unsupported bagging base: {base!r}")
+def fit_random_forest(train: FeatureMatrix, n_trees: int = N_TREES, seed: int = 0,
+                      sample_weights: np.ndarray | None = None) -> VoteModel:
+    """A vote over trees, each grown on its own bootstrap (optionally
+    weighted) with floor(sqrt(d)) candidate features per split."""
+    X, y = train.values, train.labels
+    n, d = X.shape
+    if n == 0:
+        raise ClassifyError("empty training set")
+    n_classes = int(y.max()) + 1
+    rngs, row_sets = bootstrap(n, n_trees, seed, sample_weights)
+    trees = fit_trees(X, y, n_classes, row_sets, rngs, max(1, int(np.sqrt(d))))
+    return VoteModel(trees, n_classes=n_classes, n_features=d)
+
+
+def fit_bagging(fit_members, train: FeatureMatrix, seed: int = 0) -> VoteModel:
+    """A vote over the N_ESTIMATORS members fit_members(train, row_sets)
+    returns, one fitted on each bootstrap draw of train's rows."""
     if train.n_rows == 0:
         raise ClassifyError("empty training set")
-    n = train.n_rows
-    row_sets = [np.random.default_rng(ss).choice(n, size=n, replace=True)
-                for ss in np.random.SeedSequence(seed).spawn(N_ESTIMATORS)]
-    members = _BASE_FITTERS[base](train, row_sets, start)
-    return VoteModel(members, n_classes=int(train.labels.max()) + 1, n_features=train.n_features)
+    _, row_sets = bootstrap(train.n_rows, N_ESTIMATORS, seed)
+    return VoteModel(fit_members(train, row_sets), n_classes=int(train.labels.max()) + 1,
+                     n_features=train.n_features)
 
 
 def boost_round_weight(error: float, n_classes: int) -> tuple[float, bool]:

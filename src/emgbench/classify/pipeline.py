@@ -20,11 +20,10 @@ from .base import (
     model_from_blob,
     model_to_blob,
 )
-from .ensembles import fit_adaboost_rf, fit_bagging
-from .forest import fit_random_forest
+from .ensembles import fit_adaboost_rf, fit_bagging, fit_random_forest
 from .knn import fit_knn
 from .lda import fit_lda
-from .svm import fit_linear_svm
+from .svm import fit_linear_svm, fit_linear_svms
 
 BLOB_VERSION = 5
 
@@ -49,18 +48,19 @@ def _voting(train, seed, member):
 
 # name -> (z-score the input?, fit(train, seed, member)), in results-table row
 # order; member(name) is the fitted sibling pipeline `name` on the same
-# training set. Each model's settings are constants of its module.
+# training set. Each model's settings are constants of its module. A bagging
+# entry passes fit_bagging its members' fit; bagging_svm's members start from
+# the row's fitted SVM (see fit_linear_svms).
 _PIPELINES = {
     "lda": (True, lambda train, seed, member: fit_lda(train)),
     "svm": (True, lambda train, seed, member: fit_linear_svm(train)),
     "knn": (True, lambda train, seed, member: fit_knn(train)),
     "random_forest": (False, lambda train, seed, member: fit_random_forest(train, seed=seed)),
     "voting": (False, _voting),
-    "bagging_knn": (True, lambda train, seed, member: fit_bagging("knn", train, seed=seed)),
-    "bagging_svm": (
-        True,
-        lambda train, seed, member: fit_bagging("svm", train, seed=seed, start=member("svm").model),
-    ),
+    "bagging_knn": (True, lambda train, seed, member: fit_bagging(
+        lambda t, row_sets: [fit_knn(t.select(rows)) for rows in row_sets], train, seed)),
+    "bagging_svm": (True, lambda train, seed, member: fit_bagging(
+        lambda t, row_sets: fit_linear_svms(t, row_sets, start=member("svm").model), train, seed)),
     "adaboost": (False, lambda train, seed, member: fit_adaboost_rf(train, seed=seed)),
 }
 MODEL_NAMES = tuple(_PIPELINES)

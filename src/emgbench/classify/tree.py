@@ -201,7 +201,7 @@ def fit_trees(
     n_classes: int,
     row_sets,
     rngs,
-    max_features: int | None = None,
+    max_features: int,
 ) -> list[DecisionTree]:
     """Grow one tree to purity per (row set, rng) pair, all in lockstep.
 
@@ -219,7 +219,7 @@ def fit_trees(
         raise ClassifyError("empty training set")
     if not np.all(np.isfinite(X)):
         raise ClassifyError("trees need finite features")
-    k = d if max_features is None else min(max_features, d)
+    k = min(max_features, d)
     ranks = _dense_ranks(X)
     growths = [_Growth(np.asarray(rows), rng) for rows, rng in zip(row_sets, rngs)]
     while steps := [(g, *s) for g in growths if (s := g.next_split(y, n_classes))]:

@@ -125,9 +125,14 @@ def cmd_report(args) -> int:
         try:
             doc = json.loads(path.read_text())
             if path.name == "errors.json":
-                errors = {tuple(cell.split(":", 1)): message for cell, message in doc.items()}
+                errors = {tuple(cell.split(":")): message for cell, message in doc.items()}
+                bad = [":".join(c) for c, m in errors.items() if len(c) != 2 or not isinstance(m, str)]
+                if bad:
+                    raise TypeError(f"{bad[0]!r} is not a family:model key with a message")
             elif path.name == "resolved_config.json":
                 families = doc["families"]
+                if not isinstance(families, list) or not all(isinstance(f, str) for f in families):
+                    raise TypeError(f"families must be a list of strings, got {families!r}")
             elif "family" in doc and "model" in doc:
                 reports.append(EvaluationReport.from_json_dict(doc))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:

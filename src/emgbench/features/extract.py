@@ -83,11 +83,11 @@ class FeatureMatrix:
             try:
                 body = np.loadtxt(fh, delimiter=",", ndmin=2)
                 labels = body[:, -1]
-                whole = np.isfinite(labels) & (labels >= 0) & (labels == np.floor(labels))
+                whole = (labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))
                 if not whole.all():
                     i = np.flatnonzero(~whole)[0]
                     raise FeatureError(f"data row {i + 1} has label {labels[i]:g}, "
-                                       "not a non-negative whole number")
+                                       "not a non-negative whole number below 2**63")
                 return cls(
                     values=body[:, :-1],
                     feature_names=tuple(header[:-1]),

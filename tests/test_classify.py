@@ -19,8 +19,8 @@ from emgbench.classify.base import (
     model_to_blob,
 )
 from emgbench.classify.ensembles import boost_round_weight, fit_adaboost_rf, fit_bagging
-from emgbench.classify.forest import fit_random_forest
-from emgbench.classify.knn import _nearest, knn_predict
+from emgbench.classify.ensembles import fit_random_forest
+from emgbench.classify.knn import _nearest, fit_knn, knn_predict
 from emgbench.classify.lda import fit_lda
 from emgbench.classify.pipeline import Pipeline, fit_pipeline
 from emgbench.classify.svm import fit_linear_svm, fit_linear_svms
@@ -190,6 +190,14 @@ class TestLinearSvm:
         np.testing.assert_array_equal(a, b)
 
 
+def bagged_svms(train, seed, start=None):
+    return fit_bagging(lambda t, row_sets: fit_linear_svms(t, row_sets, start=start), train, seed)
+
+
+def bagged_knns(train, seed):
+    return fit_bagging(lambda t, row_sets: [fit_knn(t.select(r)) for r in row_sets], train, seed)
+
+
 def bootstrap_draws(n, n_estimators, seed):
     """The row sets that fit_bagging draws."""
     spawned = np.random.SeedSequence(seed).spawn(n_estimators)
@@ -252,7 +260,7 @@ class TestPrimalSvm:
         rng = np.random.default_rng(5)
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
-        bagged = fit_bagging("svm", train, seed=2)
+        bagged = bagged_svms(train, 2)
         rows = bootstrap_draws(train.n_rows, 6, 2)
         assert {len(m.classes) for m in bagged.members} == {3, 4}
         for member, r in zip(bagged.members, rows):
@@ -286,7 +294,7 @@ class TestPrimalSvm:
     def test_bagging_member_matches_solo_solve(self, monkeypatch):
         monkeypatch.setattr(ensembles, "N_ESTIMATORS", 5)
         train = noisy_classes(np.random.default_rng(8), 50, 5, 3, spread=2.0)
-        bagged = fit_bagging("svm", train, seed=4)
+        bagged = bagged_svms(train, 4)
         rows = bootstrap_draws(train.n_rows, 5, 4)
         for member, r in zip(bagged.members, rows):
             solo = fit_linear_svms(train, [r])[0]
@@ -297,7 +305,7 @@ class TestPrimalSvm:
     def test_repeated_fits_bit_identical(self, monkeypatch):
         monkeypatch.setattr(ensembles, "N_ESTIMATORS", 4)
         train = noisy_classes(np.random.default_rng(9), 60, 12, 4, spread=1.0)
-        a, b = (fit_bagging("svm", train, seed=1) for _ in range(2))
+        a, b = (bagged_svms(train, 1) for _ in range(2))
         assert [m.weights.tobytes() for m in a.members] == [m.weights.tobytes() for m in b.members]
 
     @pytest.mark.parametrize("family", ["ftdd", "tsd", "wavelet"])
@@ -312,7 +320,7 @@ class TestPrimalSvm:
         monkeypatch.setattr(svm_module, "_train_primal", recorded)
         train = bench_grid_features(family)
         fit_linear_svm(train)
-        fit_bagging("svm", train, seed=1)
+        bagged_svms(train, 1)
         assert [w.shape[0] for w, _, _ in solves] == [4, 40]
         for _, iters, rel_grad in solves:
             assert np.all(rel_grad <= TOL) and np.all(iters < 100)
@@ -326,8 +334,8 @@ class TestPrimalSvm:
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
         start = fit_linear_svm(train)
-        warm = fit_bagging("svm", train, seed=2, start=start)
-        cold = fit_bagging("svm", train, seed=2)
+        warm = bagged_svms(train, 2, start)
+        cold = bagged_svms(train, 2)
         rows = bootstrap_draws(train.n_rows, 6, 2)
         for w_member, c_member, r in zip(warm.members, cold.members, rows):
             np.testing.assert_array_equal(w_member.classes, c_member.classes)
@@ -414,7 +422,7 @@ class TestLockstepSvm:
         rng = np.random.default_rng(5)
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
-        bagged = fit_bagging("svm", train, seed=2)
+        bagged = bagged_svms(train, 2)
         rows = bootstrap_draws(train.n_rows, 6, 2)
         assert {len(m.classes) for m in bagged.members} == {3, 4}
         assert_lockstep_matches_solo(train, rows, bagged.members)
@@ -461,7 +469,7 @@ class TestTreeAndForest:
         # one feature, perfect cut between 1 and 10 at threshold 5.5
         train = fm(np.array([[0.0], [1.0], [10.0], [11.0]]), np.array([0, 0, 1, 1]))
         rng = np.random.default_rng(0)
-        tree = fit_trees(train.values, train.labels, 2, [np.arange(4)], [rng])[0]
+        tree = fit_trees(train.values, train.labels, 2, [np.arange(4)], [rng], 1)[0]
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(5.5)
         np.testing.assert_array_equal(tree.predict(np.array([[5.0], [6.0]])), [0, 1])
@@ -469,7 +477,7 @@ class TestTreeAndForest:
 
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0], [1.0]])
-        tree = fit_trees(X, np.array([1, 1]), 2, [np.arange(2)], [np.random.default_rng(0)])[0]
+        tree = fit_trees(X, np.array([1, 1]), 2, [np.arange(2)], [np.random.default_rng(0)], 1)[0]
         assert tree.feature[0] == -1
         assert tree.leaf_label[0] == 1
 
@@ -593,7 +601,7 @@ class TestLockstepTrees:
     def test_single_tree_all_features(self):
         train = noisy_classes(np.random.default_rng(21), 60, 10, 4, spread=1.0)
         rows = [np.arange(train.n_rows)]
-        tree = fit_trees(train.values, train.labels, 4, rows, [np.random.default_rng(3)])[0]
+        tree = fit_trees(train.values, train.labels, 4, rows, [np.random.default_rng(3)], 10)[0]
         expected = scalar_tree(train.values, train.labels, 4, np.random.default_rng(3))
         assert tree_blobs([tree]) == tree_blobs([expected])
         assert tree.feature.size > 3
@@ -634,7 +642,7 @@ class TestLockstepTrees:
         train = fm(X, y)
         model = fit_random_forest(train, n_trees=30, seed=2)
         assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 30, 2))
-        tree = fit_trees(X, y, 3, [np.arange(len(y))], [np.random.default_rng(5)])[0]
+        tree = fit_trees(X, y, 3, [np.arange(len(y))], [np.random.default_rng(5)], 6)[0]
         assert tree_blobs([tree]) == tree_blobs([scalar_tree(X, y, 3, np.random.default_rng(5))])
 
     @pytest.mark.parametrize(
@@ -659,14 +667,14 @@ class TestLockstepTrees:
     def test_non_finite_features_refused(self):
         X = np.array([[0.0], [np.nan], [1.0]])
         with pytest.raises(ClassifyError, match="finite"):
-            fit_trees(X, np.array([0, 1, 0]), 2, [np.arange(3)], [np.random.default_rng(0)])
+            fit_trees(X, np.array([0, 1, 0]), 2, [np.arange(3)], [np.random.default_rng(0)], 1)
 
 
 class TestBagging:
     def test_members_are_bootstrap_fits_and_vote(self, blob_data, monkeypatch):
         monkeypatch.setattr(ensembles, "N_ESTIMATORS", 3)
         train, test = split_blobs(blob_data)
-        bagged = fit_bagging("knn", train, seed=0)
+        bagged = bagged_knns(train, 0)
         rows = {tuple(r): label for r, label in zip(train.values, train.labels)}
         for member in bagged.members:
             drawn = [tuple(r) for r in member.train_values]
@@ -686,13 +694,9 @@ class TestBagging:
 
     def test_same_seed_identical(self, blob_data):
         train, test = split_blobs(blob_data)
-        a = fit_bagging("knn", train, seed=5).predict(test.values)
-        b = fit_bagging("knn", train, seed=5).predict(test.values)
+        a = bagged_knns(train, 5).predict(test.values)
+        b = bagged_knns(train, 5).predict(test.values)
         np.testing.assert_array_equal(a, b)
-
-    def test_unsupported_base(self, blob_data):
-        with pytest.raises(ClassifyError, match="unsupported bagging base"):
-            fit_bagging("lda", blob_data, seed=0)
 
 
 class TestAdaBoost:
@@ -938,7 +942,7 @@ class TestPipelineSerialization:
         rng = np.random.default_rng(5)
         train = noisy_classes(rng, 40, 6, 3, spread=2.0)
         train = fm(np.vstack([train.values, rng.standard_normal(6)]), np.append(train.labels, 3))
-        pipe = Pipeline("bagging_svm", None, fit_bagging("svm", train, seed=2))
+        pipe = Pipeline("bagging_svm", None, bagged_svms(train, 2))
         assert {m.n_classes for m in pipe.model.members} == {3, 4}
         loaded = Pipeline.from_blob(json.loads(json.dumps(pipe.to_blob())))
         np.testing.assert_array_equal(loaded.predict(train.values), pipe.predict(train.values))

@@ -112,8 +112,9 @@ class TestTrainAndBench:
         [("cell", "could not convert string 'x' to float64"),
          ("header_only", "feature CSV has no data rows"),
          ("label_fraction", "data row 1 has label 1.5, not a non-negative whole number"),
-         ("label_negative", "data row 1 has label -1, not a non-negative whole number")],
-        ids=["cell", "header_only", "label_fraction", "label_negative"],
+         ("label_negative", "data row 1 has label -1, not a non-negative whole number"),
+         ("label_huge", "data row 1 has label 1e+20, not a non-negative whole number below 2**63")],
+        ids=["cell", "header_only", "label_fraction", "label_negative", "label_huge"],
     )
     def test_train_names_an_unreadable_feature_csv(self, damage, message, tmp_path, capsys):
         manifest = make_dataset(tmp_path / "data")
@@ -124,7 +125,8 @@ class TestTrainAndBench:
         if damage == "cell":
             first = "x," + first.split(",", 1)[1]
         elif damage.startswith("label"):
-            first = first.rsplit(",", 1)[0] + (",1.5" if damage == "label_fraction" else ",-1")
+            label = {"label_fraction": "1.5", "label_negative": "-1", "label_huge": "1e20"}[damage]
+            first = first.rsplit(",", 1)[0] + "," + label
         rows = [] if damage == "header_only" else [first, *rest]
         features.write_text("\n".join([header, *rows]) + "\n")
         capsys.readouterr()
@@ -173,6 +175,22 @@ class TestTrainAndBench:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cell}: ")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "name, doc, message",
+        [("resolved_config.json", {"families": "ftdd"}, "families must be a list of strings"),
+         ("resolved_config.json", {"families": ["ftdd", 1]}, "families must be a list of strings"),
+         ("errors.json", {"ftdd/knn": "failed"}, "'ftdd/knn' is not a family:model key"),
+         ("errors.json", {"ftdd:knn": 3}, "'ftdd:knn' is not a family:model key with a message")],
+        ids=["families_str", "families_int", "error_key", "error_message"],
+    )
+    def test_report_names_a_malformed_bundle_file(self, name, doc, message, tmp_path, capsys):
+        path = small_bundle(tmp_path / "bundle").parent / name
+        written = json.loads(path.read_text()) if path.exists() else {}
+        path.write_text(json.dumps({**written, **doc}))
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(path.parent)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     @pytest.mark.parametrize("edit", ["string_accuracy", "config_copy"])
     def test_report_recomputes_metrics_from_the_confusion_matrix(self, edit, tmp_path, capsys):
