@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify.pipeline import MODEL_NAMES, SHARED, Pipeline, fit_pipeline
-from .evaluate import ConfusionMatrix, EvalError, EvaluationReport, metrics, stratified_split
+from .evaluate import ConfusionMatrix, EvaluationReport, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
 from .features.tdd import EPS, K
 from .preprocess import HIGH, LOW, ORDER, OVERLAP, WINDOW_MS, WindowSet, bandpass, segment_records
@@ -172,18 +172,6 @@ def load_windows(config: BenchmarkConfig) -> tuple[WindowSet, list[str], np.ndar
     return ws, class_names, np.array([rec.subject for rec in records])[ws.trial]
 
 
-def _subject_split(subjects: np.ndarray, test_fraction: float, seed: int):
-    unique = sorted(set(subjects.tolist()))
-    if len(unique) < 2:
-        raise EvalError("subject-wise split needs at least 2 subjects")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(unique)
-    n_test = min(max(1, int(round(len(unique) * test_fraction))), len(unique) - 1)
-    test_subjects = set(perm[:n_test].tolist())
-    mask = np.array([s in test_subjects for s in subjects])
-    return np.flatnonzero(~mask), np.flatnonzero(mask)
-
-
 def run_benchmark(config: BenchmarkConfig):
     """Execute every (family, model) cell.
 
@@ -198,13 +186,10 @@ def run_benchmark(config: BenchmarkConfig):
     for family in config.families:
         try:
             fm = extract(ws, family)
-            split_seed = cell_seed(config.seed, family)
-            if config.subject_split:
-                train_idx, test_idx = _subject_split(
-                    window_subjects, config.test_fraction, split_seed
-                )
-            else:
-                train_idx, test_idx = stratified_split(fm.labels, config.test_fraction, split_seed)
+            train_idx, test_idx = stratified_split(
+                fm.labels, config.test_fraction, cell_seed(config.seed, family),
+                groups=window_subjects if config.subject_split else None,
+            )
             partitions[family] = fm.select(train_idx), fm.select(test_idx)
         except Exception as exc:  # a feature or split failure fails the family's cells
             for model in config.models:
@@ -239,7 +224,6 @@ def run_benchmark(config: BenchmarkConfig):
             return EvaluationReport(
                 family=family,
                 model=model,
-                metrics=metrics(cm),
                 confusion=cm,
                 seed=cell_seed(config.seed, family, model),
                 timing={"fit_seconds": t1 - t0, "predict_seconds": t2 - t1},
@@ -326,3 +310,34 @@ def write_bundle(
         (out_dir / "errors.json").write_text(
             json.dumps({f"{f}:{m}": msg for (f, m), msg in errors.items()}, indent=2, sort_keys=True)
         )
+
+
+def read_bundle(out_dir: str | Path) -> tuple[list[str], list[EvaluationReport], dict]:
+    """The families, cell reports and errors of a bundle `write_bundle`
+    wrote; each cell's metrics are recomputed from its confusion matrix. A
+    file that is not JSON, or lacks or mistypes a field the table is built
+    from, is a config error that names it."""
+    out_dir = Path(out_dir)
+    reports, errors, families = [], {}, None
+    for path in sorted(out_dir.glob("*.json")):
+        try:
+            doc = json.loads(path.read_text())
+            if path.name == "errors.json":
+                errors = {tuple(cell.split(":")): message for cell, message in doc.items()}
+                bad = [":".join(c) for c, m in errors.items() if len(c) != 2 or not isinstance(m, str)]
+                if bad:
+                    raise TypeError(f"{bad[0]!r} is not a family:model key with a message")
+            elif path.name == "resolved_config.json":
+                families = doc["families"]
+                if not isinstance(families, list) or not all(isinstance(f, str) for f in families):
+                    raise TypeError(f"families must be a list of strings, got {families!r}")
+            elif "family" in doc and "model" in doc:
+                reports.append(EvaluationReport.from_json_dict(doc))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"{path}: {detail}") from None
+    if not reports and not errors:
+        raise ConfigError(f"no cell reports found in {out_dir}")
+    if families is None:
+        raise ConfigError(f"{out_dir}: no resolved_config.json")
+    return families, reports, errors

@@ -86,8 +86,7 @@ def _exact_steps(W, S, M, Z, Y, cn):
     return np.maximum(t, 0.0)
 
 
-def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray, C: float,
-                  max_iter: int, tol: float,
+def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray,
                   W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton-CG for P problems min 0.5|w|^2 + C sum_j n_j max(0, 1 - y_j w.x_j)^2.
 
@@ -96,8 +95,8 @@ def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray, C: float,
     {-1, +1}. Each Newton step solves H s = -g by batched CG to a relative
     residual of 0.1, then takes the exact minimiser along s. The solve starts
     from W0 [P, d] (zeros if None); the optimum is unique, so a start changes
-    only the path to it. A problem stops once |g| <= tol * |g0|, g0 being its
-    gradient at w = 0 whatever the start, or after max_iter steps.
+    only the path to it. A problem stops once |g| <= TOL * |g0|, g0 being its
+    gradient at w = 0 whatever the start, or after MAX_ITER steps.
 
     Returns the weights [P, d], the Newton steps taken per problem and each
     problem's final relative gradient |g| / |g0| (0 where g0 = 0).
@@ -116,8 +115,8 @@ def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray, C: float,
         G = W + coef @ X
     gnorm = np.linalg.norm(G, axis=1)
     iters = np.zeros(P, dtype=np.int64)
-    live = np.flatnonzero(gnorm > tol * g0)
-    for _ in range(max_iter):
+    live = np.flatnonzero(gnorm > TOL * g0)
+    for _ in range(MAX_ITER):
         if live.size == 0:
             break
         S = _cg_directions(X, D[live], G[live])
@@ -128,7 +127,7 @@ def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray, C: float,
         G[live] = W[live] + coef @ X
         gnorm[live] = np.linalg.norm(G[live], axis=1)
         iters[live] += 1
-        live = live[gnorm[live] > tol * g0[live]]
+        live = live[gnorm[live] > TOL * g0[live]]
     return W, iters, np.divide(gnorm, g0, out=np.zeros(P), where=g0 > 0)
 
 
@@ -172,7 +171,7 @@ def fit_linear_svms(
             W0.append(starts.get(int(c), zero))
     aug = np.column_stack([train.values, np.ones(train.n_rows)])
     W, iters, rel_grad = _train_primal(aug, np.array(counts, dtype=np.float64), np.array(labels),
-                                       C, MAX_ITER, TOL, np.array(W0) if starts else None)
+                                       np.array(W0) if starts else None)
     stuck = rel_grad > TOL
     if stuck.any():
         warnings.warn(

@@ -10,18 +10,21 @@ import locale  # noqa: F401  argparse's gettext imports it on the first parse; l
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .benchmark import (
     BenchmarkConfig,
     ConfigError,
     load_windows,
+    read_bundle,
     read_config,
     render_table,
     run_benchmark,
     write_bundle,
 )
 from .classify.pipeline import MODEL_NAMES, fit_pipeline
-from .evaluate import ConfusionMatrix, EvaluationReport, metrics, stratified_split
+from .evaluate import ConfusionMatrix, metrics, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
 from .signal_io import generate_synthetic, write_dataset
 
@@ -73,13 +76,10 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     pipeline.save(out)
     test = fm.select(test_idx)
-    cm = ConfusionMatrix.from_labels(
-        test.labels,
-        pipeline.predict(test.values),
-        [str(c) for c in range(int(fm.labels.max()) + 1)],
-    )
-    report = metrics(cm)
-    print(f"saved {args.model} to {out}; held-out accuracy {report.accuracy:.4f}")
+    classes = np.unique(fm.labels)  # scored over the labels present, however sparse
+    true, predicted = np.searchsorted(classes, [test.labels, pipeline.predict(test.values)])
+    cm = ConfusionMatrix.from_labels(true, predicted, [str(c) for c in classes])
+    print(f"saved {args.model} to {out}; held-out accuracy {metrics(cm).accuracy:.4f}")
     return 0
 
 
@@ -114,36 +114,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Re-render the aggregate table from a bundle of per-cell JSON files,
-    its errors.json and its resolved_config.json; each cell's metrics are
-    recomputed from its confusion matrix. A file that is not JSON, or lacks
-    or mistypes a field the table is built from, is a usage error that
-    names it."""
-    bundle = Path(args.bundle)
-    reports, errors, families = [], {}, None
-    for path in sorted(bundle.glob("*.json")):
-        try:
-            doc = json.loads(path.read_text())
-            if path.name == "errors.json":
-                errors = {tuple(cell.split(":")): message for cell, message in doc.items()}
-                bad = [":".join(c) for c, m in errors.items() if len(c) != 2 or not isinstance(m, str)]
-                if bad:
-                    raise TypeError(f"{bad[0]!r} is not a family:model key with a message")
-            elif path.name == "resolved_config.json":
-                families = doc["families"]
-                if not isinstance(families, list) or not all(isinstance(f, str) for f in families):
-                    raise TypeError(f"families must be a list of strings, got {families!r}")
-            elif "family" in doc and "model" in doc:
-                reports.append(EvaluationReport.from_json_dict(doc))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ConfigError(f"{path}: {detail}") from None
-    if not reports and not errors:
-        print(f"error: no cell reports found in {bundle}", file=sys.stderr)
-        return 2
-    if families is None:
-        raise ConfigError(f"{bundle}: no resolved_config.json")
-    print(render_table(families, reports, errors))
+    """Re-render the aggregate table from a bundle (see `read_bundle`)."""
+    print(render_table(*read_bundle(args.bundle)))
     return 0
 
 

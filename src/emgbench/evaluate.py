@@ -12,28 +12,35 @@ class EvalError(ValueError):
 
 
 def stratified_split(
-    labels: np.ndarray, test_fraction: float = 0.2, seed: int = 0
+    labels: np.ndarray, test_fraction: float = 0.2, seed: int = 0,
+    groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint, exhaustive train/test indices preserving class proportions.
-
-    Per class, round(n * test_fraction) test rows with a minimum of one
-    (and at least one training row); deterministic for a fixed seed.
-    """
+    """Disjoint, exhaustive train/test row indices that keep each group (a
+    trial, subject or session; by default each row) whole on one side. When
+    every group holds one class, each class draws from its own groups, else
+    one draw takes from all; a draw over n groups tests round(n *
+    test_fraction) of them, at least 1 and at most n - 1."""
     labels = np.asarray(labels, dtype=np.int64)
     if not (0 < test_fraction < 1):
         raise EvalError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    unit = "windows" if groups is None else "groups"
+    names, group = np.unique(np.arange(labels.size) if groups is None else groups,
+                             return_inverse=True)
+    group_label = np.empty(names.size, dtype=np.int64)
+    group_label[group] = labels
+    if np.array_equal(group_label[group], labels):  # every group holds one class
+        pools = [(f"class {c}", np.flatnonzero(group_label == c)) for c in np.unique(labels)]
+    else:
+        pools = [("the split", np.arange(group_label.size))]
     rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        if idx.size < 2:
-            raise EvalError(f"class {c} has fewer than 2 windows")
-        n_test = int(round(idx.size * test_fraction))
-        n_test = min(max(n_test, 1), idx.size - 1)
-        perm = rng.permutation(idx)
-        test_idx.append(perm[:n_test])
-        train_idx.append(perm[n_test:])
-    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+    test_groups = []
+    for name, pool in pools:
+        if pool.size < 2:
+            raise EvalError(f"{name} has fewer than 2 {unit}")
+        n_test = min(max(int(round(pool.size * test_fraction)), 1), pool.size - 1)
+        test_groups.append(rng.permutation(pool)[:n_test])
+    test = np.isin(group, np.concatenate(test_groups))
+    return np.flatnonzero(~test), np.flatnonzero(test)
 
 
 @dataclass(frozen=True)
@@ -116,14 +123,17 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 @dataclass
 class EvaluationReport:
-    """One benchmark cell: metrics, confusion matrix, and provenance."""
+    """One benchmark cell: confusion matrix, its metrics, and provenance."""
 
     family: str
     model: str
-    metrics: MetricsReport
     confusion: ConfusionMatrix
     seed: int = 0
     timing: dict = field(default_factory=dict)
+    metrics: MetricsReport = field(init=False)
+
+    def __post_init__(self):
+        self.metrics = metrics(self.confusion)
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,7 +177,6 @@ class EvaluationReport:
         return cls(
             family=doc["family"],
             model=doc["model"],
-            metrics=metrics(cm),
             confusion=cm,
             seed=doc.get("seed", 0),
             timing=doc.get("timing", {}),

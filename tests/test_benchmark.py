@@ -10,6 +10,7 @@ from emgbench.benchmark import (
     BenchmarkConfig,
     ConfigError,
     cell_seed,
+    read_bundle,
     render_table,
     run_benchmark,
     write_bundle,
@@ -219,3 +220,18 @@ class TestRendering:
         assert "config" not in doc  # the run's config is written once, below
         resolved = json.loads((tmp_path / "resolved_config.json").read_text())
         assert resolved["decisions"]["averaging"] == "macro"
+
+    def test_read_bundle_returns_what_write_bundle_wrote(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(preprocess, "WINDOW_MS", 10.0)  # too short for the wavelet row
+        config = small_config(families=("wavelet", "ftdd"), models=("lda", "knn"))
+        reports, errors = run_benchmark(config)
+        assert set(errors) == {("wavelet", "lda"), ("wavelet", "knn")}
+        write_bundle(tmp_path, config, reports, errors)
+        families, read, read_errors = read_bundle(tmp_path)
+        assert (families, read_errors) == (["wavelet", "ftdd"], errors)
+
+        def docs(cells):
+            return sorted((r.to_json_dict() for r in cells), key=lambda d: d["model"])
+
+        assert docs(read) == docs(reports)
+        assert render_table(families, read, read_errors) == (tmp_path / "table.txt").read_text()

@@ -350,14 +350,14 @@ class TestPrimalSvm:
         X = np.column_stack([train.values, np.ones(train.n_rows)])
         Y = np.where(train.labels == 1, 1.0, -1.0)[None]
         counts = np.ones_like(Y)
-        W, iters, _ = svm_module._train_primal(X, counts, Y, 1.0, 100, TOL)
+        W, iters, _ = svm_module._train_primal(X, counts, Y)
         f = SquaredHinge(train, np.arange(train.n_rows), 1)
         near = W + 1e-3 * np.random.default_rng(0).standard_normal(W.shape)
-        W1, iters1, rel_grad = svm_module._train_primal(X, counts, Y, 1.0, 100, TOL, near)
+        W1, iters1, rel_grad = svm_module._train_primal(X, counts, Y, near)
         assert 0 < iters1[0] < iters[0]
         assert rel_grad[0] == pytest.approx(np.linalg.norm(f.gradient(W1[0])) / f.g0())
         assert rel_grad[0] <= TOL
-        W2, iters2, rel_grad2 = svm_module._train_primal(X, counts, Y, 1.0, 100, TOL, W1)
+        W2, iters2, rel_grad2 = svm_module._train_primal(X, counts, Y, W1)
         assert iters2[0] == 0 and W2.tobytes() == W1.tobytes() and rel_grad2[0] == rel_grad[0]
 
     def test_unconverged_problems_are_reported(self, monkeypatch):
@@ -368,18 +368,18 @@ class TestPrimalSvm:
             fit_linear_svms(train, rows)
         X = np.column_stack([train.values, np.ones(train.n_rows)])
         Y = np.where(train.labels == 0, 1.0, -1.0)[None]
-        W, iters, rel_grad = svm_module._train_primal(X, np.ones_like(Y), Y, 1.0, 1, TOL)
+        W, iters, rel_grad = svm_module._train_primal(X, np.ones_like(Y), Y)
         assert iters.tolist() == [1] and rel_grad[0] > TOL
         f = SquaredHinge(train, np.arange(train.n_rows), 0)
         assert rel_grad[0] == pytest.approx(np.linalg.norm(f.gradient(W[0])) / f.g0())
 
 
-def assert_lockstep_matches_solo(train, row_sets, models, max_iter=100, start=None):
+def assert_lockstep_matches_solo(train, row_sets, models, start=None):
     """Rebuild the batch that fit_linear_svms hands _train_primal, check
     that it gives the models' weights bit for bit, then solve each of its
     problems alone from the same start (start's weights for its class, or
     zero): the same Newton steps, ending within rounding of the same
-    weights after max_iter steps, and within 2 tol |g0| once both converge,
+    weights after MAX_ITER steps, and within 2 tol |g0| once both converge,
     as both lie within tol |g0| of the minimiser. Returns the steps each
     problem took."""
     X = np.column_stack([train.values, np.ones(train.n_rows)])
@@ -393,14 +393,13 @@ def assert_lockstep_matches_solo(train, row_sets, models, max_iter=100, start=No
             g0.append(SquaredHinge(train, r, c).g0())
     counts, Y, W0 = np.array(counts, dtype=np.float64), np.array(Y), np.array(W0)
     W0 = None if start is None else W0
-    W, iters, _ = svm_module._train_primal(X, counts, Y, 1.0, max_iter, TOL, W0)
+    W, iters, _ = svm_module._train_primal(X, counts, Y, W0)
     assert W.tobytes() == np.vstack([m.weights for m in models]).tobytes()
     for p in range(len(W)):
         w0 = None if W0 is None else W0[p:p + 1]
-        w, solo_iters, _ = svm_module._train_primal(X, counts[p:p + 1], Y[p:p + 1], 1.0, max_iter,
-                                                    TOL, w0)
+        w, solo_iters, _ = svm_module._train_primal(X, counts[p:p + 1], Y[p:p + 1], w0)
         assert solo_iters[0] == iters[p]
-        if iters[p] < max_iter:
+        if iters[p] < svm_module.MAX_ITER:
             assert np.linalg.norm(W[p] - w[0]) <= 2 * TOL * g0[p]
         else:
             np.testing.assert_allclose(W[p], w[0], rtol=1e-9, atol=1e-12 * np.linalg.norm(w[0]))
@@ -450,7 +449,7 @@ class TestLockstepSvm:
         rows = bootstrap_draws(train.n_rows, 3, 4)
         with pytest.warns(RuntimeWarning, match="stopped at max_iter=6"):
             models = fit_linear_svms(train, rows)
-        iters = assert_lockstep_matches_solo(train, rows, models, max_iter=6)
+        iters = assert_lockstep_matches_solo(train, rows, models)
         assert iters.min() < 6 and iters.max() == 6
 
     def test_one_epoch(self, monkeypatch):
@@ -460,7 +459,7 @@ class TestLockstepSvm:
         rows = bootstrap_draws(train.n_rows, 4, 1)
         with pytest.warns(RuntimeWarning, match="12 of 12 problems stopped at max_iter=1"):
             models = fit_linear_svms(train, rows)
-        iters = assert_lockstep_matches_solo(train, rows, models, max_iter=1)
+        iters = assert_lockstep_matches_solo(train, rows, models)
         assert iters.tolist() == [1] * 12
 
 

@@ -4,10 +4,13 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
-from emgbench import benchmark
+from emgbench import benchmark, cli
 from emgbench.cli import main
+from emgbench.evaluate import metrics
+from emgbench.features.extract import FeatureMatrix
 
 SYNTH_ARGS = [
     "synth",
@@ -107,6 +110,28 @@ class TestTrainAndBench:
         assert (blob["version"], blob["kind"], blob["name"]) == (5, "pipeline", "lda")
         assert "held-out accuracy" in capsys.readouterr().out
 
+    def test_train_scores_over_the_labels_present(self, tmp_path, capsys, monkeypatch):
+        """Labels {0, 1, 2000} give a 3 x 3 confusion matrix, not one with
+        a row for every whole number up to the largest label."""
+        rng = np.random.default_rng(0)
+        labels = np.repeat([0, 1, 2000], 20)
+        values = np.column_stack([labels == 1, labels == 2000]) + 0.1 * rng.standard_normal((60, 2))
+        features = tmp_path / "sparse.csv"
+        FeatureMatrix(values, ("a", "b"), labels).to_csv(features)
+        scored = []
+
+        def recorded(cm):
+            scored.append(cm)
+            return metrics(cm)
+
+        monkeypatch.setattr(cli, "metrics", recorded)
+        assert main(["train", "--features", str(features), "--model", "lda",
+                     "--out", str(tmp_path / "model.json")]) == 0
+        (cm,) = scored
+        assert cm.class_names == ("0", "1", "2000")
+        assert cm.counts.sum() == 12
+        assert "held-out accuracy 1.0000" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "damage, message",
         [("cell", "could not convert string 'x' to float64"),
@@ -191,6 +216,10 @@ class TestTrainAndBench:
         capsys.readouterr()
         assert main(["report", "--bundle", str(path.parent)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    def test_report_on_a_directory_without_cells(self, tmp_path, capsys):
+        assert main(["report", "--bundle", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: no cell reports found in {tmp_path}\n"
 
     @pytest.mark.parametrize("edit", ["string_accuracy", "config_copy"])
     def test_report_recomputes_metrics_from_the_confusion_matrix(self, edit, tmp_path, capsys):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emgbench.evaluate import (
@@ -61,6 +61,123 @@ class TestStratifiedSplit:
         train, test = stratified_split(labels, test_fraction=frac, seed=seed)
         merged = np.sort(np.concatenate([train, test]))
         np.testing.assert_array_equal(merged, np.arange(len(labels)))
+
+
+def window_split_oracle(labels, test_fraction, seed):
+    """The split by window as it was written before groups: class by class
+    over the rows."""
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        n_test = int(round(idx.size * test_fraction))
+        n_test = min(max(n_test, 1), idx.size - 1)
+        perm = rng.permutation(idx)
+        test_idx.append(perm[:n_test])
+        train_idx.append(perm[n_test:])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+
+
+def subject_split_oracle(subjects, test_fraction, seed):
+    """The split by subject as it was written before groups: one draw over
+    the sorted subjects, whatever their classes."""
+    unique = sorted(set(subjects.tolist()))
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(unique)
+    n_test = min(max(1, int(round(len(unique) * test_fraction))), len(unique) - 1)
+    test_subjects = set(perm[:n_test].tolist())
+    mask = np.array([s in test_subjects for s in subjects])
+    return np.flatnonzero(~mask), np.flatnonzero(mask)
+
+
+FRACTIONS = st.floats(min_value=0.05, max_value=0.95)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+NAMES = st.text(alphabet="abs01", min_size=1, max_size=3)
+
+
+@st.composite
+def grouped_rows(draw, pure):
+    """Labels and groups of 2-40 rows with at least 2 groups per class (when
+    pure, every group holds one class) or at least 2 groups, some holding
+    two classes (when not)."""
+    if pure:
+        k = draw(st.integers(1, 4))
+        names = draw(st.lists(NAMES, min_size=2 * k, max_size=10, unique=True))
+        group_label = [i % k for i in range(len(names))]  # each class gets 2 groups or more
+        sizes = draw(st.lists(st.integers(1, 4), min_size=len(names), max_size=len(names)))
+        rows = [(g, c) for g, c, n in zip(names, group_label, sizes) for _ in range(n)]
+    else:
+        rows = draw(st.lists(st.tuples(NAMES, st.integers(0, 3)), min_size=2, max_size=40))
+        groups = {g for g, _ in rows}
+        mixed = {g for g in groups if len({c for h, c in rows if h == g}) > 1}
+        assume(len(groups) >= 2 and mixed)
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    return np.array([c for _, c in rows]), np.array([g for g, _ in rows])
+
+
+class TestGroupedSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(2, 25), min_size=1, max_size=5), frac=FRACTIONS,
+           seed=SEEDS, order=st.randoms(use_true_random=False))
+    def test_by_window_matches_the_window_oracle(self, counts, frac, seed, order):
+        labels = np.repeat(np.arange(len(counts)), counts)
+        order.shuffle(labels)
+        for got, want in zip(stratified_split(labels, frac, seed),
+                             window_split_oracle(labels, frac, seed)):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=grouped_rows(pure=False), frac=FRACTIONS, seed=SEEDS)
+    def test_mixed_groups_match_the_subject_oracle(self, rows, frac, seed):
+        labels, subjects = rows
+        for got, want in zip(stratified_split(labels, frac, seed, groups=subjects),
+                             subject_split_oracle(subjects, frac, seed)):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=grouped_rows(pure=True), frac=FRACTIONS, seed=SEEDS)
+    def test_pure_groups_split_as_one_window_each(self, rows, frac, seed):
+        """Class-pure groups are drawn as the window oracle draws the rows
+        of a table with one row per group."""
+        labels, groups = rows
+        names, first = np.unique(groups, return_index=True)
+        _, want = window_split_oracle(labels[first], frac, seed)
+        _, test = stratified_split(labels, frac, seed, groups=groups)
+        np.testing.assert_array_equal(test, np.flatnonzero(np.isin(groups, names[want])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pure=st.booleans(), data=st.data(), frac=FRACTIONS, seed=SEEDS)
+    def test_groups_stay_whole_and_both_sides_get_one(self, pure, data, frac, seed):
+        labels, groups = data.draw(grouped_rows(pure))
+        train, test = stratified_split(labels, frac, seed, groups=groups)
+        np.testing.assert_array_equal(np.sort(np.concatenate([train, test])),
+                                      np.arange(labels.size))
+        assert train.size and test.size
+        assert not set(groups[train]) & set(groups[test])
+        if pure:  # every class sits on both sides
+            assert set(labels[train]) == set(labels[test]) == set(labels)
+
+    def test_one_class_per_subject_is_stratified_by_class(self):
+        """Each subject holds one class, so each class keeps a subject on
+        both sides, where one draw over all four subjects (as the split by
+        subject once did) tests both class-0 subjects."""
+        subjects = np.repeat(["s0", "s1", "s2", "s3"], 2)
+        labels = np.repeat([0, 0, 1, 1], 2)
+        train, test = stratified_split(labels, 0.5, 1, groups=subjects)
+        assert (train.tolist(), test.tolist()) == ([2, 3, 6, 7], [0, 1, 4, 5])
+        _, old_test = subject_split_oracle(subjects, 0.5, 1)
+        assert old_test.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "labels, groups, message",
+        [([0, 0, 1, 1], ["a", "a", "a", "a"], "the split has fewer than 2 groups"),
+         ([0, 0, 1, 1], ["a", "a", "b", "c"], "class 0 has fewer than 2 groups")],
+        ids=["one_mixed_group", "pure_class_one_group"],
+    )
+    def test_too_few_groups_rejected(self, labels, groups, message):
+        with pytest.raises(EvalError, match=message):
+            stratified_split(np.array(labels), 0.2, 0, groups=np.array(groups))
 
 
 def metrics_oracle(cm):
@@ -164,7 +281,6 @@ class TestEvaluationReport:
         report = EvaluationReport(
             family="tsd",
             model="knn",
-            metrics=metrics(cm),
             confusion=cm,
             seed=123,
             timing={"fit_seconds": 0.25, "predict_seconds": 0.5},
