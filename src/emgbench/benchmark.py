@@ -12,23 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify.pipeline import MODEL_NAMES, SHARED, Pipeline, fit_pipeline
+from .classify.pipeline import MODEL_LABELS, MODEL_NAMES, SHARED, Pipeline, fit_pipeline
 from .evaluate import ConfusionMatrix, EvaluationReport, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
 from .features.tdd import EPS, K
-from .preprocess import HIGH, LOW, ORDER, OVERLAP, WINDOW_MS, WindowSet, bandpass, segment_records
-from .signal_io import generate_synthetic, load_canonical_csv, load_manifest
-
-MODEL_DISPLAY = {
-    "lda": "LDA",
-    "svm": "SVM",
-    "knn": "KNN",
-    "random_forest": "Random Forest",
-    "voting": "Voting Ensemble",
-    "bagging_knn": "Bagging KNN",
-    "bagging_svm": "Bagging SVM",
-    "adaboost": "AdaBoost",
-}
+from .preprocess import (HIGH, LOW, ORDER, OVERLAP, WINDOW_MS, WindowSet, bandpass,
+                         segment_records, window_length)
+from .signal_io import generate_synthetic, load_canonical_csv, load_manifest, synthetic_trial_samples
 
 # synthetic key -> int for a count, float for any number
 _SYNTH_KEYS = {"n_classes": int, "n_channels": int, "fs": float, "trials_per_class": int,
@@ -71,6 +61,9 @@ class BenchmarkConfig:
                 raise ConfigError(f"missing synthetic keys: {sorted(missing)}")
             for key, kind in _SYNTH_KEYS.items():
                 _check_number(spec[key], f"synthetic {key}", kind)
+            if (n := synthetic_trial_samples(**spec)) < (wlen := window_length(spec["fs"])):
+                raise ConfigError(f"synthetic trial_seconds {spec['trial_seconds']} gives trials "
+                                  f"shorter than one window: {n} < {wlen} samples")
         elif not isinstance(self.dataset["manifest"], str):
             raise ConfigError(f"manifest must be a path string, got {self.dataset['manifest']!r}")
         _check_number(self.test_fraction, "test_fraction")
@@ -164,12 +157,50 @@ def load_windows(config: BenchmarkConfig) -> tuple[WindowSet, list[str], np.ndar
         manifest = load_manifest(config.dataset["manifest"])
         records = load_canonical_csv(config.dataset["manifest"])
         class_names = list(manifest.class_names)
+        for entry, rec in zip(manifest.entries, records):
+            if rec.n_samples < (wlen := window_length(rec.fs)):
+                raise ConfigError(f"{config.dataset['manifest']}: entry {entry.path!r}: record "
+                                  f"shorter than one window: {rec.n_samples} < {wlen} samples")
     else:
         spec = config.dataset["synthetic"]
         records = generate_synthetic(seed=config.seed, **spec)
         class_names = [f"class{i}" for i in range(spec["n_classes"])]
     ws = segment_records([bandpass(rec) for rec in records])
     return ws, class_names, np.array([rec.subject for rec in records])[ws.trial]
+
+
+def _member(name: str, seed: int, family: str, train: FeatureMatrix,
+            shared: dict[str, Pipeline]) -> Pipeline:
+    """The row's pipeline `name`, fitted on train under its own cell seed. A
+    SHARED pipeline is fitted once per row and kept in shared, so voting and
+    bagging_svm reuse a sibling cell that ran, and fit one that did not."""
+    if name in shared:
+        return shared[name]
+    pipeline = fit_pipeline(name, train, seed=cell_seed(seed, family, name),
+                            member=lambda sibling: _member(sibling, seed, family, train, shared))
+    if name in SHARED:
+        shared[name] = pipeline
+    return pipeline
+
+
+def _run_row(config: BenchmarkConfig, class_names: list[str], family: str,
+             train: FeatureMatrix, test: FeatureMatrix) -> tuple[list[EvaluationReport], dict]:
+    """The reports of one family row's models, each trained on train and
+    scored on test, and the error of each model that failed."""
+    reports, errors, shared = [], {}, {}
+    for model in config.models:
+        try:
+            t0 = time.perf_counter()
+            pipeline = _member(model, config.seed, family, train, shared)
+            t1 = time.perf_counter()
+            predicted = pipeline.predict(test.values)
+            timing = {"fit_seconds": t1 - t0, "predict_seconds": time.perf_counter() - t1}
+            cm = ConfusionMatrix.from_labels(test.labels, predicted, class_names)
+            reports.append(EvaluationReport(family=family, model=model, confusion=cm, timing=timing,
+                                            seed=cell_seed(config.seed, family, model)))
+        except Exception as exc:
+            errors[(family, model)] = str(exc)
+    return reports, errors
 
 
 def run_benchmark(config: BenchmarkConfig):
@@ -179,9 +210,11 @@ def run_benchmark(config: BenchmarkConfig):
     abort the rest of the grid.
     """
     ws, class_names, window_subjects = load_windows(config)
+    if config.subject_split and (n_subjects := np.unique(window_subjects).size) < 2:
+        raise ConfigError(f"subject_split needs at least 2 subjects, the data has {n_subjects}")
 
     # Every model of a family row trains and tests on the row's one split.
-    partitions: dict[str, tuple[FeatureMatrix, FeatureMatrix]] = {}
+    rows: list[tuple[str, FeatureMatrix, FeatureMatrix]] = []
     errors: dict[tuple[str, str], str] = {}
     for family in config.families:
         try:
@@ -190,80 +223,32 @@ def run_benchmark(config: BenchmarkConfig):
                 fm.labels, config.test_fraction, cell_seed(config.seed, family),
                 groups=window_subjects if config.subject_split else None,
             )
-            partitions[family] = fm.select(train_idx), fm.select(test_idx)
+            rows.append((family, fm.select(train_idx), fm.select(test_idx)))
         except Exception as exc:  # a feature or split failure fails the family's cells
-            for model in config.models:
-                errors[(family, model)] = str(exc)
+            errors.update({(family, model): str(exc) for model in config.models})
 
-    def run_row(family: str) -> list[tuple[str, EvaluationReport | str]]:
-        """Each model's report, or its error message, for one family row.
-
-        The row fits each pipeline once, under its own cell seed: a
-        composite cell reuses the row's fitted siblings, and fits one that
-        has not run (or is not in the grid) itself. The row keeps the
-        pipelines others build on until it ends, and no other."""
-        train, test = partitions[family]
-        fitted: dict[str, Pipeline] = {}
-
-        def member(name: str) -> Pipeline:
-            if name in fitted:
-                return fitted[name]
-            seed = cell_seed(config.seed, family, name)
-            pipeline = fit_pipeline(name, train, seed=seed, member=member)
-            if name in SHARED:
-                fitted[name] = pipeline
-            return pipeline
-
-        def run_cell(model: str) -> EvaluationReport:
-            t0 = time.perf_counter()
-            pipeline = member(model)
-            t1 = time.perf_counter()
-            predicted = pipeline.predict(test.values)
-            t2 = time.perf_counter()
-            cm = ConfusionMatrix.from_labels(test.labels, predicted, class_names)
-            return EvaluationReport(
-                family=family,
-                model=model,
-                confusion=cm,
-                seed=cell_seed(config.seed, family, model),
-                timing={"fit_seconds": t1 - t0, "predict_seconds": t2 - t1},
-            )
-
-        results = []
-        for model in config.models:
-            try:
-                results.append((model, run_cell(model)))
-            except Exception as exc:
-                results.append((model, str(exc)))
-        fitted.clear()  # member refers to itself, so only the cycle collector would free it
-        return results
-
-    rows = [family for family in config.families if family in partitions]
+    # One worker thread would get its own malloc heap, so --jobs 1 runs here.
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_row, rows))
+            futures = [pool.submit(_run_row, config, class_names, *row) for row in rows]
+            results = [future.result() for future in futures]
     else:
-        results = [run_row(family) for family in rows]
-    reports: list[EvaluationReport] = []
-    for family, row in zip(rows, results):
-        for model, outcome in row:
-            if isinstance(outcome, str):
-                errors[(family, model)] = outcome
-            else:
-                reports.append(outcome)
+        results = [_run_row(config, class_names, *row) for row in rows]
+    reports = [report for row_reports, _ in results for report in row_reports]
+    errors.update(error for _, row_errors in results for error in row_errors.items())
     return reports, errors
 
 
 def render_table(families: Sequence[str], reports: list[EvaluationReport], errors: dict) -> str:
-    """Per-family tables, in the order of families, in the row layout
-    LDA .. AdaBoost, listing only the cells that ran or failed."""
+    """Per-family tables, in the order of families, with a row per model in
+    the pipeline table's order and labels, listing only the cells that ran
+    or failed."""
     by_cell = {(r.family, r.model): r for r in reports}
     lines = []
     for family in families:
         lines.append(f"=== {family} ===")
         lines.append(f"{'Models':<22}{'ACC':>8}{'P':>7}{'R':>7}{'F1':>7}")
-        for model in MODEL_NAMES:
-            name = MODEL_DISPLAY[model]
+        for model, name in MODEL_LABELS.items():
             if (family, model) in by_cell:
                 r = by_cell[(family, model)]
                 m = r.metrics

@@ -1,6 +1,6 @@
-"""Named model pipelines: one table gives each benchmark model its scaling
-policy (z-score for margin/distance models, identity for tree ensembles)
-and its fit function, behind one fit/predict/serialize surface."""
+"""Named model pipelines: one table gives each benchmark model its table
+label, scaling policy (z-score for margin/distance models, identity for tree
+ensembles) and fit function, behind one fit/predict/serialize surface."""
 from __future__ import annotations
 
 import json
@@ -46,24 +46,26 @@ def _voting(train, seed, member):
     return VoteModel(voters, int(train.labels.max()) + 1, train.n_features)
 
 
-# name -> (z-score the input?, fit(train, seed, member)), in results-table row
-# order; member(name) is the fitted sibling pipeline `name` on the same
-# training set. Each model's settings are constants of its module. A bagging
-# entry passes fit_bagging its members' fit; bagging_svm's members start from
-# the row's fitted SVM (see fit_linear_svms).
+# name -> (results-table label, z-score the input?, fit(train, seed, member)),
+# in results-table row order; member(name) is the fitted sibling pipeline
+# `name` on the same training set. Each model's settings are constants of its
+# module. A bagging entry passes fit_bagging its members' fit; bagging_svm's
+# members start from the row's fitted SVM (see fit_linear_svms).
 _PIPELINES = {
-    "lda": (True, lambda train, seed, member: fit_lda(train)),
-    "svm": (True, lambda train, seed, member: fit_linear_svm(train)),
-    "knn": (True, lambda train, seed, member: fit_knn(train)),
-    "random_forest": (False, lambda train, seed, member: fit_random_forest(train, seed=seed)),
-    "voting": (False, _voting),
-    "bagging_knn": (True, lambda train, seed, member: fit_bagging(
+    "lda": ("LDA", True, lambda train, seed, member: fit_lda(train)),
+    "svm": ("SVM", True, lambda train, seed, member: fit_linear_svm(train)),
+    "knn": ("KNN", True, lambda train, seed, member: fit_knn(train)),
+    "random_forest": ("Random Forest", False,
+                      lambda train, seed, member: fit_random_forest(train, seed=seed)),
+    "voting": ("Voting Ensemble", False, _voting),
+    "bagging_knn": ("Bagging KNN", True, lambda train, seed, member: fit_bagging(
         lambda t, row_sets: [fit_knn(t.select(rows)) for rows in row_sets], train, seed)),
-    "bagging_svm": (True, lambda train, seed, member: fit_bagging(
+    "bagging_svm": ("Bagging SVM", True, lambda train, seed, member: fit_bagging(
         lambda t, row_sets: fit_linear_svms(t, row_sets, start=member("svm").model), train, seed)),
-    "adaboost": (False, lambda train, seed, member: fit_adaboost_rf(train, seed=seed)),
+    "adaboost": ("AdaBoost", False, lambda train, seed, member: fit_adaboost_rf(train, seed=seed)),
 }
 MODEL_NAMES = tuple(_PIPELINES)
+MODEL_LABELS = {name: label for name, (label, _, _) in _PIPELINES.items()}
 
 
 class Pipeline(Predictor):
@@ -129,7 +131,7 @@ def fit_pipeline(
 
 
 def _fit(name, train, seed, member) -> Pipeline:
-    zscore, fit = _PIPELINES[name]
+    _, zscore, fit = _PIPELINES[name]
     scaler = None
     if zscore:
         scaler, train = _zscored(train)

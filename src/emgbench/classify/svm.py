@@ -103,16 +103,11 @@ def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray,
     """
     P = counts.shape[0]
     cn = C * counts
-    W = np.zeros((P, X.shape[1]))
-    M = np.zeros((P, X.shape[0]))
+    g0 = np.linalg.norm(_loss_terms(np.zeros(Y.shape), Y, cn)[0] @ X, axis=1)
+    W = np.zeros((P, X.shape[1])) if W0 is None else np.array(W0, dtype=np.float64)
+    M = W @ X.T
     coef, D = _loss_terms(M, Y, cn)
-    G = coef @ X
-    g0 = np.linalg.norm(G, axis=1)
-    if W0 is not None:
-        W = np.array(W0, dtype=np.float64)
-        M = W @ X.T
-        coef, D = _loss_terms(M, Y, cn)
-        G = W + coef @ X
+    G = W + coef @ X
     gnorm = np.linalg.norm(G, axis=1)
     iters = np.zeros(P, dtype=np.int64)
     live = np.flatnonzero(gnorm > TOL * g0)

@@ -298,6 +298,22 @@ def load_wfdb_record(
     )
 
 
+def synthetic_trial_samples(n_classes: int, n_channels: int, fs: float, trials_per_class: int,
+                            trial_seconds: float) -> int:
+    """The samples per synthetic trial, after refusing values the generator cannot use."""
+    if min(n_classes, n_channels, trials_per_class) < 1:
+        raise IngestError("all synthetic counts must be >= 1")
+    if fs < 1000:
+        raise IngestError(f"fs too low for the 450 Hz band edge: {fs}")
+    n = int(round(trial_seconds * fs))
+    if n <= 27:  # the order-4 band-pass of 4 sections pads 3 * 9 samples each side
+        raise IngestError(
+            f"trial_seconds {trial_seconds} gives {n} samples at fs {fs}; the generator's "
+            "order-4 band-pass needs trials of at least 28 samples"
+        )
+    return n
+
+
 def generate_synthetic(
     n_classes: int,
     n_channels: int,
@@ -312,17 +328,8 @@ def generate_synthetic(
     Deterministic for a fixed argument tuple; classes are separable by
     energy, spectral-moment, and subband features.
     """
-    if min(n_classes, n_channels, trials_per_class) < 1:
-        raise IngestError("all synthetic counts must be >= 1")
-    if fs < 1000:
-        raise IngestError(f"fs too low for the 450 Hz band edge: {fs}")
+    n = synthetic_trial_samples(n_classes, n_channels, fs, trials_per_class, trial_seconds)
     rng = np.random.default_rng(seed)
-    n = int(round(trial_seconds * fs))
-    if n <= 27:  # the order-4 band-pass of 4 sections pads 3 * 9 samples each side
-        raise IngestError(
-            f"trial_seconds {trial_seconds} gives {n} samples at fs {fs}; the generator's "
-            "order-4 band-pass needs trials of at least 28 samples"
-        )
 
     # Class-specific spectra: centers spread over the analysis band, plus a
     # random but seed-fixed per-channel gain profile.

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -186,6 +188,25 @@ class TestRun:
         train = dict(fits)["random_forest"]
         forest = fit("random_forest", train, seed=cell_seed(7, "ftdd", "random_forest"))
         assert model_to_blob(voters[2]) == model_to_blob(forest)
+
+    def test_row_frees_its_pipelines_without_the_cycle_collector(self, monkeypatch):
+        refs = []
+        fit = benchmark.fit_pipeline
+
+        def recorded(*a, **k):
+            pipeline = fit(*a, **k)
+            refs.append(weakref.ref(pipeline))
+            return pipeline
+
+        monkeypatch.setattr(benchmark, "fit_pipeline", recorded)
+        gc.disable()
+        try:
+            _, errors = run_benchmark(small_config(models=("voting", "bagging_svm")))
+            alive = [ref for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert errors == {} and len(refs) == 5  # voting, its 3 voters, bagging_svm
+        assert alive == []
 
 
 class TestRendering:

@@ -89,6 +89,20 @@ class TestExtract:
             main(["extract", "--manifest", str(manifest),
                   "--family", "mfcc", "--out", str(tmp_path / "x.csv")])
 
+    def test_trial_shorter_than_a_window_names_the_manifest_entry(self, tmp_path, capsys):
+        args = list(SYNTH_ARGS)
+        args[args.index("--seconds") + 1] = "0.5"  # 512 samples; a window is 614
+        assert main(args + ["--out", str(tmp_path / "data")]) == 0
+        manifest = tmp_path / "data" / "manifest.json"
+        for argv in (["bench", "--manifest", str(manifest), "--families", "ftdd", "--models", "lda"],
+                     ["extract", "--manifest", str(manifest), "--family", "ftdd",
+                      "--out", str(tmp_path / "f.csv")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {manifest}: entry 'trial_0000.csv': record shorter than one window: "
+                "512 < 614 samples\n"
+            )
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = main(["extract", "--manifest", str(tmp_path / "nope.json"),
                      "--family", "ftdd", "--out", str(tmp_path / "x.csv")])
@@ -294,26 +308,32 @@ class TestTrainAndBench:
         families = ["tsd", "ftdd"] if failing == "one_cell_tsd_first" else ["ftdd"]
         args = ["bench", "--synthetic", SMALL_SPEC, "--families", *families,
                 "--models", "lda", "knn", "--out", str(tmp_path)]
-        if failing != "every_cell":
-            fit = benchmark.fit_pipeline
+        fit = benchmark.fit_pipeline
 
-            def fit_failing_knn(name, *a, **k):
-                if name == "knn":
-                    raise ValueError("injected failure")
-                return fit(name, *a, **k)
+        def fit_failing(name, *a, **k):
+            if name == "knn" or failing == "every_cell":
+                raise ValueError("injected failure")
+            return fit(name, *a, **k)
 
-            monkeypatch.setattr(benchmark, "fit_pipeline", fit_failing_knn)
-        else:
-            args.append("--subject-split")  # synthetic data has one subject
+        monkeypatch.setattr(benchmark, "fit_pipeline", fit_failing)
         assert main(args) == 1
         capsys.readouterr()
         assert main(["report", "--bundle", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out == (tmp_path / "table.txt").read_text() + "\n"
-        assert "FAILED" in out
+        assert out.count("FAILED") == len(families) * (2 if failing == "every_cell" else 1)
         assert [line for line in out.splitlines() if line.startswith("===")] == [
             f"=== {family} ===" for family in families
         ]
+
+    def test_subject_split_over_one_subject_is_a_usage_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(benchmark, "extract", lambda *a: pytest.fail("features extracted"))
+        assert main(["bench", "--synthetic", SMALL_SPEC, "--subject-split",  # one subject
+                     "--out", str(tmp_path / "b")]) == 2
+        assert ("subject_split needs at least 2 subjects, the data has 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "b").exists()
 
     def test_failed_middle_family_keeps_its_place(self, tmp_path, capsys):
         spec = {"n_classes": 2, "n_channels": 1, "fs": 1024, "trials_per_class": 3,
@@ -384,12 +404,22 @@ class TestTrainAndBench:
             ({"band": {"low": 20, "high": 450, "order": 8.5}}, r"unknown config keys: \['band'\]"),
             ({"band": {"low": 20, "high": 450, "order": True}},
              r"unknown config keys: \['band'\]"),
+            ({"dataset": {"synthetic": {**json.loads(SMALL_SPEC), "n_classes": 0}}},
+             r"all synthetic counts must be >= 1"),
+            ({"dataset": {"synthetic": {**json.loads(SMALL_SPEC), "fs": 500}}},
+             r"fs too low for the 450 Hz band edge: 500"),
+            ({"dataset": {"synthetic": {**json.loads(SMALL_SPEC), "trial_seconds": 0.01}}},
+             r"trial_seconds 0\.01 gives 10 samples at fs 1024\.0; .* at least 28 samples"),
+            ({"dataset": {"synthetic": {**json.loads(SMALL_SPEC), "trial_seconds": 0.5}}},
+             r"synthetic trial_seconds 0\.5 gives trials shorter than one window: "
+             r"512 < 614 samples"),
         ],
         ids=["list", "tdd_key", "window_default", "band_key", "band_missing", "jobs_float",
              "window_zero", "seed_str", "seed_float", "seed_bool", "duplicate_family", "families_str",
              "models_str", "synthetic_int", "trial_seconds_str", "n_classes_str",
              "manifest_int", "overlap_str", "overlap_bool", "test_fraction_str",
-             "subject_split_str", "window_bool", "band_low_str", "order_float", "order_bool"],
+             "subject_split_str", "window_bool", "band_low_str", "order_float", "order_bool",
+             "n_classes_zero", "fs_low", "trial_too_short_to_filter", "trial_shorter_than_window"],
     )
     def test_bad_config_file_names_the_file(self, doc, message, tmp_path, capsys):
         config = tmp_path / "c.json"
