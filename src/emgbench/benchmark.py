@@ -115,11 +115,14 @@ class BenchmarkConfig:
 
 
 def _check_number(value, name: str, kind: type = float) -> None:
-    """Refuse a value that is not an int (kind int) or not an int or float
-    (kind float); bools are refused either way."""
+    """Refuse a value that is not an int (kind int) or not an int or finite
+    float (kind float); bools are refused either way. JSON reads 1e400 as
+    inf and accepts NaN and Infinity."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _section(doc, name: str, keys: set[str]) -> dict:

@@ -1,10 +1,13 @@
 """Linear SVM (one-vs-rest) with the L2 loss (squared hinge), fitted by a
-line-search Newton method on the primal with conjugate-gradient steps
-(Keerthi & DeCoste, JMLR 2005; Lin, Weng & Keerthi, "Trust Region Newton
-Method for Large-Scale Logistic Regression", JMLR 2008). The one-vs-rest
-problems of a fit, and of every bagging member, are solved in one batch on
-the shared training matrix; the solve is deterministic and visits no rows
-in random order, so it needs no shuffle seed."""
+finite Newton method on the primal with an exact line search (Keerthi &
+DeCoste, "A modified finite Newton method for fast solution of large scale
+linear SVMs", JMLR 2005; Chapelle, "Training a support vector machine in
+the primal", Neural Computation 2007). Each Newton system is solved
+exactly, through the Gram matrix of the training rows when the active sets
+are smaller than the feature count and through the Hessian otherwise. The
+one-vs-rest problems of a fit, and of every bagging member, are solved in
+one batch on the shared training matrix; the solve is deterministic and
+visits no rows in random order, so it needs no shuffle seed."""
 from __future__ import annotations
 
 import warnings
@@ -27,29 +30,39 @@ def _loss_terms(M, Y, cn):
     return -2.0 * cn * Y * slack, 2.0 * cn * (slack > 0)
 
 
-def _cg_directions(X, D, G):
-    """Batched conjugate gradient on (I + X^T diag(D[p]) X) s = -G[p], each
-    problem stopping once its residual is at most 0.1 |G[p]|."""
-    rows = np.flatnonzero(D.any(axis=0))  # rows outside every active set add nothing
-    X, D = X[rows], D[:, rows]
-    S, R = np.zeros_like(G), -G
-    Dir = R.copy()
-    rr = np.einsum("ij,ij->i", R, R)
-    goal = 0.01 * rr
-    live = np.flatnonzero(rr > goal)
-    for _ in range(X.shape[1]):  # exact within d steps, bar rounding
-        if live.size == 0:
-            break
-        p = Dir[live]
-        hp = p + (D[live] * (p @ X.T)) @ X
-        alpha = rr[live] / np.einsum("ij,ij->i", p, hp)
-        S[live] += alpha[:, None] * p
-        R[live] -= alpha[:, None] * hp
-        new = np.einsum("ij,ij->i", R[live], R[live])
-        Dir[live] = R[live] + (new / rr[live])[:, None] * p
-        rr[live] = new
-        live = live[new > goal[live]]
-    return S
+def _newton_directions(X, K, D, G):
+    """Exact Newton directions s[p] = -(I + X^T diag(D[p]) X)^-1 G[p], solved
+    in the smaller of the two spaces for the whole batch.
+
+    Each problem's active rows A = {j : D[p, j] > 0} are gathered first,
+    padded to the batch's largest set, a rows. If a is at most X's d
+    columns, the Woodbury identity gives s = -(g - X_A^T (D_A^-1 + K_AA)^-1
+    X_A g) from the shared K = X X^T, in one batched [P, a, a] solve whose
+    padding slots are identity rows with a zero right-hand side. Otherwise
+    the [P, d, d] Hessians I + X_A^T D_A X_A are solved, where padding rows
+    weigh 0.
+    """
+    d = G.shape[1]
+    sizes = np.count_nonzero(D, axis=1)
+    a = sizes.max()
+    # Active rows first; the padding slots hold inactive rows, so each
+    # problem's slots name distinct rows.
+    idx = np.argsort(D == 0, axis=1, kind="stable")[:, :a]
+    DA = np.take_along_axis(D, idx, axis=1)  # 0 on padding
+    if a > d:
+        XA = X[idx] * np.sqrt(DA)[:, :, None]
+        H = XA.transpose(0, 2, 1) @ XA
+        H[:, np.arange(d), np.arange(d)] += 1.0
+        return -np.linalg.solve(H, G[:, :, None])[:, :, 0]
+    real = np.arange(a) < sizes[:, None]
+    M = K[idx[:, :, None], idx[:, None, :]]
+    M *= real[:, :, None]
+    M *= real[:, None, :]
+    M[:, np.arange(a), np.arange(a)] += 1.0 / np.where(real, DA, 1.0)
+    rhs = np.where(real, np.take_along_axis(G @ X.T, idx, axis=1), 0.0)
+    V = np.zeros_like(D)
+    np.put_along_axis(V, idx, np.linalg.solve(M, rhs[:, :, None])[:, :, 0], axis=1)
+    return V @ X - G
 
 
 def _exact_steps(W, S, M, Z, Y, cn):
@@ -88,15 +101,16 @@ def _exact_steps(W, S, M, Z, Y, cn):
 
 def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray,
                   W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton-CG for P problems min 0.5|w|^2 + C sum_j n_j max(0, 1 - y_j w.x_j)^2.
+    """Newton for P problems min 0.5|w|^2 + C sum_j n_j max(0, 1 - y_j w.x_j)^2.
 
     X [N, d] carries the bias column and is shared by all problems: problem
     p weighs row j by counts[p, j] (0 leaves it out) with label Y[p, j] in
-    {-1, +1}. Each Newton step solves H s = -g by batched CG to a relative
-    residual of 0.1, then takes the exact minimiser along s. The solve starts
-    from W0 [P, d] (zeros if None); the optimum is unique, so a start changes
-    only the path to it. A problem stops once |g| <= TOL * |g0|, g0 being its
-    gradient at w = 0 whatever the start, or after MAX_ITER steps.
+    {-1, +1}. Each Newton step solves H s = -g exactly (`_newton_directions`,
+    sharing K = X X^T across the batch), then takes the exact minimiser
+    along s. The solve starts from W0 [P, d] (zeros if None); the optimum
+    is unique, so a start changes only the path to it. A problem stops once
+    |g| <= TOL * |g0|, g0 being its gradient at w = 0 whatever the start,
+    or after MAX_ITER steps.
 
     Returns the weights [P, d], the Newton steps taken per problem and each
     problem's final relative gradient |g| / |g0| (0 where g0 = 0).
@@ -105,6 +119,7 @@ def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray,
     cn = C * counts
     g0 = np.linalg.norm(_loss_terms(np.zeros(Y.shape), Y, cn)[0] @ X, axis=1)
     W = np.zeros((P, X.shape[1])) if W0 is None else np.array(W0, dtype=np.float64)
+    K = X @ X.T
     M = W @ X.T
     coef, D = _loss_terms(M, Y, cn)
     G = W + coef @ X
@@ -114,7 +129,7 @@ def _train_primal(X: np.ndarray, counts: np.ndarray, Y: np.ndarray,
     for _ in range(MAX_ITER):
         if live.size == 0:
             break
-        S = _cg_directions(X, D[live], G[live])
+        S = _newton_directions(X, K, D[live], G[live])
         t = _exact_steps(W[live], S, M[live], S @ X.T, Y[live], cn[live])
         W[live] += t[:, None] * S
         M[live] = W[live] @ X.T

@@ -1,6 +1,12 @@
 """Time-domain descriptor families: fused descriptors (per channel, fused
 with a log-squared transformed copy) and temporal-spatial descriptors
-(within channels and across all pairwise channel differences)."""
+(within channels and across all pairwise channel differences).
+
+Every temporal-spatial descriptor is built from sums of squares, sums and
+a sum of lagged products, which for a difference x_i - x_j are bilinear in
+the two channels. So `tsd_windows` reads them, for all channels and pairs
+at once, off a few per-window Gram matrices and the channel sums, rather
+than making one pass over each of the C(C-1)/2 difference signals."""
 from __future__ import annotations
 
 import numpy as np
@@ -31,18 +37,22 @@ def _moments(parts) -> list[np.ndarray]:
     return [np.sqrt(np.sum(d * d, axis=-1) / n) for d in parts]
 
 
-def resolve_lambda(channels: np.ndarray) -> np.ndarray:
-    """Normalization factor per window of [..., C, N] channels: the median
-    of m0^K over the channels, shaped [..., 1]."""
-    (m0,) = _moments([channels])
+def _lambda(m0: np.ndarray) -> np.ndarray:
+    """Normalization factor per window from its channels' m0 [..., C]: the
+    median of m0^K over the channels, shaped [..., 1]."""
     lam = np.median(np.power(m0, K), axis=-1, keepdims=True)
     return np.where(lam > 0, lam, 1.0)
 
 
-def _core_features(parts, lam) -> list[np.ndarray]:
-    """Normalized log moments, sparseness and irregularity factor of the
-    signal in `_differences` parts; shared by both descriptor families."""
-    m0, m2, m4 = (np.power(m, K) / lam for m in _moments(parts))
+def resolve_lambda(channels: np.ndarray) -> np.ndarray:
+    """Normalization factor per window of [..., C, N] channels."""
+    return _lambda(_moments([channels])[0])
+
+
+def _core_features(moments, lam) -> list[np.ndarray]:
+    """Normalized log moments, sparseness and irregularity factor from the
+    root-squared moments m0, m2, m4; shared by both descriptor families."""
+    m0, m2, m4 = (np.power(m, K) / lam for m in moments)
     sparseness = m0 / (np.sqrt(np.abs(m0 - m2)) * np.sqrt(np.abs(m0 - m4)) + EPS)
     irf = np.sqrt(m2 / (m0 * m4 + EPS))
     return [np.log(f + EPS) for f in (m0, m2, m4, sparseness, irf)]
@@ -54,7 +64,7 @@ def tdd_base(x: np.ndarray, lam=1.0) -> np.ndarray:
     of second to first differences."""
     _, dx, ddx = parts = _differences(x)
     wlr = np.sum(np.abs(ddx), axis=-1) / (np.sum(np.abs(dx), axis=-1) + EPS)
-    return np.stack([*_core_features(parts, lam), np.log(wlr + EPS)], axis=-1)
+    return np.stack([*_core_features(_moments(parts), lam), np.log(wlr + EPS)], axis=-1)
 
 
 def fuse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,35 +90,39 @@ def ftdd_names(n_channels: int) -> list[str]:
     return [f"ch{i}_ftdd{j}" for i in range(n_channels) for j in range(6)]
 
 
-def tsd_signal_features(x: np.ndarray, lam=1.0) -> np.ndarray:
-    """Seven descriptors per signal on the last axis, [..., N] -> [..., 7]:
-    log moments, sparseness, irregularity factor, coefficient of variation,
-    and the log of the absolute Teager-Kaiser energy sum."""
-    x = np.asarray(x, dtype=np.float64)
-    core = _core_features(_differences(x), lam)
-    cov = np.std(x, axis=-1, ddof=1) / (np.abs(np.mean(x, axis=-1)) + EPS)
-    tkeo = x[..., 1:-1] ** 2
-    tkeo -= x[..., :-2] * x[..., 2:]
-    f8 = np.log(np.abs(np.sum(tkeo, axis=-1)) + EPS)
-    return np.stack([*core, np.log(cov + EPS), f8], axis=-1)
-
-
 def tsd_windows(windows: np.ndarray) -> np.ndarray:
-    """Temporal-spatial descriptors of [..., C, N] windows: within-channel
-    features followed by the features of every pairwise channel difference,
-    lexicographic (i, j), i < j."""
-    n_ch = windows.shape[-2]
+    """Temporal-spatial descriptors of [..., C, N] windows: seven features
+    of each channel, then of every pairwise channel difference x_i - x_j,
+    lexicographic (i, j), i < j. They are the log moments, sparseness,
+    irregularity factor, log CoV std / (|mean| + EPS) and the log of the
+    absolute Teager-Kaiser sum sum_t x_t^2 - x_{t-1} x_{t+1}. A channel
+    takes the diagonal G_ii of each Gram matrix, a difference
+    G_ii + G_jj - 2 G_ij, which cancels for nearly equal channels and so
+    is clamped at 0 where it is a sum of squares."""
+    x, dx, ddx = _differences(windows)
+    n_ch, n = x.shape[-2:]
     if n_ch < 2:
         raise FeatureError("temporal-spatial descriptors need at least 2 channels")
-    lam = resolve_lambda(windows)
-    rows = [tsd_signal_features(windows, lam)]
-    # One block of differences per leading channel i, so that only one
-    # block's temporaries are alive at a time.
-    rows.extend(
-        tsd_signal_features(windows[..., i : i + 1, :] - windows[..., i + 1 :, :], lam)
-        for i in range(n_ch - 1)
-    )
-    return np.concatenate(rows, axis=-2).reshape(*windows.shape[:-2], -1)
+    i, j = np.triu_indices(n_ch, 1)
+
+    def channels_and_pairs(G):
+        own = np.diagonal(G, axis1=-2, axis2=-1)
+        return np.concatenate([own, own[..., i] + own[..., j] - 2.0 * G[..., i, j]], axis=-1)
+
+    def gram(a, b):
+        return a @ b.swapaxes(-1, -2)
+
+    squares = [np.maximum(channels_and_pairs(gram(d, d)), 0.0) for d in (x, dx, ddx)]
+    lam = _lambda(np.sqrt(squares[0][..., :n_ch] / n))
+    core = _core_features([np.sqrt(q / n) for q in squares], lam)
+    total = x.sum(axis=-1)
+    total = np.concatenate([total, total[..., i] - total[..., j]], axis=-1)
+    var = np.maximum(squares[0] - total * total / n, 0.0) / (n - 1)
+    cov = np.sqrt(var) / (np.abs(total / n) + EPS)
+    lag = gram(x[..., :-2], x[..., 2:])
+    tkeo = channels_and_pairs(gram(x[..., 1:-1], x[..., 1:-1]) - 0.5 * (lag + lag.swapaxes(-1, -2)))
+    features = [*core, np.log(cov + EPS), np.log(np.abs(tkeo) + EPS)]
+    return np.stack(features, axis=-1).reshape(*windows.shape[:-2], -1)
 
 
 def tsd_names(n_channels: int) -> list[str]:

@@ -303,6 +303,9 @@ def synthetic_trial_samples(n_classes: int, n_channels: int, fs: float, trials_p
     """The samples per synthetic trial, after refusing values the generator cannot use."""
     if min(n_classes, n_channels, trials_per_class) < 1:
         raise IngestError("all synthetic counts must be >= 1")
+    for name, value in (("fs", fs), ("trial_seconds", trial_seconds)):
+        if not np.isfinite(value):
+            raise IngestError(f"synthetic {name} must be finite, got {value}")
     if fs < 1000:
         raise IngestError(f"fs too low for the 450 Hz band edge: {fs}")
     n = int(round(trial_seconds * fs))

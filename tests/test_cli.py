@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 
@@ -284,6 +285,14 @@ class TestTrainAndBench:
         assert "missing synthetic keys" in err
         assert "'n_classes'" in err and "'trial_seconds'" in err
 
+    @pytest.mark.parametrize("text", ["1e400", "-Infinity", "NaN"])
+    def test_bench_non_finite_synthetic_number_names_the_key(self, text, capsys):
+        """JSON reads 1e400 as inf; it and NaN are usage errors naming the key."""
+        spec = SMALL_SPEC.replace('"trial_seconds": 1.0', f'"trial_seconds": {text}')
+        assert text in spec
+        assert main(["bench", "--synthetic", spec, "--families", "ftdd", "--models", "lda"]) == 2
+        assert "synthetic trial_seconds must be a finite number" in capsys.readouterr().err
+
     def test_bench_synthetic_spec_not_an_object(self, capsys):
         code = main(["bench", "--synthetic", "5", "--families", "ftdd", "--models", "lda"])
         assert code == 2
@@ -413,13 +422,20 @@ class TestTrainAndBench:
             ({"dataset": {"synthetic": {**json.loads(SMALL_SPEC), "trial_seconds": 0.5}}},
              r"synthetic trial_seconds 0\.5 gives trials shorter than one window: "
              r"512 < 614 samples"),
+            *(({"dataset": {"synthetic": {**json.loads(SMALL_SPEC), key: value}}},
+               rf"synthetic {key} must be a finite number, got {value}")
+              for key in ("trial_seconds", "fs") for value in (math.inf, math.nan)),
+            *(({"test_fraction": value}, rf"test_fraction must be a finite number, got {value}")
+              for value in (math.inf, math.nan)),
         ],
         ids=["list", "tdd_key", "window_default", "band_key", "band_missing", "jobs_float",
              "window_zero", "seed_str", "seed_float", "seed_bool", "duplicate_family", "families_str",
              "models_str", "synthetic_int", "trial_seconds_str", "n_classes_str",
              "manifest_int", "overlap_str", "overlap_bool", "test_fraction_str",
              "subject_split_str", "window_bool", "band_low_str", "order_float", "order_bool",
-             "n_classes_zero", "fs_low", "trial_too_short_to_filter", "trial_shorter_than_window"],
+             "n_classes_zero", "fs_low", "trial_too_short_to_filter", "trial_shorter_than_window",
+             "trial_seconds_inf", "trial_seconds_nan", "fs_inf", "fs_nan", "test_fraction_inf",
+             "test_fraction_nan"],
     )
     def test_bad_config_file_names_the_file(self, doc, message, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -148,6 +148,31 @@ def test_time_domain_families_match_row_by_row(ws, family, single, loop):
     np.testing.assert_allclose(fm.values, reference, rtol=RTOL, atol=ATOL)
 
 
+# Per tsd feature, the error allowed on a difference of nearly equal
+# channels, in units of r = 2 eps / delta^2: the relative rounding of that
+# pair's Gram sums G_ii + G_jj - 2 G_ij, whose terms are about 2 / delta^2
+# times the result. The log moments and irregularity factor take a share
+# K / 2 of it; sparseness, CoV and the TKEO sum divide it by smaller
+# differences. Measured worst cases over three other windows: 0.25, 0.08, 0.12, 5.2,
+# 0.14, 2.5 and 6.1 r.
+NEAR_EQUAL_TOL = np.array([1.0, 1.0, 1.0, 20.0, 1.0, 20.0, 20.0])
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+def test_tsd_pairs_of_nearly_equal_channels(delta):
+    """x_1 = x_0 + delta * noise: the (0, 1) pair's features, read off
+    Gram matrices, stay within NEAR_EQUAL_TOL r of the direct loop; every
+    other column meets the usual tolerance."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(1228) + 0.3
+    window = np.vstack([x, x + delta * rng.standard_normal(x.size), rng.standard_normal(x.size)])
+    got, want = tsd_windows(window).reshape(6, 7), loop_tsd(window).reshape(6, 7)
+    r = 2 * np.finfo(np.float64).eps / delta**2
+    assert np.all(np.abs(got[3] - want[3]) <= NEAR_EQUAL_TOL * r)
+    others = [0, 1, 2, 4, 5]
+    np.testing.assert_allclose(got[others], want[others], rtol=RTOL, atol=ATOL)
+
+
 def test_wavelet_matches_per_channel_dwt(ws):
     fm = extract(ws, "wavelet")
     windows = windows_of(ws)

@@ -282,6 +282,13 @@ class TestSynthetic:
         with pytest.raises(IngestError, match=r"trial_seconds 0 gives 0 samples"):
             generate_synthetic(2, 2, 1024, 1, 0, seed=0)
 
+    @pytest.mark.parametrize("key", ["fs", "trial_seconds"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_fs_or_length_rejected(self, key, value):
+        spec = dict(n_classes=2, n_channels=2, fs=1024, trials_per_class=1, trial_seconds=1.0)
+        with pytest.raises(IngestError, match=f"synthetic {key} must be finite, got {value}"):
+            generate_synthetic(**{**spec, key: value}, seed=0)
+
     def test_low_fs_rejected(self):
         with pytest.raises(IngestError, match="450 Hz band edge"):
             generate_synthetic(2, 2, 500, 1, 1.0, seed=0)

@@ -14,7 +14,6 @@ from emgbench.features.tdd import (
     ftdd_windows,
     tdd_base,
     tsd_names,
-    tsd_signal_features,
     tsd_windows,
 )
 
@@ -121,28 +120,30 @@ class TestFtddWindow:
 
 class TestTsd:
     def test_constant_window_hits_guards(self):
-        out = tsd_signal_features(np.full(100, 2.0))
+        out = tsd_windows(np.full((2, 100), 2.0)).reshape(3, 7)
         assert np.all(np.isfinite(out))
-        # std = 0 and TKEO sum = 0 both bottom out at log(EPS)
-        assert out[5] == pytest.approx(np.log(EPS))
-        assert out[6] == pytest.approx(np.log(EPS))
+        # std = 0 and TKEO sum = 0 both bottom out at log(EPS), for each
+        # channel and for their (all-zero) difference
+        np.testing.assert_allclose(out[:, 5:], np.log(EPS), rtol=1e-6)
 
     def test_tkeo_sinusoid_identity(self):
-        # TKEO of A sin(w n) is A^2 sin^2(w) per sample
+        # TKEO of A sin(w n) is A^2 sin^2(w) per sample; the difference of
+        # the two channels is 0.75 x, whose sum is 0.75^2 that of x
         amp, omega, n = 1.3, 0.3, 1000
         x = amp * np.sin(omega * np.arange(n))
         oracle = sum(x[j] ** 2 - x[j - 1] * x[j + 1] for j in range(1, n - 1))
-        out = tsd_signal_features(x)
-        assert np.exp(out[6]) == pytest.approx(abs(oracle), rel=1e-9)
+        out = tsd_windows(np.vstack([x, 0.25 * x])).reshape(3, 7)
+        assert np.exp(out[0, 6]) == pytest.approx(abs(oracle), rel=1e-9)
+        assert np.exp(out[2, 6]) == pytest.approx(0.75**2 * abs(oracle), rel=1e-9)
         assert oracle == pytest.approx((n - 2) * amp**2 * np.sin(omega) ** 2, rel=0.01)
 
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal(200) + 0.5
-        a = tsd_signal_features(x)
-        b = tsd_signal_features(-x)
-        assert b[5] == pytest.approx(a[5], abs=1e-12)
-        assert b[6] == pytest.approx(a[6], abs=1e-9)
+        x = rng.standard_normal((3, 200)) + 0.5
+        a = tsd_windows(x).reshape(6, 7)
+        b = tsd_windows(-x).reshape(6, 7)
+        np.testing.assert_allclose(b[:, 5], a[:, 5], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b[:, 6], a[:, 6], rtol=0, atol=1e-9)
 
     def test_four_channel_feature_count(self):
         rng = np.random.default_rng(4)
@@ -150,10 +151,15 @@ class TestTsd:
         assert row.shape == (7 * (4 + 6),)
 
     def test_identical_channels_difference_is_finite(self):
+        """Two equal channels, alone or among others and in a batch of
+        windows: their difference's Gram sums cancel to about 0, clamped
+        at 0 where they are sums of squares."""
         rng = np.random.default_rng(5)
         x = rng.standard_normal(200)
-        row = tsd_windows(np.vstack([x, x]))
-        assert np.all(np.isfinite(row))
+        for others in (0, 6):
+            window = np.vstack([x, x, rng.standard_normal((others, 200))])
+            assert np.all(np.isfinite(tsd_windows(window)))
+            assert np.all(np.isfinite(tsd_windows(np.stack([window, 3.1 * window + 1.0]))))
 
     def test_two_channel_name_order(self):
         names = tsd_names(2)
