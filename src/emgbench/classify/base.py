@@ -160,12 +160,10 @@ def majority_vote(votes: np.ndarray, n_classes: int, weights: np.ndarray | None 
 
 class VoteModel(TrainedModel):
     """Hard vote over fitted members, weighted if weights are given; ties go
-    to the lower class. The random forest votes over its trees, bagging over
-    its bootstrap fits, AdaBoost over its forests weighted by their SAMME
-    alphas, and voting over the row's fitted pipelines.
-
-    A member may know fewer classes than the vote (a bootstrap draw can lack
-    one), and a tree may read fewer features."""
+    to the lower class. Bagging votes over its bootstrap fits, AdaBoost over
+    its forests weighted by their SAMME alphas, and voting over the row's
+    fitted pipelines. A member may know fewer classes than the vote (a
+    bootstrap draw can lack one)."""
 
     kind = "vote"
 

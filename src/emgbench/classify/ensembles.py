@@ -6,7 +6,7 @@ import numpy as np
 
 from ..features.extract import FeatureMatrix
 from .base import ClassifyError, VoteModel
-from .tree import fit_trees
+from .tree import Forest, fit_trees
 
 N_TREES = 100  # trees of a random forest
 N_ESTIMATORS = 10  # bootstrap members of a bagging vote
@@ -23,8 +23,8 @@ def bootstrap(n: int, count: int, seed: int, p: np.ndarray | None = None):
 
 
 def fit_random_forest(train: FeatureMatrix, n_trees: int = N_TREES, seed: int = 0,
-                      sample_weights: np.ndarray | None = None) -> VoteModel:
-    """A vote over trees, each grown on its own bootstrap (optionally
+                      sample_weights: np.ndarray | None = None) -> Forest:
+    """A forest of trees, each grown on its own bootstrap (optionally
     weighted) with floor(sqrt(d)) candidate features per split."""
     X, y = train.values, train.labels
     n, d = X.shape
@@ -32,8 +32,7 @@ def fit_random_forest(train: FeatureMatrix, n_trees: int = N_TREES, seed: int = 
         raise ClassifyError("empty training set")
     n_classes = int(y.max()) + 1
     rngs, row_sets = bootstrap(n, n_trees, seed, sample_weights)
-    trees = fit_trees(X, y, n_classes, row_sets, rngs, max(1, int(np.sqrt(d))))
-    return VoteModel(trees, n_classes=n_classes, n_features=d)
+    return fit_trees(X, y, n_classes, row_sets, rngs, max(1, int(np.sqrt(d))))
 
 
 def fit_bagging(fit_members, train: FeatureMatrix, seed: int = 0) -> VoteModel:

@@ -25,7 +25,7 @@ from .knn import fit_knn
 from .lda import fit_lda
 from .svm import fit_linear_svm, fit_linear_svms
 
-BLOB_VERSION = 5
+BLOB_VERSION = 6
 
 
 def _zscored(train: FeatureMatrix) -> tuple[Standardizer, FeatureMatrix]:

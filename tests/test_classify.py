@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 from conftest import split_blobs
 from emgbench.classify import ensembles
 from emgbench.classify import svm as svm_module
+from emgbench.classify import tree as tree_module
 from emgbench.classify.base import (
     ClassifyError,
     Standardizer,
@@ -22,9 +23,9 @@ from emgbench.classify.ensembles import boost_round_weight, fit_adaboost_rf, fit
 from emgbench.classify.ensembles import fit_random_forest
 from emgbench.classify.knn import _nearest, fit_knn, knn_predict
 from emgbench.classify.lda import fit_lda
-from emgbench.classify.pipeline import Pipeline, fit_pipeline
+from emgbench.classify.pipeline import BLOB_VERSION, Pipeline, fit_pipeline
 from emgbench.classify.svm import fit_linear_svm, fit_linear_svms
-from emgbench.classify.tree import DecisionTree, fit_trees
+from emgbench.classify.tree import Forest, fit_trees
 from emgbench.evaluate import stratified_split
 from emgbench.features.extract import FeatureMatrix, extract
 from emgbench.preprocess import bandpass, segment_records
@@ -494,17 +495,20 @@ class TestTreeAndForest:
         # one feature, perfect cut between 1 and 10 at threshold 5.5
         train = fm(np.array([[0.0], [1.0], [10.0], [11.0]]), np.array([0, 0, 1, 1]))
         rng = np.random.default_rng(0)
-        tree = fit_trees(train.values, train.labels, 2, [np.arange(4)], [rng], 1)[0]
-        assert tree.feature[0] == 0
-        assert tree.threshold[0] == pytest.approx(5.5)
-        np.testing.assert_array_equal(tree.predict(np.array([[5.0], [6.0]])), [0, 1])
-        np.testing.assert_array_equal(tree.predict(train.values), train.labels)
+        forest = fit_trees(train.values, train.labels, 2, [np.arange(4)], [rng], 1)
+        assert forest.offsets.tolist() == [0, 3]
+        assert forest.feature.tolist() == [0, -1, -1]
+        assert forest.threshold[0] == pytest.approx(5.5)
+        assert (forest.left[0], forest.right[0]) == (1, 2)
+        assert forest.leaf_label.tolist() == [-1, 0, 1]
+        np.testing.assert_array_equal(forest.predict(np.array([[5.0], [6.0]])), [0, 1])
+        np.testing.assert_array_equal(forest.predict(train.values), train.labels)
 
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0], [1.0]])
-        tree = fit_trees(X, np.array([1, 1]), 2, [np.arange(2)], [np.random.default_rng(0)], 1)[0]
-        assert tree.feature[0] == -1
-        assert tree.leaf_label[0] == 1
+        forest = fit_trees(X, np.array([1, 1]), 2, [np.arange(2)], [np.random.default_rng(0)], 1)
+        assert forest.feature.tolist() == [-1]
+        assert forest.leaf_label.tolist() == [1]
 
     def test_held_out_accuracy_on_separable_blobs(self, blob_data):
         train, test = split_blobs(blob_data)
@@ -555,9 +559,13 @@ def _scalar_best_split(X, y, idx, features, n_classes):
     return None if best is None else best[1:]
 
 
+TREE_DTYPES = (np.int64, np.float64, np.int64, np.int64, np.int64)  # feature ... leaf_label
+
+
 def scalar_tree(X, y, n_classes, rng, max_features=None, fallbacks=None):
-    """One tree grown alone by recursion, one node at a time; every node that
-    falls back to the full feature set is appended to fallbacks."""
+    """One tree grown alone by recursion, one node at a time, as its
+    preorder (feature, threshold, left, right, leaf_label) arrays; every
+    node that falls back to the full feature set is appended to fallbacks."""
     d = X.shape[1]
     max_features = d if max_features is None else max_features
     feature, threshold, left, right, leaf_label = columns = [], [], [], [], []
@@ -587,7 +595,7 @@ def scalar_tree(X, y, n_classes, rng, max_features=None, fallbacks=None):
         return node
 
     build(np.arange(X.shape[0]))
-    return DecisionTree(feature, threshold, left, right, leaf_label, n_classes)
+    return tuple(np.array(c, dtype=t) for c, t in zip(columns, TREE_DTYPES))
 
 
 def scalar_forest(train, n_trees, seed, sample_weights=None, fallbacks=None):
@@ -603,39 +611,57 @@ def scalar_forest(train, n_trees, seed, sample_weights=None, fallbacks=None):
     return trees
 
 
-def tree_blobs(trees):
-    return [json.dumps(model_to_blob(t), sort_keys=True) for t in trees]
+def forest_trees(forest):
+    """Each tree's slice of a forest's node table, with the tree's offset
+    taken off its inner nodes' child indices."""
+    trees = []
+    for lo, hi in zip(forest.offsets[:-1], forest.offsets[1:]):
+        shift = np.where(forest.feature[lo:hi] >= 0, lo, 0)
+        trees.append((forest.feature[lo:hi], forest.threshold[lo:hi], forest.left[lo:hi] - shift,
+                      forest.right[lo:hi] - shift, forest.leaf_label[lo:hi]))
+    return trees
+
+
+def assert_same_trees(forest, expected):
+    """The forest holds the expected trees, each array equal byte for byte."""
+    assert isinstance(forest, Forest)
+    got = forest_trees(forest)
+    assert len(got) == len(expected)
+    for tree, oracle in zip(got, expected):
+        assert [a.dtype for a in tree] == list(TREE_DTYPES)
+        assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle]
 
 
 def walk_rows(tree, values):
-    """Per-row descent from the root: the predict of one row at a time."""
+    """Per-row descent from the root of one tree's (feature, threshold,
+    left, right, leaf_label) arrays: the predict of one row at a time."""
+    feature, threshold, left, right, leaf_label = tree
     out = []
     for row in values:
         node = 0
-        while tree.feature[node] >= 0:
-            go_left = row[tree.feature[node]] <= tree.threshold[node]
-            node = tree.left[node] if go_left else tree.right[node]
-        out.append(tree.leaf_label[node])
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+        out.append(leaf_label[node])
     return np.array(out)
 
 
 class TestLockstepTrees:
-    """Every tree grown in lockstep on ranks has, byte for byte, the blob of
-    the tree grown alone by the scalar search."""
+    """Every tree grown in lockstep on ranks has, byte for byte, the arrays
+    of the tree grown alone by the scalar search."""
 
     def test_single_tree_all_features(self):
         train = noisy_classes(np.random.default_rng(21), 60, 10, 4, spread=1.0)
         rows = [np.arange(train.n_rows)]
-        tree = fit_trees(train.values, train.labels, 4, rows, [np.random.default_rng(3)], 10)[0]
+        forest = fit_trees(train.values, train.labels, 4, rows, [np.random.default_rng(3)], 10)
         expected = scalar_tree(train.values, train.labels, 4, np.random.default_rng(3))
-        assert tree_blobs([tree]) == tree_blobs([expected])
-        assert tree.feature.size > 3
+        assert_same_trees(forest, [expected])
+        assert forest.feature.size > 3
 
     @pytest.mark.parametrize("d", [48, 252])
     def test_forest(self, d):
         train = noisy_classes(np.random.default_rng(d), 76, d, 4, spread=1.0)
         model = fit_random_forest(train, n_trees=100, seed=d)
-        assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 100, d))
+        assert_same_trees(model, scalar_forest(train, 100, d))
 
     def test_weighted_forest(self):
         rng = np.random.default_rng(4)
@@ -643,7 +669,7 @@ class TestLockstepTrees:
         w = rng.random(train.n_rows)
         w /= w.sum()
         model = fit_random_forest(train, n_trees=25, seed=7, sample_weights=w)
-        assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 25, 7, w))
+        assert_same_trees(model, scalar_forest(train, 25, 7, w))
 
     def test_full_feature_fallback(self):
         rng = np.random.default_rng(6)
@@ -655,7 +681,7 @@ class TestLockstepTrees:
         expected = scalar_forest(train, 20, 1, fallbacks=fallbacks)
         assert len(fallbacks) > 0
         model = fit_random_forest(train, n_trees=20, seed=1)
-        assert tree_blobs(model.members) == tree_blobs(expected)
+        assert_same_trees(model, expected)
 
     def test_tied_and_duplicated_values(self):
         rng = np.random.default_rng(8)
@@ -666,9 +692,9 @@ class TestLockstepTrees:
         y = rng.integers(0, 3, size=40)
         train = fm(X, y)
         model = fit_random_forest(train, n_trees=30, seed=2)
-        assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 30, 2))
-        tree = fit_trees(X, y, 3, [np.arange(len(y))], [np.random.default_rng(5)], 6)[0]
-        assert tree_blobs([tree]) == tree_blobs([scalar_tree(X, y, 3, np.random.default_rng(5))])
+        assert_same_trees(model, scalar_forest(train, 30, 2))
+        forest = fit_trees(X, y, 3, [np.arange(len(y))], [np.random.default_rng(5)], 6)
+        assert_same_trees(forest, [scalar_tree(X, y, 3, np.random.default_rng(5))])
 
     @pytest.mark.parametrize(
         "n_rows, labels", [(1, [2]), (12, [1] * 12)], ids=["one_row", "one_class"]
@@ -676,18 +702,27 @@ class TestLockstepTrees:
     def test_degenerate_training_sets(self, n_rows, labels):
         train = fm(np.random.default_rng(0).standard_normal((n_rows, 5)), np.array(labels))
         model = fit_random_forest(train, n_trees=5, seed=3)
-        assert tree_blobs(model.members) == tree_blobs(scalar_forest(train, 5, 3))
-        assert all(t.feature.tolist() == [-1] for t in model.members)
+        assert_same_trees(model, scalar_forest(train, 5, 3))
+        assert model.feature.tolist() == [-1] * 5
+        assert model.offsets.tolist() == list(range(6))
 
-    def test_level_wise_predict_equals_row_walk(self):
+    def test_level_wise_predict_equals_row_walk(self, monkeypatch):
+        """The forest's walk over all (tree, row) lanes votes as the trees'
+        row-by-row walks do, whether the rows fit in one chunk of lanes or
+        take many, down to one row per chunk."""
         rng = np.random.default_rng(10)
         train = noisy_classes(rng, 80, 12, 4, spread=1.0)
         model = fit_random_forest(train, n_trees=10, seed=4)
         query = np.vstack([rng.standard_normal((50, 12)), train.values])
         # rows that sit exactly on a threshold go left
-        query[:10, model.members[0].feature[0]] = model.members[0].threshold[0]
-        for tree in model.members:
-            np.testing.assert_array_equal(tree.predict(query), walk_rows(tree, query))
+        trees = forest_trees(model)
+        for i, (feature, threshold, *_) in enumerate(trees):
+            query[3 * i:3 * i + 3, feature[0]] = threshold[0]
+        assert np.any(query[:, trees[1][0][0]] == trees[1][1][0])
+        expected = majority_vote(np.vstack([walk_rows(t, query) for t in trees]), 4)
+        for lanes in (tree_module.WALK_LANES, 30, 7):
+            monkeypatch.setattr(tree_module, "WALK_LANES", lanes)
+            np.testing.assert_array_equal(model.predict(query), expected)
 
     def test_non_finite_features_refused(self):
         X = np.array([[0.0], [np.nan], [1.0]])
@@ -742,6 +777,20 @@ class TestAdaBoost:
         np.testing.assert_array_equal(
             model.predict(test.values), model.members[0].predict(test.values)
         )
+
+    def test_weighted_vote_over_forests(self):
+        """Rows repeated under other labels keep every round imperfect, so
+        all rounds are kept; the model's vote is majority_vote over its
+        forests' own predictions, weighted by their alphas."""
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 3, (60, 3)).astype(float)
+        y = rng.integers(0, 3, 60)
+        model = fit_adaboost_rf(fm(X, y), seed=1)
+        assert len(model.members) == ensembles.N_ROUNDS
+        assert all(isinstance(m, Forest) for m in model.members)
+        query = np.vstack([X, rng.uniform(-1, 3, (40, 3))])
+        votes = np.vstack([m.predict(query) for m in model.members])
+        np.testing.assert_array_equal(model.predict(query), majority_vote(votes, 3, model.weights))
 
     def test_not_much_worse_than_plain_forest(self, blob_data, monkeypatch):
         monkeypatch.setattr(ensembles, "N_ROUNDS", 3)
@@ -909,26 +958,27 @@ class TestPipelineSerialization:
     @pytest.mark.parametrize(
         "name, edit, message",
         [
-            ("random_forest", lambda b: _members(b).__setitem__(0, _STANDARDIZER_6),
+            ("adaboost", lambda b: _members(b).__setitem__(0, _STANDARDIZER_6),
              "vote member is a Standardizer, not a predictor"),
             ("voting", lambda b: _members(b).__setitem__(1, _members(b)[1]["scaler"]),
              "vote member is a Standardizer, not a predictor"),
-            ("random_forest", lambda b: _members(b)[0].update(n_classes=5),
+            ("adaboost", lambda b: _members(b)[0].update(n_classes=5),
              "vote member with 5 classes"),
-            ("random_forest", lambda b: _members(b)[0]["feature"].__setitem__(0, 6),
+            ("adaboost", lambda b: _members(b)[0].update(n_features=7),
              "7 features exceeds the vote's 4, 6"),
             ("bagging_svm", lambda b: b["model"].update(members=5),
              "'vote' blob: vote members must be a non-empty list, got 5"),
             ("bagging_knn", lambda b: b["model"].update(members=[]), "non-empty list, got \\[\\]"),
             ("adaboost", lambda b: b["model"].update(weights=[1.0, 1.0]), "one number per member"),
-            ("voting", lambda b: _members(b)[0].update(scaler=_members(_members(b)[2]["model"])[0]),
+            ("voting", lambda b: _members(b)[0].update(scaler=_members(b)[2]["model"]),
              "pipeline scaler must be a standardizer"),
             ("lda", lambda b: b.update(version=3), "unsupported model blob version: 3"),
             ("lda", lambda b: b.update(version=4), "unsupported model blob version: 4"),
+            ("lda", lambda b: b.update(version=5), "unsupported model blob version: 5"),
         ],
         ids=["tree_standardizer", "voting_member_standardizer", "more_classes",
              "feature_out_of_range", "members_not_a_list", "no_members", "weights_per_member",
-             "pipeline_scaler_tree", "v3_blob", "v4_blob"],
+             "pipeline_scaler_tree", "v3_blob", "v4_blob", "v5_blob"],
     )
     def test_vote_member_refused(self, name, edit, message, blob_data):
         blob = fit_pipeline(name, blob_data).to_blob()
@@ -960,7 +1010,7 @@ class TestPipelineSerialization:
     def test_blob_of_another_kind_refused(self, blob_data):
         model = fit_pipeline("knn", blob_data).to_blob()["model"]
         with pytest.raises(ClassifyError, match="holds a 'knn', not a pipeline"):
-            Pipeline.from_blob({"version": 5, **model})
+            Pipeline.from_blob({"version": BLOB_VERSION, **model})
 
     def test_bagging_member_lacking_a_class_round_trips(self, monkeypatch):
         monkeypatch.setattr(ensembles, "N_ESTIMATORS", 6)
@@ -975,21 +1025,48 @@ class TestPipelineSerialization:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda tree: tree["threshold"].pop(), "of one length"),
-            (lambda tree: tree["left"].__setitem__(0, 0), "must come after their node"),
-            (lambda tree: tree["right"].__setitem__(0, len(tree["right"])), "index a node"),
-            (lambda tree: tree["leaf_label"].__setitem__(-1, 4), r"leaf labels must lie in \[0, 4\)"),
+            (lambda forest: forest["threshold"].pop(), "of one length"),
+            (lambda forest: forest["left"].__setitem__(0, 0), "must come after their node"),
+            (lambda forest: forest["right"].__setitem__(0, len(forest["right"])), "index a node"),
+            (lambda forest: forest["left"].__setitem__(0, forest["offsets"][1]),
+             "index a node of its tree"),
+            (lambda forest: forest["leaf_label"].__setitem__(-1, 4),
+             r"leaf labels must lie in \[0, 4\)"),
+            (lambda forest: forest["feature"].__setitem__(0, 6), "split features must lie below 6"),
+            (lambda forest: forest["offsets"].__setitem__(0, 1), "offsets must rise from 0"),
+            (lambda forest: forest["offsets"].__setitem__(2, forest["offsets"][1]),
+             "offsets must rise from 0"),
+            (lambda forest: forest["offsets"].pop(), "offsets must rise from 0 to the node count"),
+            (lambda forest: forest.update(offsets=[]), "offsets must rise from 0"),
         ],
-        ids=["lengths_differ", "child_not_after_node", "child_out_of_range", "label_out_of_range"],
+        ids=["lengths_differ", "child_not_after_node", "child_out_of_range", "child_in_next_tree",
+             "label_out_of_range", "split_feature_out_of_range", "offsets_not_from_zero",
+             "offsets_not_rising", "offsets_short_of_node_count", "no_offsets"],
     )
     def test_malformed_tree_refused(self, edit, message, blob_data):
-        blob = fit_pipeline("adaboost", blob_data).to_blob()
-        tree = _members(blob["model"]["members"][0])[1]
-        assert tree["feature"][0] >= 0 and tree["feature"][-1] == -1
-        edit(tree)
-        with pytest.raises(ClassifyError, match=message):
-            Pipeline.from_blob(blob)
+        """A forest table with a malformed tree, or tree offsets that do not
+        tile its nodes, is refused by the constructor and on load."""
+        blob = fit_pipeline("random_forest", blob_data).to_blob()
+        forest = blob["model"]
+        assert forest["kind"] == "forest" and forest["feature"][0] >= 0
+        assert forest["offsets"][2] < len(forest["feature"])
+        edit(forest)
+        assert_forest_refused(forest, message)
 
     def test_tree_with_self_loop_refused(self):
-        with pytest.raises(ClassifyError, match="must come after their node"):
-            DecisionTree([0, -1, -1], [0.5, 0.0, 0.0], [0, -1, -1], [2, -1, -1], [-1, 0, 1], 2)
+        forest = model_to_blob(Forest([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                                      [-1, 0, 1], [0, 3], n_classes=2, n_features=1))
+        forest["left"][0] = 0
+        assert_forest_refused(forest, "must come after their node")
+
+
+def assert_forest_refused(forest_blob, message):
+    """Both the Forest constructor and Pipeline.from_blob, on a pipeline
+    around the forest blob, refuse it with message."""
+    fields = {name: forest_blob[name] for name in Forest.fields}
+    with pytest.raises(ClassifyError, match=message):
+        Forest(**fields)
+    pipeline = {"version": BLOB_VERSION, "kind": "pipeline", "name": "random_forest",
+                "scaler": None, "model": forest_blob}
+    with pytest.raises(ClassifyError, match=message):
+        Pipeline.from_blob(pipeline)
