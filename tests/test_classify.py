@@ -719,10 +719,13 @@ class TestLockstepTrees:
         for i, (feature, threshold, *_) in enumerate(trees):
             query[3 * i:3 * i + 3, feature[0]] = threshold[0]
         assert np.any(query[:, trees[1][0][0]] == trees[1][1][0])
-        expected = majority_vote(np.vstack([walk_rows(t, query) for t in trees]), 4)
+        walks = [walk_rows(t, query) for t in trees]
         for lanes in (tree_module.WALK_LANES, 30, 7):
             monkeypatch.setattr(tree_module, "WALK_LANES", lanes)
-            np.testing.assert_array_equal(model.predict(query), expected)
+            np.testing.assert_array_equal(model.predict(query), majority_vote(np.vstack(walks), 4))
+            for tree, walk in zip(trees, walks):  # a one-tree forest predicts its tree's labels
+                alone = Forest(*tree, [0, tree[0].size], n_classes=4, n_features=12)
+                np.testing.assert_array_equal(alone.predict(query), walk)
 
     def test_non_finite_features_refused(self):
         X = np.array([[0.0], [np.nan], [1.0]])
