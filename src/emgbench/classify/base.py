@@ -1,10 +1,13 @@
 """Shared classifier plumbing: z-score standardizer, the fitted-model
 contract (deterministic predict, feature-count validation), the one vote
 every ensemble is, and the one model-file codec, whose kind -> class
-registry rebuilds any stored object from its blob."""
+registry rebuilds any stored object from its blob. A float64 array is
+stored as its raw little-endian bytes, far cheaper to write than text."""
 from __future__ import annotations
 
+import base64
 import inspect
+import math
 
 import numpy as np
 
@@ -32,12 +35,16 @@ class Stored:
 
 
 def model_to_blob(obj: Stored) -> dict:
-    """JSON-ready blob of a stored object; arrays become lists and nested
-    stored objects become blobs."""
+    """JSON-ready blob of a stored object: a float64 array becomes a dict of
+    its dtype "<f8", shape and little-endian bytes in base64 ("data"), any
+    other array a list, and a nested stored object a blob."""
     return {"kind": obj.kind, **{name: _encode(getattr(obj, name)) for name in obj.fields}}
 
 
 def _encode(value):
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        data = base64.b64encode(value.astype("<f8", copy=False).tobytes()).decode("ascii")
+        return {"dtype": "<f8", "shape": list(value.shape), "data": data}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, Stored):
@@ -60,19 +67,36 @@ def model_from_blob(blob: dict) -> Stored:
         missing = sorted(set(cls.fields) - given)
         extra = sorted(given - set(cls.fields))
         raise ClassifyError(f"{kind!r} blob: missing fields {missing}, unexpected fields {extra}")
-    values = {name: _decode(blob[name]) for name in cls.fields}
+    values = {name: _decode(blob[name], f"{kind!r} blob field {name!r}") for name in cls.fields}
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ClassifyError(f"{kind!r} blob: {exc}") from None
 
 
-def _decode(value):
+def _decode(value, where: str):
     if isinstance(value, dict):
-        return model_from_blob(value)
+        return model_from_blob(value) if "kind" in value else _decode_array(value, where)
     if isinstance(value, list) and value and isinstance(value[0], dict):
         return [model_from_blob(v) for v in value]
     return value  # constructors turn lists back into arrays
+
+
+def _decode_array(value: dict, where: str) -> np.ndarray:
+    """The writable float64 array that a {"dtype", "shape", "data"} dict stores."""
+    shape = value.get("shape")
+    if set(value) != {"dtype", "shape", "data"} or value["dtype"] != "<f8":
+        raise ClassifyError(f"{where}: a float array needs keys data, dtype '<f8' and shape, "
+                            f"got keys {sorted(value)}, dtype {value.get('dtype')!r}")
+    if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+        raise ClassifyError(f"{where}: array shape must list non-negative integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(value["data"], validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, a non-base64 character, bad padding
+        raise ClassifyError(f"{where}: array data is not base64: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ClassifyError(f"{where}: {len(raw)} bytes of array data do not fill shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 class Standardizer(Stored):

@@ -25,7 +25,7 @@ from .knn import fit_knn
 from .lda import fit_lda
 from .svm import fit_linear_svm, fit_linear_svms
 
-BLOB_VERSION = 6
+BLOB_VERSION = 7
 
 
 def _zscored(train: FeatureMatrix) -> tuple[Standardizer, FeatureMatrix]:
@@ -95,8 +95,9 @@ class Pipeline(Predictor):
 
     @classmethod
     def from_blob(cls, blob: dict) -> "Pipeline":
-        if blob.get("version") != BLOB_VERSION:
-            raise ClassifyError(f"unsupported model blob version: {blob.get('version')!r}")
+        version = blob.get("version") if isinstance(blob, dict) else None
+        if version != BLOB_VERSION:
+            raise ClassifyError(f"unsupported model blob version: {version!r}")
         pipeline = model_from_blob({k: v for k, v in blob.items() if k != "version"})
         if not isinstance(pipeline, cls):
             raise ClassifyError(f"model file holds a {blob.get('kind')!r}, not a pipeline")
@@ -107,7 +108,11 @@ class Pipeline(Predictor):
 
     @classmethod
     def load(cls, path: str | Path) -> "Pipeline":
-        return cls.from_blob(json.loads(Path(path).read_text()))
+        """The pipeline a model file holds; every refusal names the file."""
+        try:
+            return cls.from_blob(json.loads(Path(path).read_text()))
+        except ValueError as exc:  # ClassifyError, JSONDecodeError, UnicodeDecodeError
+            raise ClassifyError(f"{path}: {exc}") from None
 
 
 def fit_pipeline(

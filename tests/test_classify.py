@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import base64
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +19,10 @@ from emgbench.classify.base import (
     Standardizer,
     TrainedModel,
     VoteModel,
+    _decode_array,
+    _encode,
     majority_vote,
+    model_from_blob,
     model_to_blob,
 )
 from emgbench.classify.ensembles import boost_round_weight, fit_adaboost_rf, fit_bagging
@@ -978,10 +984,11 @@ class TestPipelineSerialization:
             ("lda", lambda b: b.update(version=3), "unsupported model blob version: 3"),
             ("lda", lambda b: b.update(version=4), "unsupported model blob version: 4"),
             ("lda", lambda b: b.update(version=5), "unsupported model blob version: 5"),
+            ("lda", lambda b: b.update(version=6), "unsupported model blob version: 6"),
         ],
         ids=["tree_standardizer", "voting_member_standardizer", "more_classes",
              "feature_out_of_range", "members_not_a_list", "no_members", "weights_per_member",
-             "pipeline_scaler_tree", "v3_blob", "v4_blob", "v5_blob"],
+             "pipeline_scaler_tree", "v3_blob", "v4_blob", "v5_blob", "v6_blob"],
     )
     def test_vote_member_refused(self, name, edit, message, blob_data):
         blob = fit_pipeline(name, blob_data).to_blob()
@@ -1049,27 +1056,152 @@ class TestPipelineSerialization:
     def test_malformed_tree_refused(self, edit, message, blob_data):
         """A forest table with a malformed tree, or tree offsets that do not
         tile its nodes, is refused by the constructor and on load."""
-        blob = fit_pipeline("random_forest", blob_data).to_blob()
-        forest = blob["model"]
+        forest = editable_forest(fit_pipeline("random_forest", blob_data).to_blob()["model"])
         assert forest["kind"] == "forest" and forest["feature"][0] >= 0
         assert forest["offsets"][2] < len(forest["feature"])
         edit(forest)
         assert_forest_refused(forest, message)
 
     def test_tree_with_self_loop_refused(self):
-        forest = model_to_blob(Forest([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
-                                      [-1, 0, 1], [0, 3], n_classes=2, n_features=1))
+        forest = editable_forest(model_to_blob(Forest(
+            [0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1], [0, 3],
+            n_classes=2, n_features=1)))
         forest["left"][0] = 0
         assert_forest_refused(forest, "must come after their node")
 
 
-def assert_forest_refused(forest_blob, message):
-    """Both the Forest constructor and Pipeline.from_blob, on a pipeline
-    around the forest blob, refuse it with message."""
-    fields = {name: forest_blob[name] for name in Forest.fields}
+def editable_forest(forest_blob):
+    """A forest blob with its stored thresholds decoded to a list, so that a
+    test edits every node array as a list."""
+    return {**forest_blob, "threshold": _decode_array(forest_blob["threshold"], "threshold").tolist()}
+
+
+def assert_forest_refused(forest, message):
+    """Both the Forest constructor, on the edited arrays, and
+    Pipeline.from_blob, on a pipeline around the forest blob with its
+    thresholds encoded again, refuse it with message."""
+    fields = {name: forest[name] for name in Forest.fields}
     with pytest.raises(ClassifyError, match=message):
         Forest(**fields)
+    forest_blob = {**forest, "threshold": _encode(np.asarray(forest["threshold"], dtype=np.float64))}
     pipeline = {"version": BLOB_VERSION, "kind": "pipeline", "name": "random_forest",
                 "scaler": None, "model": forest_blob}
     with pytest.raises(ClassifyError, match=message):
         Pipeline.from_blob(pipeline)
+
+
+def _round_trip(obj):
+    return model_from_blob(json.loads(json.dumps(model_to_blob(obj))))
+
+
+_EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, np.pi])
+
+
+class TestModelFileCodec:
+    """A float64 array is stored as its dtype, shape and base64
+    little-endian bytes; anything else that does not read back as exactly
+    such an array is refused."""
+
+    def test_round_trip_is_bit_exact(self):
+        grid = np.arange(12.0).reshape(3, 4) / 7
+        for mean, std in ((_EXTREMES, -_EXTREMES[::-1]), (np.empty((0, 3)), grid)):
+            loaded = _round_trip(Standardizer(mean=mean, std=std))
+            for stored, given in ((loaded.mean, mean), (loaded.std, std)):
+                assert stored.dtype == np.float64 and stored.shape == given.shape
+                assert stored.flags.writeable and stored.flags.c_contiguous
+                assert stored.tobytes() == given.tobytes()
+        assert np.signbit(_round_trip(Standardizer(mean=_EXTREMES, std=_EXTREMES)).mean[0])
+
+    def test_non_contiguous_array_round_trips(self):
+        values = np.arange(24.0).reshape(4, 6)[:, ::2].T
+        loaded = _round_trip(Standardizer(mean=values, std=values))
+        np.testing.assert_array_equal(loaded.mean, values)
+        assert loaded.mean.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 100, 28896])
+    def test_stored_as_base64_of_eight_bytes_per_value(self, n):
+        stored = model_to_blob(Standardizer(mean=np.ones(n), std=np.ones(n)))["mean"]
+        assert set(stored) == {"dtype", "shape", "data"}
+        assert (stored["dtype"], stored["shape"]) == ("<f8", [n])
+        assert len(stored["data"]) == 4 * math.ceil(8 * n / 3)
+
+    def test_integer_arrays_stay_lists(self, blob_data):
+        blob = fit_pipeline("knn", blob_data).to_blob()["model"]
+        assert isinstance(blob["train_labels"], list)
+        assert blob["train_values"]["shape"] == [blob_data.n_rows, blob_data.n_features]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.update(data="*" + a["data"][1:]), "array data is not base64"),
+            (lambda a: a.update(data=a["data"][:-1] + "\u00e9"), "array data is not base64"),
+            (lambda a: a.update(data=a["data"][:-4]), r"45 bytes of array data do not fill shape \[6\]"),
+            (lambda a: a.update(shape=[7]), r"48 bytes of array data do not fill shape \[7\]"),
+            (lambda a: a.update(shape=[2, 4]), r"do not fill shape \[2, 4\]"),
+            (lambda a: a.update(shape=[-6]), r"non-negative integers, got \[-6\]"),
+            (lambda a: a.update(shape=[6.0]), r"non-negative integers, got \[6.0\]"),
+            (lambda a: a.update(shape=["6"]), "non-negative integers"),
+            (lambda a: a.update(shape=[True] * 6), "non-negative integers"),
+            (lambda a: a.update(shape=6), "non-negative integers, got 6"),
+            (lambda a: a.update(dtype="<f4"), "dtype '<f4'"),
+            (lambda a: a.update(dtype=">f8"), "dtype '>f8'"),
+            (lambda a: a.pop("shape"), r"got keys \['data', 'dtype'\]"),
+            (lambda a: a.update(order="C"), r"got keys \['data', 'dtype', 'order', 'shape'\]"),
+            (lambda a: a.update(data=[1.0] * 6), "array data is not base64"),
+        ],
+        ids=["non_base64_char", "non_ascii_char", "bytes_short_of_shape", "shape_beyond_bytes",
+             "shape_of_other_size", "negative_shape", "float_shape", "string_shape", "bool_shape",
+             "shape_not_a_list", "dtype_f4", "dtype_big_endian", "missing_key", "extra_key",
+             "data_not_a_string"],
+    )
+    def test_malformed_array_refused(self, edit, message, blob_data):
+        """Both model_from_blob, on the standardizer, and Pipeline.from_blob,
+        on the pipeline around it, refuse the array and name its field."""
+        blob = fit_pipeline("lda", blob_data).to_blob()
+        edit(blob["scaler"]["mean"])
+        for load in (lambda: model_from_blob(blob["scaler"]), lambda: Pipeline.from_blob(blob)):
+            with pytest.raises(ClassifyError, match=message) as caught:
+                load()
+            assert str(caught.value).startswith("'standardizer' blob field 'mean': ")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text[: len(text) // 2], "Unterminated string|Expecting"),
+            (lambda text: text.replace('"version": 7', '"version": 6'),
+             "unsupported model blob version: 6"),
+            (lambda text: text.replace('"dtype": "<f8"', '"dtype": "<f4"', 1), "dtype '<f4'"),
+            (lambda text: "[]", "unsupported model blob version: None"),
+        ],
+        ids=["truncated", "v6_file", "bad_array", "not_an_object"],
+    )
+    def test_load_names_the_file(self, edit, message, blob_data, tmp_path):
+        path = tmp_path / "lda.json"
+        fit_pipeline("lda", blob_data).save(path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ClassifyError, match=message) as caught:
+            Pipeline.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    def test_file_of_undecodable_bytes_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ClassifyError, match=re.escape(str(path))):
+            Pipeline.load(path)
+
+    def test_saved_file_holds_no_float_list(self, blob_data, tmp_path):
+        """Every float of every stored kind is in a base64 array; the lists
+        left hold integers, members or nothing."""
+        def lists(doc):
+            if isinstance(doc, dict):
+                return [x for v in doc.values() for x in lists(v)]
+            if isinstance(doc, list):
+                return [doc] + [x for v in doc for x in lists(v)]
+            return []
+
+        for name in ("lda", "svm", "knn", "random_forest", "voting", "bagging_knn", "bagging_svm",
+                     "adaboost"):
+            path = tmp_path / f"{name}.json"
+            fit_pipeline(name, blob_data, seed=3).save(path)
+            found = lists(json.loads(path.read_text()))
+            assert not [v for lst in found for v in lst if isinstance(v, float)], name

@@ -122,7 +122,7 @@ class TestTrainAndBench:
                      "--out", str(model_path)])
         assert code == 0
         blob = json.loads(model_path.read_text())
-        assert (blob["version"], blob["kind"], blob["name"]) == (6, "pipeline", "lda")
+        assert (blob["version"], blob["kind"], blob["name"]) == (7, "pipeline", "lda")
         assert "held-out accuracy" in capsys.readouterr().out
 
     def test_train_scores_over_the_labels_present(self, tmp_path, capsys, monkeypatch):
