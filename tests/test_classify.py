@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import base64
 import json
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -1109,8 +1107,7 @@ class TestModelFileCodec:
             for stored, given in ((loaded.mean, mean), (loaded.std, std)):
                 assert stored.dtype == np.float64 and stored.shape == given.shape
                 assert stored.flags.writeable and stored.flags.c_contiguous
-                assert stored.tobytes() == given.tobytes()
-        assert np.signbit(_round_trip(Standardizer(mean=_EXTREMES, std=_EXTREMES)).mean[0])
+                assert stored.tobytes() == given.tobytes()  # -0.0 keeps its sign bit
 
     def test_non_contiguous_array_round_trips(self):
         values = np.arange(24.0).reshape(4, 6)[:, ::2].T
@@ -1186,8 +1183,9 @@ class TestModelFileCodec:
     def test_file_of_undecodable_bytes_names_the_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_bytes(b"\xff\xfe{")
-        with pytest.raises(ClassifyError, match=re.escape(str(path))):
+        with pytest.raises(ClassifyError) as caught:
             Pipeline.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
     def test_saved_file_holds_no_float_list(self, blob_data, tmp_path):
         """Every float of every stored kind is in a base64 array; the lists
