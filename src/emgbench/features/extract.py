@@ -1,12 +1,14 @@
 """Window-set feature extraction into a named feature matrix."""
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..preprocess import WindowSet
+from ..signal_io import parse_cached
 from .tdd import FeatureError, ftdd_names, ftdd_windows, tsd_names, tsd_windows
 from .wavelet import wavelet_names, wavelet_windows
 
@@ -72,29 +74,28 @@ class FeatureMatrix:
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
         """The matrix `to_csv` wrote; a file it cannot read is refused by name."""
         path = Path(path)
-        with open(path) as fh:
+        with open(path) as fh:  # the header and the first data row, not the whole file
             header = fh.readline().strip().split(",")
             if header[-1] != "label":
                 raise FeatureError(f"{path}: feature CSV lacks a trailing label column")
-            start = fh.tell()
             if not any(line.strip() for line in fh):
                 raise FeatureError(f"{path}: feature CSV has no data rows")
-            fh.seek(start)
-            try:
-                body = np.loadtxt(fh, delimiter=",", ndmin=2)
-                labels = body[:, -1]
-                whole = (labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))
-                if not whole.all():
-                    i = np.flatnonzero(~whole)[0]
-                    raise FeatureError(f"data row {i + 1} has label {labels[i]:g}, "
-                                       "not a non-negative whole number below 2**63")
-                return cls(
-                    values=body[:, :-1],
-                    feature_names=tuple(header[:-1]),
-                    labels=labels.astype(np.int64),
-                )
-            except ValueError as exc:  # a bad cell or label, a ragged row, rows unlike the header
-                raise FeatureError(f"{path}: {exc}") from None
+        try:
+            body = parse_cached(path, lambda data: np.loadtxt(
+                io.TextIOWrapper(io.BytesIO(data)), delimiter=",", ndmin=2, skiprows=1))
+            labels = body[:, -1]
+            whole = (labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))
+            if not whole.all():
+                i = np.flatnonzero(~whole)[0]
+                raise FeatureError(f"data row {i + 1} has label {labels[i]:g}, "
+                                   "not a non-negative whole number below 2**63")
+            return cls(
+                values=body[:, :-1],
+                feature_names=tuple(header[:-1]),
+                labels=labels.astype(np.int64),
+            )
+        except ValueError as exc:  # a bad cell or label, a ragged row, rows unlike the header
+            raise FeatureError(f"{path}: {exc}") from None
 
 
 def extract(ws: WindowSet, family: str) -> FeatureMatrix:

@@ -2,7 +2,12 @@
 seeded synthetic generator used for desk-scale experiments and tests."""
 from __future__ import annotations
 
+import contextlib
+import glob
+import hashlib
+import io
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,7 +122,37 @@ def _manifest_entry(raw: dict) -> ManifestEntry:
     if Path(path).suffix != ".hea" and not (type(fs) in (int, float) and fs > 0):
         raise IngestError(f"entry {path!r}: a CSV entry needs an fs > 0, got {fs!r}")
     subject, session = raw.get("subject", ""), raw.get("session", "")
+    for key, value in (("subject", subject), ("session", session)):
+        if not isinstance(value, str):
+            raise IngestError(f"entry {path!r}: {key} must be a string, got {value!r}")
     return ManifestEntry(path, label, subject, session, fs=float(fs or 0.0))
+
+
+def parse_cached(path: Path, parse) -> np.ndarray:
+    """parse(path's bytes), a 2-D float64 array, memoised beside path as its one entry
+    `.emgbench-cache/<path's name>.<sha256 of the bytes parsed>.npy`; a damaged entry is
+    parsed again, an unwritable cache skipped, older entries and partial writes removed."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:  # in chunks: a hit holds no copy of the file
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    cache = path.parent / ".emgbench-cache"
+    with contextlib.suppress(OSError, ValueError, EOFError):  # no entry, or a damaged one
+        matrix = np.load(cache / f"{path.name}.{digest.hexdigest()}.npy", allow_pickle=False)
+        if isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.ndim == 2:
+            return matrix
+    data = path.read_bytes()
+    matrix = parse(data)
+    entry = cache / f"{path.name}.{hashlib.sha256(data).hexdigest()}.npy"
+    tmp = cache / f"{entry.name}.{os.getpid()}.tmp"  # atomic: write, then rename
+    with contextlib.suppress(OSError):  # a read-only dataset loads without its cache
+        cache.mkdir(exist_ok=True)
+        for old in cache.glob(f"{glob.escape(path.name)}.{'?' * 64}.npy*"):
+            old.unlink(missing_ok=True)
+        with open(tmp, "wb") as fh:
+            np.save(fh, matrix, allow_pickle=False)
+        os.replace(tmp, entry)
+    return matrix
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:
@@ -128,40 +163,44 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
     """
     if not path.exists():
         raise IngestError(f"signal file not found: {path}")
-    if path.stat().st_size:  # loadtxt warns on an empty file
-        try:
-            matrix = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-        except ValueError:
-            pass
-        else:
-            if matrix.size and np.all(np.isfinite(matrix)):
-                return matrix
-    return _scan_csv_matrix(path)
+
+    def parse(data: bytes) -> np.ndarray:
+        if data:  # loadtxt warns on an empty file
+            try:
+                matrix = np.loadtxt(io.TextIOWrapper(io.BytesIO(data)), delimiter=",",
+                                    comments=None, ndmin=2, dtype=np.float64)
+            except ValueError:
+                pass
+            else:
+                if matrix.size and np.all(np.isfinite(matrix)):
+                    return matrix
+        return _scan_csv_matrix(path, data)
+
+    return parse_cached(path, parse)
 
 
-def _scan_csv_matrix(path: Path) -> np.ndarray:
-    """Cell-by-cell CSV reader that names the location of the first bad cell."""
+def _scan_csv_matrix(path: Path, data: bytes) -> np.ndarray:
+    """Cell-by-cell reader of path's bytes that names the first bad cell."""
     rows = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            row = []
-            for j, cell in enumerate(cells):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise IngestError(
-                        f"non-numeric cell at row {i}, column {j} of {path}: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise IngestError(
-                        f"non-finite cell at row {i}, column {j} of {path}: {cell!r}"
-                    )
-                row.append(value)
-            rows.append(row)
+    for i, line in enumerate(data.splitlines()):  # the lines of open(path)
+        line = line.decode().strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        row = []
+        for j, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise IngestError(
+                    f"non-numeric cell at row {i}, column {j} of {path}: {cell!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise IngestError(
+                    f"non-finite cell at row {i}, column {j} of {path}: {cell!r}"
+                )
+            row.append(value)
+        rows.append(row)
     if not rows:
         raise IngestError(f"empty signal file: {path}")
     widths = {len(r) for r in rows}

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import shutil
 import struct
 import warnings
 
@@ -8,6 +11,8 @@ import numpy as np
 import pytest
 
 from emgbench import signal_io
+from emgbench.features.extract import FeatureMatrix
+from emgbench.features.tdd import FeatureError
 from emgbench.signal_io import (
     IngestError,
     SignalRecord,
@@ -98,6 +103,17 @@ class TestCanonicalCsv:
         with pytest.raises(IngestError, match="not unique"):
             load_canonical_csv(manifest)
 
+    @pytest.mark.parametrize("key", ["subject", "session"])
+    @pytest.mark.parametrize("value", [3, ["s01"], None], ids=["int", "list", "null"])
+    def test_subject_and_session_must_be_strings(self, tmp_path, key, value):
+        """A non-string subject names the manifest, the entry and the key; it
+        is not merged with its string form or left for numpy to trip over."""
+        entry = {"path": "a.csv", "label": 0, "fs": 10.0, key: value}
+        manifest = make_manifest(tmp_path, [entry], ["g"])
+        with pytest.raises(IngestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == f"{manifest}: entry 'a.csv': {key} must be a string, got {value!r}"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -162,7 +178,7 @@ class TestCsvFastPath:
     ):
         path = tmp_path / "a.csv"
         path.write_bytes(text.encode())
-        scanned = signal_io._scan_csv_matrix(path)
+        scanned = signal_io._scan_csv_matrix(path, path.read_bytes())
         np.testing.assert_array_equal(scanned, expected)
         # Well-formed files never reach the scanner.
         monkeypatch.setattr(signal_io, "_scan_csv_matrix", None)
@@ -176,7 +192,7 @@ class TestCsvFastPath:
         values = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
         np.savetxt(tmp_path / "a.csv", values, fmt="%.17g", delimiter=",")
         loaded = signal_io._read_csv_matrix(tmp_path / "a.csv")
-        assert loaded.tobytes() == signal_io._scan_csv_matrix(tmp_path / "a.csv").tobytes()
+        assert loaded.tobytes() == signal_io._scan_csv_matrix(tmp_path / "a.csv", (tmp_path / "a.csv").read_bytes()).tobytes()
         assert loaded.tobytes() == values.tobytes()
 
     def test_whitespace_only_line_is_skipped(self, tmp_path):
@@ -210,6 +226,163 @@ class TestCsvFastPath:
             warnings.simplefilter("error")
             with pytest.raises(IngestError, match="empty signal file"):
                 signal_io._read_csv_matrix(path)
+
+
+def _write_trials(path, values):
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+
+
+def _write_features(path, values):
+    labels = np.arange(len(values)) % 3
+    FeatureMatrix(values, tuple(f"f{j}" for j in range(values.shape[1])), labels).to_csv(path)
+
+
+def _load_trials(path):
+    matrix = signal_io._read_csv_matrix(path)
+    return matrix.dtype.str, matrix.shape, matrix.tobytes()
+
+
+def _load_features(path):
+    fm = FeatureMatrix.from_csv(path)
+    return fm.feature_names, fm.values.shape, fm.values.tobytes(), fm.labels.tobytes()
+
+
+# reader -> (write a valid CSV of values, load one into comparable bytes, a
+# CSV its parse refuses, the refusal's type and message)
+READERS = {
+    "trials": (_write_trials, _load_trials, "1,2\n3,inf\n", IngestError,
+               "non-finite cell at row 1, column 1 of {path}: 'inf'"),
+    "features": (_write_features, _load_features, "a,b,label\n1,x,0\n", FeatureError,
+                 "{path}: could not convert string 'x' to float64 at row 0, column 2."),
+}
+
+
+class TestParseCache:
+    """Trial and feature CSVs keep their parse in `.emgbench-cache` beside
+    them, keyed by the SHA-256 of the file's bytes."""
+
+    @pytest.fixture(params=sorted(READERS))
+    def reader(self, request):
+        return READERS[request.param]
+
+    @staticmethod
+    def dataset(tmp_path, write, name="a.csv"):
+        """A CSV of full-precision values whose row 1 starts with 0.25."""
+        values = np.random.default_rng(5).standard_normal((12, 3)) * 1e-3
+        values[1, 0] = 0.25
+        path = tmp_path / name
+        write(path, values)
+        return path
+
+    @staticmethod
+    def entries(path):
+        return sorted((path.parent / ".emgbench-cache").glob(f"{path.name}.{'?' * 64}.npy"))
+
+    @staticmethod
+    def fresh(load, path, tmp_path):
+        """A parse of path's bytes that no cache can serve."""
+        copy = tmp_path / "fresh" / path.name
+        copy.parent.mkdir(exist_ok=True)
+        (copy.parent / ".emgbench-cache").write_text("")
+        shutil.copyfile(path, copy)
+        return load(copy)
+
+    @staticmethod
+    def no_loadtxt(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a cache hit")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+
+    def test_hit_equals_a_fresh_parse_and_skips_loadtxt(self, reader, tmp_path, monkeypatch):
+        write, load = reader[:2]
+        path = self.dataset(tmp_path, write)
+        first = load(path)
+        (entry,) = self.entries(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert entry.name == f"a.csv.{digest}.npy"
+        fresh = self.fresh(load, path, tmp_path)
+        self.no_loadtxt(monkeypatch)
+        assert load(path) == first == fresh
+
+    def test_same_size_edit_of_one_cell_is_picked_up(self, reader, tmp_path, monkeypatch):
+        write, load = reader[:2]
+        path = self.dataset(tmp_path, write)
+        sibling = self.dataset(tmp_path, write, name="a.csv.b.csv")
+        before, _ = load(path), load(sibling)
+        stat = path.stat()
+        text = path.read_text()
+        path.write_text(text.replace("\n0.25,", "\n0.75,", 1))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        after = load(path)
+        assert after != before
+        assert after == self.fresh(load, path, tmp_path)
+        # The edited file keeps one entry; a file whose name starts with its
+        # name keeps its own.
+        assert len(self.entries(path)) == 1
+        assert len(self.entries(sibling)) == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "float32", "one_dimensional", "not_npy",
+                                        "empty"])
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, reader, damage, tmp_path,
+                                                         monkeypatch):
+        write, load = reader[:2]
+        path = self.dataset(tmp_path, write)
+        first = load(path)
+        (entry,) = self.entries(path)
+        matrix = np.load(entry)
+        if damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:-40])
+        elif damage == "float32":
+            np.save(entry, matrix.astype(np.float32))
+        elif damage == "one_dimensional":
+            np.save(entry, matrix.ravel())
+        else:
+            entry.write_bytes(b"" if damage == "empty" else b"not an array")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load(path) == first
+        (rewritten,) = self.entries(path)
+        assert np.load(rewritten).tobytes() == matrix.tobytes()
+        self.no_loadtxt(monkeypatch)
+        assert load(path) == first
+
+    def test_bad_csv_raises_the_same_message_twice_and_leaves_no_entry(self, reader, tmp_path):
+        _, load, text, error, message = reader
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                load(path)
+            assert str(info.value) == message.format(path=path)
+        assert not (tmp_path / ".emgbench-cache").exists()
+
+    def test_labels_are_checked_on_a_hit(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        path.write_text("a,b,label\n1,2,0\n3,4,1.5\n")
+        message = f"{path}: data row 2 has label 1.5, not a non-negative whole number below 2**63"
+        with pytest.raises(FeatureError) as info:
+            FeatureMatrix.from_csv(path)
+        assert str(info.value) == message
+        assert len(self.entries(path)) == 1
+        self.no_loadtxt(monkeypatch)
+        with pytest.raises(FeatureError) as info:
+            FeatureMatrix.from_csv(path)
+        assert str(info.value) == message
+
+    def test_unwritable_cache_loads_and_writes_nothing(self, reader, tmp_path):
+        """A regular file where the cache directory goes blocks it, as chmod
+        would not for root."""
+        write, load = reader[:2]
+        path = self.dataset(tmp_path, write)
+        expected = self.fresh(load, path, tmp_path)
+        blocker = tmp_path / ".emgbench-cache"
+        blocker.write_bytes(b"not a directory")
+        listing = sorted(tmp_path.iterdir())
+        assert load(path) == load(path) == expected
+        assert sorted(tmp_path.iterdir()) == listing
+        assert blocker.read_bytes() == b"not a directory"
 
 
 def write_wfdb(tmp_path, name="rec", n_sig=2, fs=2048, n_samp=4, fmt="16", gain="100(0)/mV",
