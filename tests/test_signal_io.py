@@ -112,7 +112,8 @@ class TestCanonicalCsv:
         manifest = make_manifest(tmp_path, [entry], ["g"])
         with pytest.raises(IngestError) as info:
             load_manifest(manifest)
-        assert str(info.value) == f"{manifest}: entry 'a.csv': {key} must be a string, got {value!r}"
+        expected = f"{manifest}: entry 'a.csv': {key} must be a string, got {value!r}"
+        assert str(info.value) == expected
 
     @pytest.mark.parametrize(
         "text, message",
@@ -192,7 +193,8 @@ class TestCsvFastPath:
         values = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
         np.savetxt(tmp_path / "a.csv", values, fmt="%.17g", delimiter=",")
         loaded = signal_io._read_csv_matrix(tmp_path / "a.csv")
-        assert loaded.tobytes() == signal_io._scan_csv_matrix(tmp_path / "a.csv", (tmp_path / "a.csv").read_bytes()).tobytes()
+        scanned = signal_io._scan_csv_matrix(tmp_path / "a.csv", (tmp_path / "a.csv").read_bytes())
+        assert loaded.tobytes() == scanned.tobytes()
         assert loaded.tobytes() == values.tobytes()
 
     def test_whitespace_only_line_is_skipped(self, tmp_path):
@@ -229,7 +231,7 @@ class TestCsvFastPath:
 
 
 def _write_trials(path, values):
-    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    write_canonical_csv(SignalRecord(samples=values.T, fs=1.0, label=0), path)
 
 
 def _write_features(path, values):
@@ -305,7 +307,7 @@ class TestParseCache:
         self.no_loadtxt(monkeypatch)
         assert load(path) == first == fresh
 
-    def test_same_size_edit_of_one_cell_is_picked_up(self, reader, tmp_path, monkeypatch):
+    def test_same_size_edit_of_one_cell_is_picked_up(self, reader, tmp_path):
         write, load = reader[:2]
         path = self.dataset(tmp_path, write)
         sibling = self.dataset(tmp_path, write, name="a.csv.b.csv")
