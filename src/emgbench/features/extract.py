@@ -81,7 +81,7 @@ class FeatureMatrix:
             if not any(line.strip() for line in fh):
                 raise FeatureError(f"{path}: feature CSV has no data rows")
         try:
-            body = parse_cached(path, lambda data: np.loadtxt(
+            body = parse_cached(path, "features-1", lambda data: np.loadtxt(
                 io.TextIOWrapper(io.BytesIO(data)), delimiter=",", ndmin=2, skiprows=1))
             labels = body[:, -1]
             whole = (labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))

@@ -3,7 +3,6 @@ seeded synthetic generator used for desk-scale experiments and tests."""
 from __future__ import annotations
 
 import contextlib
-import glob
 import hashlib
 import io
 import json
@@ -128,31 +127,40 @@ def _manifest_entry(raw: dict) -> ManifestEntry:
     return ManifestEntry(path, label, subject, session, fs=float(fs or 0.0))
 
 
-def parse_cached(path: Path, parse) -> np.ndarray:
+def parse_cached(path: Path, kind: str, parse) -> np.ndarray:
     """parse(path's bytes), a 2-D float64 array, memoised beside path as its one entry
-    `.emgbench-cache/<path's name>.<sha256 of the bytes parsed>.npy`; a damaged entry is
-    parsed again, an unwritable cache skipped, older entries and partial writes removed."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:  # in chunks: a hit holds no copy of the file
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
-    cache = path.parent / ".emgbench-cache"
+    `.emgbench-cache/<path's name>/<kind>.<sha256 of the bytes parsed>.npy`, where kind names
+    the reader and the version of its parse. A damaged entry is parsed again; a cache directory
+    that another user owns or can write is neither read nor written."""
+    folder = path.parent / ".emgbench-cache" / path.name
     with contextlib.suppress(OSError, ValueError, EOFError):  # no entry, or a damaged one
-        matrix = np.load(cache / f"{path.name}.{digest.hexdigest()}.npy", allow_pickle=False)
-        if isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.ndim == 2:
-            return matrix
-    data = path.read_bytes()
-    matrix = parse(data)
-    entry = cache / f"{path.name}.{hashlib.sha256(data).hexdigest()}.npy"
-    tmp = cache / f"{entry.name}.{os.getpid()}.tmp"  # atomic: write, then rename
+        if _owned(folder.parent) and any(e.name.startswith(f"{kind}.") for e in folder.iterdir()):
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:  # in chunks: a hit holds no copy of the file
+                while chunk := fh.read(1 << 16):
+                    digest.update(chunk)
+            matrix = np.load(folder / f"{kind}.{digest.hexdigest()}.npy", allow_pickle=False)
+            if isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.ndim == 2:
+                return matrix
+    matrix = parse(data := path.read_bytes())
+    entry = folder / f"{kind}.{hashlib.sha256(data).hexdigest()}.npy"
     with contextlib.suppress(OSError):  # a read-only dataset loads without its cache
-        cache.mkdir(exist_ok=True)
-        for old in cache.glob(f"{glob.escape(path.name)}.{'?' * 64}.npy*"):
-            old.unlink(missing_ok=True)
-        with open(tmp, "wb") as fh:
-            np.save(fh, matrix, allow_pickle=False)
-        os.replace(tmp, entry)
+        folder.parent.mkdir(mode=0o700, exist_ok=True)
+        if _owned(folder.parent):
+            folder.mkdir(exist_ok=True)
+            tmp = folder / f"{entry.name}.{os.getpid()}.tmp"  # atomic: write, then rename
+            with open(tmp, "wb") as fh:
+                np.save(fh, matrix, allow_pickle=False)
+            os.replace(tmp, entry)
+            for old in set(folder.glob("*.npy")) - {entry}:  # other writers' temp files stay
+                old.unlink()
     return matrix
+
+
+def _owned(cache: Path) -> bool:
+    """Whether this user owns cache and no other user can write to it."""
+    status = cache.stat()
+    return status.st_uid == getattr(os, "getuid", lambda: -1)() and not status.st_mode & 0o022
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:
@@ -176,7 +184,7 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
                     return matrix
         return _scan_csv_matrix(path, data)
 
-    return parse_cached(path, parse)
+    return parse_cached(path, "trials-1", parse)
 
 
 def _scan_csv_matrix(path: Path, data: bytes) -> np.ndarray:

@@ -250,18 +250,19 @@ def _load_features(path):
 
 
 # reader -> (write a valid CSV of values, load one into comparable bytes, a
-# CSV its parse refuses, the refusal's type and message)
+# CSV its parse refuses, the refusal's type and message, the reader's cache kind)
 READERS = {
     "trials": (_write_trials, _load_trials, "1,2\n3,inf\n", IngestError,
-               "non-finite cell at row 1, column 1 of {path}: 'inf'"),
+               "non-finite cell at row 1, column 1 of {path}: 'inf'", "trials-1"),
     "features": (_write_features, _load_features, "a,b,label\n1,x,0\n", FeatureError,
-                 "{path}: could not convert string 'x' to float64 at row 0, column 2."),
+                 "{path}: could not convert string 'x' to float64 at row 0, column 2.",
+                 "features-1"),
 }
 
 
 class TestParseCache:
-    """Trial and feature CSVs keep their parse in `.emgbench-cache` beside
-    them, keyed by the SHA-256 of the file's bytes."""
+    """Trial and feature CSVs keep their parse in `.emgbench-cache/<name>/`
+    beside them, keyed by the reader and the SHA-256 of the file's bytes."""
 
     @pytest.fixture(params=sorted(READERS))
     def reader(self, request):
@@ -278,7 +279,7 @@ class TestParseCache:
 
     @staticmethod
     def entries(path):
-        return sorted((path.parent / ".emgbench-cache").glob(f"{path.name}.{'?' * 64}.npy"))
+        return sorted((path.parent / ".emgbench-cache" / path.name).glob("*.npy"))
 
     @staticmethod
     def fresh(load, path, tmp_path):
@@ -302,7 +303,8 @@ class TestParseCache:
         first = load(path)
         (entry,) = self.entries(path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert entry.name == f"a.csv.{digest}.npy"
+        assert entry.name == f"{reader[5]}.{digest}.npy"
+        assert (tmp_path / ".emgbench-cache").stat().st_mode & 0o777 == 0o700
         fresh = self.fresh(load, path, tmp_path)
         self.no_loadtxt(monkeypatch)
         assert load(path) == first == fresh
@@ -312,6 +314,9 @@ class TestParseCache:
         path = self.dataset(tmp_path, write)
         sibling = self.dataset(tmp_path, write, name="a.csv.b.csv")
         before, _ = load(path), load(sibling)
+        (old,) = self.entries(path)
+        writing = old.with_name(f"{old.name}.99999.tmp")  # another process's unfinished write
+        writing.write_bytes(b"partial")
         stat = path.stat()
         text = path.read_text()
         path.write_text(text.replace("\n0.25,", "\n0.75,", 1))
@@ -324,6 +329,7 @@ class TestParseCache:
         # name keeps its own.
         assert len(self.entries(path)) == 1
         assert len(self.entries(sibling)) == 1
+        assert writing.read_bytes() == b"partial"
 
     @pytest.mark.parametrize("damage", ["truncated", "float32", "one_dimensional", "not_npy",
                                         "empty"])
@@ -351,7 +357,7 @@ class TestParseCache:
         assert load(path) == first
 
     def test_bad_csv_raises_the_same_message_twice_and_leaves_no_entry(self, reader, tmp_path):
-        _, load, text, error, message = reader
+        _, load, text, error, message, _ = reader
         path = tmp_path / "a.csv"
         path.write_text(text)
         for _ in range(2):
@@ -372,6 +378,40 @@ class TestParseCache:
         with pytest.raises(FeatureError) as info:
             FeatureMatrix.from_csv(path)
         assert str(info.value) == message
+
+    def test_feature_csv_read_by_train_is_still_refused_as_a_trial(self, tmp_path):
+        """Each reader keys its own entries: the cached parse of a feature CSV
+        (header skipped) is never served as trial samples."""
+        path = self.dataset(tmp_path, _write_features)
+        FeatureMatrix.from_csv(path)
+        with pytest.raises(IngestError) as info:
+            signal_io._read_csv_matrix(path)
+        assert str(info.value) == f"non-numeric cell at row 0, column 0 of {path}: 'f0'"
+        assert [e.name.split(".")[0] for e in self.entries(path)] == ["features-1"]
+
+    @pytest.mark.parametrize("owner", ["group_writable", "world_writable", "another_user"])
+    def test_cache_of_another_user_is_neither_read_nor_written(self, reader, owner, tmp_path,
+                                                               monkeypatch):
+        """An entry planted in a cache directory that another user owns or can
+        write is not served, and nothing is written there."""
+        write, load = reader[:2]
+        path = self.dataset(tmp_path, write)
+        expected = load(path)
+        (entry,) = self.entries(path)
+        np.save(entry, np.zeros_like(np.load(entry)))
+        cache = tmp_path / ".emgbench-cache"
+        if owner == "another_user":
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        else:
+            cache.chmod(0o770 if owner == "group_writable" else 0o777)
+        planted = entry.read_bytes()
+        listing = sorted(cache.rglob("*"))
+        assert load(path) == expected
+        path.write_text(path.read_text() + "\n")  # a miss that would write a new entry
+        assert load(path) == expected
+        assert sorted(cache.rglob("*")) == listing
+        assert entry.read_bytes() == planted
 
     def test_unwritable_cache_loads_and_writes_nothing(self, reader, tmp_path):
         """A regular file where the cache directory goes blocks it, as chmod
