@@ -158,7 +158,7 @@ def parse_cached(path: Path, kind: str, parse) -> np.ndarray:
 
 
 def _owned(cache: Path) -> bool:
-    """Whether this user owns cache and no other user can write to it."""
+    """Whether this user owns cache and no other user can write to it (never without getuid)."""
     status = cache.stat()
     return status.st_uid == getattr(os, "getuid", lambda: -1)() and not status.st_mode & 0o022
 
@@ -173,13 +173,10 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
         raise IngestError(f"signal file not found: {path}")
 
     def parse(data: bytes) -> np.ndarray:
-        if data:  # loadtxt warns on an empty file
-            try:
+        with contextlib.suppress(ValueError):  # the scan below names the bad cell
+            if data:  # loadtxt warns on an empty file
                 matrix = np.loadtxt(io.TextIOWrapper(io.BytesIO(data)), delimiter=",",
                                     comments=None, ndmin=2, dtype=np.float64)
-            except ValueError:
-                pass
-            else:
                 if matrix.size and np.all(np.isfinite(matrix)):
                     return matrix
         return _scan_csv_matrix(path, data)

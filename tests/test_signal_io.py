@@ -309,6 +309,19 @@ class TestParseCache:
         self.no_loadtxt(monkeypatch)
         assert load(path) == first == fresh
 
+    def test_first_load_hashes_the_file_once(self, reader, tmp_path, monkeypatch):
+        """With no entry of its reader, a CSV's bytes are hashed once, as they are parsed;
+        the streamed hash that looks for an entry runs only when one may match."""
+        write, load = reader[:2]
+        load(self.dataset(tmp_path, write, name="b.csv"))  # the cache directory exists
+        path = self.dataset(tmp_path, write)
+        sha256, calls = hashlib.sha256, []
+        monkeypatch.setattr(hashlib, "sha256", lambda *data: calls.append(data) or sha256(*data))
+        load(path)
+        assert [len(data) for data in calls] == [1]
+        load(path)
+        assert [len(data) for data in calls] == [1, 0]
+
     def test_same_size_edit_of_one_cell_is_picked_up(self, reader, tmp_path):
         write, load = reader[:2]
         path = self.dataset(tmp_path, write)
