@@ -1,14 +1,13 @@
 """Window-set feature extraction into a named feature matrix."""
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..preprocess import WindowSet
-from ..signal_io import parse_cached
+from ..signal_io import read_csv
 from .tdd import FeatureError, ftdd_names, ftdd_windows, tsd_names, tsd_windows
 from .wavelet import wavelet_names, wavelet_windows
 
@@ -81,8 +80,7 @@ class FeatureMatrix:
             if not any(line.strip() for line in fh):
                 raise FeatureError(f"{path}: feature CSV has no data rows")
         try:
-            body = parse_cached(path, "features-1", lambda data: np.loadtxt(
-                io.TextIOWrapper(io.BytesIO(data)), delimiter=",", ndmin=2, skiprows=1))
+            body = read_csv(path, "features-2", skiprows=1)
             labels = body[:, -1]
             whole = (labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))
             if not whole.all():

@@ -163,55 +163,36 @@ def _owned(cache: Path) -> bool:
     return status.st_uid == getattr(os, "getuid", lambda: -1)() and not status.st_mode & 0o022
 
 
-def _read_csv_matrix(path: Path) -> np.ndarray:
-    """Read a samples-as-rows, channels-as-columns CSV, reporting bad cells.
-
-    Files that `np.loadtxt` rejects or reads as non-finite are rescanned cell
-    by cell, which names the bad cell; both parsers round correctly.
-    """
-    if not path.exists():
-        raise IngestError(f"signal file not found: {path}")
+def read_csv(path: Path, kind: str, skiprows: int = 0) -> np.ndarray:
+    """The float64 rows of comma-separated cells after skiprows header lines, parsed once per
+    content as cache kind (see parse_cached). An empty file, a cell that is not a finite number
+    and a ragged row raise ValueError naming the row (and a cell's column and value) but not
+    the file, which the caller puts in front. A cell is numbered as loadtxt numbers one it
+    cannot convert: a 0-based data row and a 1-based column."""
 
     def parse(data: bytes) -> np.ndarray:
-        with contextlib.suppress(ValueError):  # the scan below names the bad cell
-            if data:  # loadtxt warns on an empty file
-                matrix = np.loadtxt(io.TextIOWrapper(io.BytesIO(data)), delimiter=",",
-                                    comments=None, ndmin=2, dtype=np.float64)
-                if matrix.size and np.all(np.isfinite(matrix)):
-                    return matrix
-        return _scan_csv_matrix(path, data)
+        if not data or data.isspace():  # loadtxt warns on no data; strip() would copy the file
+            raise IngestError("empty file")
+        matrix = np.loadtxt(io.TextIOWrapper(io.BytesIO(data)), delimiter=",", comments=None,
+                            ndmin=2, skiprows=skiprows)
+        if not np.isfinite(matrix).all():
+            row, column = np.argwhere(~np.isfinite(matrix))[0]
+            raise IngestError(
+                f"non-finite value {matrix[row, column]} at row {row}, column {column + 1}")
+        return matrix
 
-    return parse_cached(path, "trials-1", parse)
+    return parse_cached(path, kind, parse)
 
 
-def _scan_csv_matrix(path: Path, data: bytes) -> np.ndarray:
-    """Cell-by-cell reader of path's bytes that names the first bad cell."""
-    rows = []
-    for i, line in enumerate(data.splitlines()):  # the lines of open(path)
-        line = line.decode().strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        row = []
-        for j, cell in enumerate(cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise IngestError(
-                    f"non-numeric cell at row {i}, column {j} of {path}: {cell!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise IngestError(
-                    f"non-finite cell at row {i}, column {j} of {path}: {cell!r}"
-                )
-            row.append(value)
-        rows.append(row)
-    if not rows:
-        raise IngestError(f"empty signal file: {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise IngestError(f"ragged rows in {path}: widths {sorted(widths)}")
-    return np.asarray(rows, dtype=np.float64)
+def _read_csv_trial(path: Path, entry: ManifestEntry) -> SignalRecord:
+    """A samples-as-rows, channels-as-columns CSV trial; a refusal names the file once."""
+    try:
+        if not path.exists():
+            raise IngestError("signal file not found")
+        return SignalRecord(samples=read_csv(path, "trials-2").T, fs=entry.fs,
+                            label=entry.label, subject=entry.subject, session=entry.session)
+    except ValueError as exc:  # a bad cell, a ragged row, an empty file or a short trial
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def load_canonical_csv(manifest_path: str | Path) -> list[SignalRecord]:
@@ -230,14 +211,7 @@ def load_canonical_csv(manifest_path: str | Path) -> list[SignalRecord]:
                 path, label=entry.label, subject=entry.subject, session=entry.session
             )
         else:
-            matrix = _read_csv_matrix(path)
-            rec = SignalRecord(
-                samples=matrix.T,
-                fs=entry.fs,
-                label=entry.label,
-                subject=entry.subject,
-                session=entry.session,
-            )
+            rec = _read_csv_trial(path, entry)
         if n_channels is None:
             n_channels = rec.n_channels
         elif rec.n_channels != n_channels:
@@ -280,23 +254,33 @@ def write_dataset(records: list[SignalRecord], class_names: list[str], out_dir: 
 def load_wfdb_record(
     header_path: str | Path, label: int = 0, subject: str = "", session: str = ""
 ) -> SignalRecord:
-    """Minimal WFDB reader: format-16 little-endian samples, single .dat file."""
+    """Minimal WFDB reader: format-16 little-endian samples, single .dat file. A refusal
+    starts with the header's path."""
     header_path = Path(header_path)
+    try:
+        return _read_wfdb(header_path, label, subject, session)
+    except ValueError as exc:  # a refusal below, or a field that is not a number
+        raise IngestError(f"{header_path}: {exc}") from None
+
+
+def _read_wfdb(header_path: Path, label: int, subject: str, session: str) -> SignalRecord:
     if not header_path.exists():
-        raise IngestError(f"header file not found: {header_path}")
+        raise IngestError("header file not found")
     lines = [
         ln.strip()
         for ln in header_path.read_text().splitlines()
         if ln.strip() and not ln.startswith("#")
     ]
     if not lines:
-        raise IngestError(f"empty WFDB header: {header_path}")
+        raise IngestError("empty WFDB header")
     record_tokens = lines[0].split()
     if len(record_tokens) < 4:
         raise IngestError(f"malformed WFDB record line: {lines[0]!r}")
     n_signals = int(record_tokens[1])
     fs = float(record_tokens[2])
     n_samples = int(record_tokens[3])
+    if min(n_signals, n_samples) < 1:
+        raise IngestError(f"malformed WFDB record line: {lines[0]!r}")
     if len(lines) - 1 < n_signals:
         raise IngestError(f"header declares {n_signals} signals but has {len(lines) - 1} lines")
 
@@ -305,6 +289,8 @@ def load_wfdb_record(
     baselines = []
     for sig_line in lines[1 : 1 + n_signals]:
         tokens = sig_line.split()
+        if len(tokens) < 2:
+            raise IngestError(f"malformed WFDB signal line: {sig_line!r}")
         fname, fmt = tokens[0], tokens[1]
         if fmt != "16":
             raise IngestError(f"unsupported WFDB format: {fmt!r} (only format 16 is supported)")

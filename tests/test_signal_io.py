@@ -15,6 +15,7 @@ from emgbench.features.extract import FeatureMatrix
 from emgbench.features.tdd import FeatureError
 from emgbench.signal_io import (
     IngestError,
+    ManifestEntry,
     SignalRecord,
     generate_synthetic,
     load_canonical_csv,
@@ -56,25 +57,37 @@ class TestCanonicalCsv:
     def test_nan_cell_names_location(self, tmp_path):
         (tmp_path / "a.csv").write_text("1,2\n3,NaN\n5,6\n")
         manifest = make_manifest(tmp_path, [{"path": "a.csv", "label": 0, "fs": 10.0}], ["g"])
-        with pytest.raises(IngestError, match="row 1, column 1"):
+        with pytest.raises(IngestError) as info:
             load_canonical_csv(manifest)
+        assert str(info.value) == f"{tmp_path / 'a.csv'}: non-finite value nan at row 1, column 2"
 
     def test_non_numeric_cell(self, tmp_path):
         (tmp_path / "a.csv").write_text("1,abc\n3,4\n")
         manifest = make_manifest(tmp_path, [{"path": "a.csv", "label": 0, "fs": 10.0}], ["g"])
-        with pytest.raises(IngestError, match="row 0, column 1"):
+        with pytest.raises(IngestError) as info:
             load_canonical_csv(manifest)
+        assert str(info.value) == (f"{tmp_path / 'a.csv'}: could not convert string 'abc' "
+                                   "to float64 at row 0, column 2.")
 
     def test_empty_file(self, tmp_path):
         (tmp_path / "a.csv").write_text("")
         manifest = make_manifest(tmp_path, [{"path": "a.csv", "label": 0, "fs": 10.0}], ["g"])
-        with pytest.raises(IngestError, match="empty"):
+        with pytest.raises(IngestError) as info:
             load_canonical_csv(manifest)
+        assert str(info.value) == f"{tmp_path / 'a.csv'}: empty file"
 
     def test_missing_file(self, tmp_path):
         manifest = make_manifest(tmp_path, [{"path": "nope.csv", "label": 0, "fs": 10.0}], ["g"])
-        with pytest.raises(IngestError, match="not found"):
+        with pytest.raises(IngestError) as info:
             load_canonical_csv(manifest)
+        assert str(info.value) == f"{tmp_path / 'nope.csv'}: signal file not found"
+
+    def test_one_row_trial_names_the_file(self, tmp_path):
+        (tmp_path / "a.csv").write_text("1,2\n")
+        manifest = make_manifest(tmp_path, [{"path": "a.csv", "label": 0, "fs": 10.0}], ["g"])
+        with pytest.raises(IngestError) as info:
+            load_canonical_csv(manifest)
+        assert str(info.value).startswith(f"{tmp_path / 'a.csv'}: samples must be [channels x time]")
 
     def test_inconsistent_channel_count(self, tmp_path):
         (tmp_path / "a.csv").write_text("1,2\n3,4\n")
@@ -158,10 +171,38 @@ class TestCanonicalCsv:
         np.testing.assert_array_equal(loaded[0].samples, recs[0].samples)
 
 
+def _write_trials(path, values):
+    write_canonical_csv(SignalRecord(samples=values.T, fs=1.0, label=0), path)
+
+
+def _write_features(path, values):
+    labels = np.arange(len(values)) % 3
+    FeatureMatrix(values, tuple(f"f{j}" for j in range(values.shape[1])), labels).to_csv(path)
+
+
+def _load_trials(path):
+    samples = signal_io._read_csv_trial(path, ManifestEntry(path.name, 0, fs=1.0)).samples.T
+    return samples.dtype.str, samples.shape, samples.tobytes()
+
+
+def _load_features(path):
+    fm = FeatureMatrix.from_csv(path)
+    return fm.feature_names, fm.values.shape, fm.values.tobytes(), fm.labels.tobytes()
+
+
+# reader -> (write a valid CSV of values, load one into comparable bytes, the
+# header that makes data rows a CSV of the reader, the type of its refusals,
+# its refusal of a header with no data rows, its cache kind)
+READERS = {
+    "trials": (_write_trials, _load_trials, "", IngestError, "empty file", "trials-2"),
+    "features": (_write_features, _load_features, "a,label\n", FeatureError,
+                 "feature CSV has no data rows", "features-2"),
+}
+
+
 class TestCsvFastPath:
-    """`_read_csv_matrix` parses with `np.loadtxt` and falls back to the
-    cell-by-cell scanner; both must accept the same files, give the same
-    values, and report bad cells the same way."""
+    """Trial and feature CSVs share one `np.loadtxt` parse: each reader reads
+    a well-formed file exactly and refuses a bad one naming the file first."""
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -174,90 +215,58 @@ class TestCsvFastPath:
         ],
         ids=["crlf", "spaces", "single-column", "single-row", "no-final-newline"],
     )
-    def test_well_formed_files_load_as_the_scanner_reads_them(
-        self, tmp_path, monkeypatch, text, expected
-    ):
+    def test_well_formed_files_load_as_the_scanner_reads_them(self, tmp_path, text, expected):
+        """The expected arrays are what the reference cell-by-cell scanner read."""
         path = tmp_path / "a.csv"
         path.write_bytes(text.encode())
-        scanned = signal_io._scan_csv_matrix(path, path.read_bytes())
-        np.testing.assert_array_equal(scanned, expected)
-        # Well-formed files never reach the scanner.
-        monkeypatch.setattr(signal_io, "_scan_csv_matrix", None)
-        loaded = signal_io._read_csv_matrix(path)
+        loaded = signal_io.read_csv(path, "trials-2")
         assert loaded.dtype == np.float64
-        assert loaded.shape == scanned.shape
-        assert loaded.tobytes() == scanned.tobytes()
+        assert loaded.shape == np.shape(expected)
+        assert loaded.tobytes() == np.array(expected).tobytes()
 
     def test_full_precision_values_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         values = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
         np.savetxt(tmp_path / "a.csv", values, fmt="%.17g", delimiter=",")
-        loaded = signal_io._read_csv_matrix(tmp_path / "a.csv")
-        scanned = signal_io._scan_csv_matrix(tmp_path / "a.csv", (tmp_path / "a.csv").read_bytes())
-        assert loaded.tobytes() == scanned.tobytes()
-        assert loaded.tobytes() == values.tobytes()
-
-    def test_whitespace_only_line_is_skipped(self, tmp_path):
-        path = tmp_path / "a.csv"
-        path.write_text("1,2\n   \n3,4\n")
-        np.testing.assert_array_equal(signal_io._read_csv_matrix(path), [[1, 2], [3, 4]])
+        assert _load_trials(tmp_path / "a.csv")[2] == values.tobytes()
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("1,2\n3\n", "ragged rows in {path}: widths [1, 2]"),
-            ("1,2\n3,inf\n", "non-finite cell at row 1, column 1 of {path}: 'inf'"),
-            ("1,2\n1e400,4\n", "non-finite cell at row 1, column 0 of {path}: '1e400'"),
-            ("1,2,\n3,4,\n", "non-numeric cell at row 0, column 2 of {path}: ''"),
-            ("1,2\n  \n3\n", "ragged rows in {path}: widths [1, 2]"),
+            ("1,2\n3\n", "the number of columns changed from 2 to 1 at row 2; "
+                         "use `usecols` to select a subset and avoid this error"),
+            ("1,2\n3,inf\n", "non-finite value inf at row 1, column 2"),
+            ("1,2\n1e400,4\n", "non-finite value inf at row 1, column 1"),
+            ("1,2,\n3,4,\n", "could not convert string '' to float64 at row 0, column 3."),
+            ("1,2\n  \n3\n", "the number of columns changed from 2 to 1 at row 2; "
+                             "use `usecols` to select a subset and avoid this error"),
+            ("1,2\n3,abc\n", "could not convert string 'abc' to float64 at row 1, column 2."),
+            ("1,2\nNaN,4\n", "non-finite value nan at row 1, column 1"),
+            ("  \n1,2\n", "could not convert string '  ' to float64 at row 0, column 1."),
         ],
-        ids=["ragged", "inf", "overflow", "trailing-comma", "ragged-after-blank-line"],
+        ids=["ragged", "inf", "overflow", "trailing-comma", "ragged-after-blank-line",
+             "non-numeric", "nan", "whitespace-line"],
     )
     def test_bad_files_name_file_and_cell(self, tmp_path, text, message):
-        path = tmp_path / "a.csv"
-        path.write_text(text)
-        with pytest.raises(IngestError) as excinfo:
-            signal_io._read_csv_matrix(path)
-        assert str(excinfo.value) == message.format(path=path)
+        """Both readers refuse a bad body with the same message after the file's
+        path: the cell's row, column and value, or a ragged row's row."""
+        for name, (_, load, header, error, _, _) in READERS.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text(header + text)
+            with pytest.raises(error) as info:
+                load(path)
+            assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("text", ["", "  \n"], ids=["empty", "whitespace"])
     def test_empty_file_raises_without_warning(self, tmp_path, text):
-        path = tmp_path / "a.csv"
-        path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IngestError, match="empty signal file"):
-                signal_io._read_csv_matrix(path)
-
-
-def _write_trials(path, values):
-    write_canonical_csv(SignalRecord(samples=values.T, fs=1.0, label=0), path)
-
-
-def _write_features(path, values):
-    labels = np.arange(len(values)) % 3
-    FeatureMatrix(values, tuple(f"f{j}" for j in range(values.shape[1])), labels).to_csv(path)
-
-
-def _load_trials(path):
-    matrix = signal_io._read_csv_matrix(path)
-    return matrix.dtype.str, matrix.shape, matrix.tobytes()
-
-
-def _load_features(path):
-    fm = FeatureMatrix.from_csv(path)
-    return fm.feature_names, fm.values.shape, fm.values.tobytes(), fm.labels.tobytes()
-
-
-# reader -> (write a valid CSV of values, load one into comparable bytes, a
-# CSV its parse refuses, the refusal's type and message, the reader's cache kind)
-READERS = {
-    "trials": (_write_trials, _load_trials, "1,2\n3,inf\n", IngestError,
-               "non-finite cell at row 1, column 1 of {path}: 'inf'", "trials-1"),
-    "features": (_write_features, _load_features, "a,b,label\n1,x,0\n", FeatureError,
-                 "{path}: could not convert string 'x' to float64 at row 0, column 2.",
-                 "features-1"),
-}
+        for name, (_, load, header, error, message, _) in READERS.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text(header + text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error) as info:
+                    load(path)
+            assert str(info.value) == f"{path}: {message}"
 
 
 class TestParseCache:
@@ -370,14 +379,30 @@ class TestParseCache:
         assert load(path) == first
 
     def test_bad_csv_raises_the_same_message_twice_and_leaves_no_entry(self, reader, tmp_path):
-        _, load, text, error, message, _ = reader
+        _, load, header, error, _, _ = reader
         path = tmp_path / "a.csv"
-        path.write_text(text)
+        path.write_text(header + "1,2\n3,inf\n")
         for _ in range(2):
             with pytest.raises(error) as info:
                 load(path)
-            assert str(info.value) == message.format(path=path)
+            assert str(info.value) == f"{path}: non-finite value inf at row 1, column 2"
         assert not (tmp_path / ".emgbench-cache").exists()
+
+    def test_entry_of_an_older_parse_is_not_served(self, tmp_path):
+        """The previous trial parse skipped whitespace-only lines; its entry for
+        such a file is not served, and the file is refused."""
+        path = tmp_path / "a.csv"
+        path.write_text("1,2\n   \n3,4\n")
+        folder = tmp_path / ".emgbench-cache" / "a.csv"
+        folder.mkdir(parents=True)
+        folder.parent.chmod(0o700)
+        planted = folder / f"trials-1.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+        np.save(planted, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(IngestError) as info:
+            _load_trials(path)
+        assert str(info.value) == (f"{path}: the number of columns changed from 2 to 1 at row 2; "
+                                   "use `usecols` to select a subset and avoid this error")
+        assert self.entries(path) == [planted]
 
     def test_labels_are_checked_on_a_hit(self, tmp_path, monkeypatch):
         path = tmp_path / "a.csv"
@@ -398,9 +423,10 @@ class TestParseCache:
         path = self.dataset(tmp_path, _write_features)
         FeatureMatrix.from_csv(path)
         with pytest.raises(IngestError) as info:
-            signal_io._read_csv_matrix(path)
-        assert str(info.value) == f"non-numeric cell at row 0, column 0 of {path}: 'f0'"
-        assert [e.name.split(".")[0] for e in self.entries(path)] == ["features-1"]
+            _load_trials(path)
+        assert str(info.value) == (f"{path}: could not convert string 'f0' to float64 "
+                                   "at row 0, column 1.")
+        assert [e.name.split(".")[0] for e in self.entries(path)] == ["features-2"]
 
     @pytest.mark.parametrize("owner", ["group_writable", "world_writable", "another_user"])
     def test_cache_of_another_user_is_neither_read_nor_written(self, reader, owner, tmp_path,
@@ -462,19 +488,34 @@ class TestWfdb:
         np.testing.assert_allclose(rec.samples[0], [0.0, 0.01, 0.02, 0.03])
         np.testing.assert_allclose(rec.samples[1], [0.1, 0.11, 0.12, 0.13])
 
-    def test_unsupported_format(self, tmp_path):
-        hea = write_wfdb(tmp_path, fmt="212")
-        with pytest.raises(IngestError, match="unsupported WFDB format"):
+    @pytest.mark.parametrize(
+        "options, edit, message",
+        [
+            ({"fmt": "212"}, None, "unsupported WFDB format: '212' (only format 16 is supported)"),
+            ({"gain": "0(0)/mV"}, None, "gain of zero in WFDB header"),
+            ({"gain": "abc/mV"}, None, "could not convert string to float: 'abc'"),
+            ({}, ("rec 2 ", "rec x "), "invalid literal for int() with base 10: 'x'"),
+            ({}, ("rec 2 ", "rec 0 "), "malformed WFDB record line: 'rec 0 2048 4'"),
+            ({"n_sig": 1}, ("rec.dat 16 100(0)/mV 16 0 0 0 0 ch", "rec.dat"),
+             "malformed WFDB signal line: 'rec.dat'"),
+            ({}, ("rec.dat 16", "other.dat 16"), "multiple .dat files are not supported"),
+        ],
+        ids=["unsupported-format", "zero-gain", "gain-not-a-number", "count-not-an-integer",
+             "no-signals", "one-field-signal-line", "two-dat-files"],
+    )
+    def test_header_refusal_names_the_file(self, tmp_path, options, edit, message):
+        """A header write_wfdb wrote with options, then with edit's first
+        (old, new) replacement, is refused by an IngestError naming it first."""
+        hea = write_wfdb(tmp_path, **options)
+        if edit:
+            hea.write_text(hea.read_text().replace(*edit, 1))
+        with pytest.raises(IngestError) as info:
             load_wfdb_record(hea)
+        assert str(info.value) == f"{hea}: {message}"
 
     def test_truncated_dat(self, tmp_path):
         hea = write_wfdb(tmp_path, values=[1, 2, 3])  # header wants 8
         with pytest.raises(IngestError, match="truncated signal file"):
-            load_wfdb_record(hea)
-
-    def test_zero_gain_rejected(self, tmp_path):
-        hea = write_wfdb(tmp_path, gain="0(0)/mV")
-        with pytest.raises(IngestError, match="gain of zero"):
             load_wfdb_record(hea)
 
     def test_sample_count_matches_header(self, tmp_path):
