@@ -160,15 +160,17 @@ def load_windows(config: BenchmarkConfig) -> tuple[WindowSet, list[str], np.ndar
         manifest = load_manifest(config.dataset["manifest"])
         records = load_canonical_csv(config.dataset["manifest"])
         class_names = list(manifest.class_names)
-        for entry, rec in zip(manifest.entries, records):
-            if rec.n_samples < (wlen := window_length(rec.fs)):
+        for i, entry in enumerate(manifest.entries):  # no loop variable keeps a raw trial
+            if (n := records[i].n_samples) < (wlen := window_length(records[i].fs)):
                 raise ConfigError(f"{config.dataset['manifest']}: entry {entry.path!r}: record "
-                                  f"shorter than one window: {rec.n_samples} < {wlen} samples")
+                                  f"shorter than one window: {n} < {wlen} samples")
     else:
         spec = config.dataset["synthetic"]
         records = generate_synthetic(seed=config.seed, **spec)
         class_names = [f"class{i}" for i in range(spec["n_classes"])]
-    ws = segment_records([bandpass(rec) for rec in records])
+    for i in range(len(records)):  # each raw trial is freed once its filtered copy exists
+        records[i] = bandpass(records[i])
+    ws = segment_records(records)
     return ws, class_names, np.array([rec.subject for rec in records])[ws.trial]
 
 
@@ -206,12 +208,10 @@ def _run_row(config: BenchmarkConfig, class_names: list[str], family: str,
     return reports, errors
 
 
-def run_benchmark(config: BenchmarkConfig):
-    """Execute every (family, model) cell.
-
-    Returns (reports, errors); a failing cell lands in errors and does not
-    abort the rest of the grid.
-    """
+def _split_rows(config: BenchmarkConfig) -> tuple[list[str], list[tuple], dict]:
+    """The class names, each family row's (family, train, test) features, and the
+    error of each cell whose row failed. A function of its own, so that the windows and
+    the unsplit feature matrices die when it returns, before the first fit."""
     ws, class_names, window_subjects = load_windows(config)
     if config.subject_split and (n_subjects := np.unique(window_subjects).size) < 2:
         raise ConfigError(f"subject_split needs at least 2 subjects, the data has {n_subjects}")
@@ -229,6 +229,16 @@ def run_benchmark(config: BenchmarkConfig):
             rows.append((family, fm.select(train_idx), fm.select(test_idx)))
         except Exception as exc:  # a feature or split failure fails the family's cells
             errors.update({(family, model): str(exc) for model in config.models})
+    return class_names, rows, errors
+
+
+def run_benchmark(config: BenchmarkConfig):
+    """Execute every (family, model) cell.
+
+    Returns (reports, errors); a failing cell lands in errors and does not
+    abort the rest of the grid.
+    """
+    class_names, rows, errors = _split_rows(config)
 
     # One worker thread would get its own malloc heap, so --jobs 1 runs here.
     if config.jobs > 1:

@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +37,8 @@ class SignalRecord:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if self.fs <= 0:
-            raise IngestError(f"sampling rate must be positive, got {self.fs}")
+        if not 0 < self.fs <= sys.float_info.max:  # NaN fails both comparisons
+            raise IngestError(f"sampling rate must be finite and positive, got {self.fs}")
         if samples.ndim != 2 or samples.shape[1] < 2:
             raise IngestError(
                 f"samples must be [channels x time] with length >= 2, got shape {samples.shape}"
@@ -118,8 +120,9 @@ def _manifest_entry(raw: dict) -> ManifestEntry:
         raise IngestError(f"manifest entry path must be a string, got {path!r}")
     if type(label) is not int:
         raise IngestError(f"entry {path!r}: label must be an integer, got {label!r}")
-    if Path(path).suffix != ".hea" and not (type(fs) in (int, float) and fs > 0):
-        raise IngestError(f"entry {path!r}: a CSV entry needs an fs > 0, got {fs!r}")
+    if Path(path).suffix != ".hea" and not (type(fs) in (int, float)
+                                            and 0 < fs <= sys.float_info.max):
+        raise IngestError(f"entry {path!r}: a CSV entry needs a finite fs > 0, got {fs!r}")
     subject, session = raw.get("subject", ""), raw.get("session", "")
     for key, value in (("subject", subject), ("session", session)):
         if not isinstance(value, str):
@@ -163,18 +166,29 @@ def _owned(cache: Path) -> bool:
     return status.st_uid == getattr(os, "getuid", lambda: -1)() and not status.st_mode & 0o022
 
 
+_RAGGED = re.compile(r"the number of columns changed from (\d+) to (\d+) at row (\d+)")
+
+
 def read_csv(path: Path, kind: str, skiprows: int = 0) -> np.ndarray:
     """The float64 rows of comma-separated cells after skiprows header lines, parsed once per
     content as cache kind (see parse_cached). An empty file, a cell that is not a finite number
-    and a ragged row raise ValueError naming the row (and a cell's column and value) but not
-    the file, which the caller puts in front. A cell is numbered as loadtxt numbers one it
-    cannot convert: a 0-based data row and a 1-based column."""
+    and a ragged row raise ValueError naming the row (and a cell's column and value, or the
+    row's and row 0's cell counts) but not the file, which the caller puts in front. A row is
+    numbered as loadtxt numbers one with a cell it cannot convert: a 0-based data row, so an
+    empty line is no row; a column is 1-based."""
 
     def parse(data: bytes) -> np.ndarray:
         if not data or data.isspace():  # loadtxt warns on no data; strip() would copy the file
             raise IngestError("empty file")
-        matrix = np.loadtxt(io.TextIOWrapper(io.BytesIO(data)), delimiter=",", comments=None,
-                            ndmin=2, skiprows=skiprows)
+        try:
+            matrix = np.loadtxt(io.TextIOWrapper(io.BytesIO(data)), delimiter=",", comments=None,
+                                ndmin=2, skiprows=skiprows)
+        except ValueError as exc:  # loadtxt counts a ragged row from 1, and hints at usecols
+            if not (ragged := _RAGGED.match(str(exc))):
+                raise
+            first, width, row = map(int, ragged.groups())
+            raise IngestError(f"ragged row {row - 1}: cell count {width}, "
+                              f"against {first} in row 0") from None
         if not np.isfinite(matrix).all():
             row, column = np.argwhere(~np.isfinite(matrix))[0]
             raise IngestError(
@@ -372,12 +386,17 @@ def generate_synthetic(
 
     filters = [butter_bandpass(4, c - w, c + w, fs) for c, w in zip(centers, widths)]
     records = []
+    noise = np.empty((n_channels, n))  # every draw fills this one buffer
     for g in range(n_classes):
         for t in range(trials_per_class):
-            noise = rng.standard_normal((n_channels, n))
-            shaped = sosfiltfilt(filters[g], noise)
-            shaped = shaped / (np.std(shaped, axis=1, keepdims=True) + 1e-12)
-            samples = gains[g][:, None] * shaped + 0.05 * rng.standard_normal((n_channels, n))
+            # The trial is built in place on the filter's output: shaped noise
+            # at unit power per channel, times the class gains, plus 0.05 noise.
+            samples = sosfiltfilt(filters[g], rng.standard_normal(out=noise))
+            samples /= np.std(samples, axis=1, keepdims=True) + 1e-12
+            samples *= gains[g][:, None]
+            rng.standard_normal(out=noise)
+            noise *= 0.05
+            samples += noise
             records.append(
                 SignalRecord(
                     samples=samples,

@@ -208,6 +208,59 @@ class TestRun:
         assert errors == {} and len(refs) == 5  # voting, its 3 voters, bagging_svm
         assert alive == []
 
+    @pytest.mark.parametrize("source", ["synthetic", "manifest"])
+    def test_each_raw_trial_dies_before_the_next_is_filtered(self, source, tmp_path, monkeypatch):
+        """load_windows band-passes each record in place of its raw one, so a
+        raw trial is freed, without the cycle collector, before the next is
+        filtered."""
+        dataset = SMALL_SYNTH
+        if source == "manifest":
+            records = generate_synthetic(seed=7, **SMALL_SYNTH["synthetic"])
+            dataset = {"manifest": str(write_dataset(records, ["class0", "class1"], tmp_path))}
+            del records
+        raw, alive = [], []
+        bandpass = benchmark.bandpass
+
+        def recorded(record):
+            alive.append(sum(ref() is not None for ref in raw))
+            raw.append(weakref.ref(record.samples))
+            return bandpass(record)
+
+        monkeypatch.setattr(benchmark, "bandpass", recorded)
+        gc.disable()
+        try:
+            benchmark.load_windows(small_config(dataset=dataset))
+        finally:
+            gc.enable()
+        assert len(raw) == 4 and alive == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_trial_is_alive_at_any_fit(self, jobs, monkeypatch):
+        """Once every family row is extracted and split, run_benchmark holds
+        no reference to the windows, so each filtered trial is freed before
+        the first fit, on the calling thread and in the pool."""
+        trials, alive = [], []
+        segment, fit = benchmark.segment_records, benchmark.fit_pipeline
+
+        def segmented(records):
+            ws = segment(records)
+            trials.extend(weakref.ref(x) for x in ws.trials)
+            return ws
+
+        def recorded(*a, **k):
+            alive.append(sum(ref() is not None for ref in trials))
+            return fit(*a, **k)
+
+        monkeypatch.setattr(benchmark, "segment_records", segmented)
+        monkeypatch.setattr(benchmark, "fit_pipeline", recorded)
+        gc.disable()
+        try:
+            _, errors = run_benchmark(small_config(families=("ftdd", "tsd"), jobs=jobs))
+        finally:
+            gc.enable()
+        assert errors == {} and len(trials) == 4
+        assert alive == [0, 0]
+
 
 class TestRendering:
     def test_table_layout(self):

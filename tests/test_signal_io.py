@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,10 +141,14 @@ class TestCanonicalCsv:
             ('{"entries": [{"path": "a.csv", "label": "a", "fs": 10.0}], "class_names": ["g"]}',
              "entry 'a.csv': label must be an integer, got 'a'"),
             ('{"entries": [{"path": "a.csv", "label": 0}], "class_names": ["g"]}',
-             "entry 'a.csv': a CSV entry needs an fs > 0, got None"),
+             "entry 'a.csv': a CSV entry needs a finite fs > 0, got None"),
+            ('{"entries": [{"path": "a.csv", "label": 0, "fs": 1e400}], "class_names": ["g"]}',
+             "entry 'a.csv': a CSV entry needs a finite fs > 0, got inf"),
+            ('{"entries": [{"path": "a.csv", "label": 0, "fs": NaN}], "class_names": ["g"]}',
+             "entry 'a.csv': a CSV entry needs a finite fs > 0, got nan"),
         ],
         ids=["bad_json", "not_an_object", "no_class_names", "entries_int", "no_path",
-             "label_str", "csv_without_fs"],
+             "label_str", "csv_without_fs", "csv_fs_infinite", "csv_fs_nan"],
     )
     def test_malformed_manifest_names_the_file(self, tmp_path, text, message):
         manifest = tmp_path / "manifest.json"
@@ -215,8 +220,9 @@ class TestCsvFastPath:
         ],
         ids=["crlf", "spaces", "single-column", "single-row", "no-final-newline"],
     )
-    def test_well_formed_files_load_as_the_scanner_reads_them(self, tmp_path, text, expected):
-        """The expected arrays are what the reference cell-by-cell scanner read."""
+    def test_well_formed_files_read_as_the_numbers_written(self, tmp_path, text, expected):
+        """CR and LF line ends, spaces around cells, one column, one row and
+        no final newline all read as the numbers written, bit for bit."""
         path = tmp_path / "a.csv"
         path.write_bytes(text.encode())
         loaded = signal_io.read_csv(path, "trials-2")
@@ -233,19 +239,18 @@ class TestCsvFastPath:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("1,2\n3\n", "the number of columns changed from 2 to 1 at row 2; "
-                         "use `usecols` to select a subset and avoid this error"),
+            ("1,2\n3\n", "ragged row 1: cell count 1, against 2 in row 0"),
             ("1,2\n3,inf\n", "non-finite value inf at row 1, column 2"),
             ("1,2\n1e400,4\n", "non-finite value inf at row 1, column 1"),
             ("1,2,\n3,4,\n", "could not convert string '' to float64 at row 0, column 3."),
-            ("1,2\n  \n3\n", "the number of columns changed from 2 to 1 at row 2; "
-                             "use `usecols` to select a subset and avoid this error"),
+            ("1,2\n  \n3\n", "ragged row 1: cell count 1, against 2 in row 0"),
+            ("1,2\n\n3,4\n5,6,7\n", "ragged row 2: cell count 3, against 2 in row 0"),
             ("1,2\n3,abc\n", "could not convert string 'abc' to float64 at row 1, column 2."),
             ("1,2\nNaN,4\n", "non-finite value nan at row 1, column 1"),
             ("  \n1,2\n", "could not convert string '  ' to float64 at row 0, column 1."),
         ],
         ids=["ragged", "inf", "overflow", "trailing-comma", "ragged-after-blank-line",
-             "non-numeric", "nan", "whitespace-line"],
+             "ragged-after-empty-line", "non-numeric", "nan", "whitespace-line"],
     )
     def test_bad_files_name_file_and_cell(self, tmp_path, text, message):
         """Both readers refuse a bad body with the same message after the file's
@@ -400,8 +405,7 @@ class TestParseCache:
         np.save(planted, np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(IngestError) as info:
             _load_trials(path)
-        assert str(info.value) == (f"{path}: the number of columns changed from 2 to 1 at row 2; "
-                                   "use `usecols` to select a subset and avoid this error")
+        assert str(info.value) == f"{path}: ragged row 1: cell count 1, against 2 in row 0"
         assert self.entries(path) == [planted]
 
     def test_labels_are_checked_on_a_hit(self, tmp_path, monkeypatch):
@@ -499,9 +503,11 @@ class TestWfdb:
             ({"n_sig": 1}, ("rec.dat 16 100(0)/mV 16 0 0 0 0 ch", "rec.dat"),
              "malformed WFDB signal line: 'rec.dat'"),
             ({}, ("rec.dat 16", "other.dat 16"), "multiple .dat files are not supported"),
+            ({"fs": "nan"}, None, "sampling rate must be finite and positive, got nan"),
+            ({"fs": "inf"}, None, "sampling rate must be finite and positive, got inf"),
         ],
         ids=["unsupported-format", "zero-gain", "gain-not-a-number", "count-not-an-integer",
-             "no-signals", "one-field-signal-line", "two-dat-files"],
+             "no-signals", "one-field-signal-line", "two-dat-files", "fs-nan", "fs-infinite"],
     )
     def test_header_refusal_names_the_file(self, tmp_path, options, edit, message):
         """A header write_wfdb wrote with options, then with edit's first
@@ -562,6 +568,22 @@ class TestSynthetic:
         with pytest.raises(IngestError, match="450 Hz band edge"):
             generate_synthetic(2, 2, 500, 1, 1.0, seed=0)
 
+    def test_holds_under_four_trials_beside_its_output(self):
+        """Each trial is built in place on the filter's output with one noise
+        buffer, so beyond the trials it returns the generator's peak is the
+        filter's working set: the noise, the padded copy and its block
+        products, under 4 trials' bytes (3.24; 4.25 when each step made a new array)."""
+        spec = dict(n_classes=3, n_channels=4, fs=2048.0, trials_per_class=3, trial_seconds=2.0)
+        generate_synthetic(**spec, seed=0)  # the filters' block operators are built once
+        tracemalloc.start()
+        try:
+            records = generate_synthetic(**spec, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trial_bytes = records[0].samples.nbytes
+        assert (peak - trial_bytes * len(records)) / trial_bytes < 4
+
 
 class TestSignalRecord:
     def test_rejects_non_finite(self):
@@ -571,6 +593,11 @@ class TestSignalRecord:
     def test_rejects_bad_fs(self):
         with pytest.raises(IngestError, match="positive"):
             SignalRecord(samples=np.ones((1, 4)), fs=0.0, label=0)
+
+    @pytest.mark.parametrize("fs", [np.nan, np.inf])
+    def test_rejects_non_finite_fs(self, fs):
+        with pytest.raises(IngestError, match=f"must be finite and positive, got {fs}"):
+            SignalRecord(samples=np.ones((1, 4)), fs=fs, label=0)
 
     def test_rejects_short_channels(self):
         with pytest.raises(IngestError, match="length >= 2"):
