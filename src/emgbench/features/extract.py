@@ -85,7 +85,7 @@ class FeatureMatrix:
             whole = (labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))
             if not whole.all():
                 i = np.flatnonzero(~whole)[0]
-                raise FeatureError(f"data row {i + 1} has label {labels[i]:g}, "
+                raise FeatureError(f"data row {i} has label {labels[i]:g}, "
                                    "not a non-negative whole number below 2**63")
             return cls(
                 values=body[:, :-1],

@@ -1,5 +1,5 @@
-"""Dataset ingestion: canonical CSV trials, a minimal WFDB reader, and a
-seeded synthetic generator used for desk-scale experiments and tests."""
+"""Dataset ingestion: .npy and canonical CSV trials, a minimal WFDB reader, and
+a seeded synthetic generator used for desk-scale experiments and tests."""
 from __future__ import annotations
 
 import contextlib
@@ -89,9 +89,9 @@ _MANIFEST_KEYS = {"path", "label", "subject", "session", "fs"}
 
 def load_manifest(manifest_path: str | Path) -> DatasetManifest:
     """A JSON manifest: "class_names", a list of names, and "entries", each
-    an object with a "path", an integer "label" and, for a CSV file, its
-    sampling rate "fs" (optional "subject" and "session" strings). An error
-    in it names the file."""
+    an object with a "path", an integer "label" and, for a CSV or .npy file,
+    its sampling rate "fs" (optional "subject" and "session" strings). An
+    error in it names the file."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise IngestError(f"manifest file not found: {manifest_path}")
@@ -122,7 +122,7 @@ def _manifest_entry(raw: dict) -> ManifestEntry:
         raise IngestError(f"entry {path!r}: label must be an integer, got {label!r}")
     if Path(path).suffix != ".hea" and not (type(fs) in (int, float)
                                             and 0 < fs <= sys.float_info.max):
-        raise IngestError(f"entry {path!r}: a CSV entry needs a finite fs > 0, got {fs!r}")
+        raise IngestError(f"entry {path!r}: a CSV or .npy entry needs a finite fs > 0, got {fs!r}")
     subject, session = raw.get("subject", ""), raw.get("session", "")
     for key, value in (("subject", subject), ("session", session)):
         if not isinstance(value, str):
@@ -198,19 +198,33 @@ def read_csv(path: Path, kind: str, skiprows: int = 0) -> np.ndarray:
     return parse_cached(path, kind, parse)
 
 
-def _read_csv_trial(path: Path, entry: ManifestEntry) -> SignalRecord:
-    """A samples-as-rows, channels-as-columns CSV trial; a refusal names the file once."""
+def _read_npy(path: Path) -> np.ndarray:
+    """The 2-D float64 array np.save wrote at path, read as np.load reads an .npy file. A file
+    without the .npy magic string (an .npz archive, a pickle, an empty file), a short file, an
+    object array or any other shape or dtype (byte order included) raises ValueError."""
+    with open(path, "rb") as fh:
+        samples = np.lib.format.read_array(fh, allow_pickle=False)
+    if samples.ndim != 2 or samples.dtype != np.float64:
+        raise IngestError(f"holds a {samples.ndim}-D {samples.dtype.str} array, "
+                          "not a 2-D float64 one")
+    return samples
+
+
+def _read_trial(path: Path, entry: ManifestEntry) -> SignalRecord:
+    """A samples-as-rows, channels-as-columns trial, an .npy array or else a CSV; a refusal
+    names the file once."""
     try:
         if not path.exists():
             raise IngestError("signal file not found")
-        return SignalRecord(samples=read_csv(path, "trials-2").T, fs=entry.fs,
+        samples = _read_npy(path) if path.suffix == ".npy" else read_csv(path, "trials-2")
+        return SignalRecord(samples=samples.T, fs=entry.fs,
                             label=entry.label, subject=entry.subject, session=entry.session)
-    except ValueError as exc:  # a bad cell, a ragged row, an empty file or a short trial
+    except ValueError as exc:  # a bad cell or array, a ragged row, an empty file, a short trial
         raise IngestError(f"{path}: {exc}") from None
 
 
 def load_canonical_csv(manifest_path: str | Path) -> list[SignalRecord]:
-    """Load every entry of a JSON manifest; CSV layout is time x channels."""
+    """Load every entry of a JSON manifest; .npy and CSV layout is time x channels."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     base = manifest_path.parent
@@ -225,7 +239,7 @@ def load_canonical_csv(manifest_path: str | Path) -> list[SignalRecord]:
                 path, label=entry.label, subject=entry.subject, session=entry.session
             )
         else:
-            rec = _read_csv_trial(path, entry)
+            rec = _read_trial(path, entry)
         if n_channels is None:
             n_channels = rec.n_channels
         elif rec.n_channels != n_channels:
@@ -236,19 +250,15 @@ def load_canonical_csv(manifest_path: str | Path) -> list[SignalRecord]:
     return records
 
 
-def write_canonical_csv(record: SignalRecord, path: str | Path) -> None:
-    """Write samples-as-rows CSV at full float precision (exact round trip)."""
-    np.savetxt(path, record.samples.T, fmt="%.17g", delimiter=",")
-
-
 def write_dataset(records: list[SignalRecord], class_names: list[str], out_dir: str | Path) -> Path:
-    """Write one CSV per record plus a manifest.json; returns the manifest path."""
+    """Write one time x channels .npy file per record plus a manifest.json; returns the
+    manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, rec in enumerate(records):
-        name = f"trial_{i:04d}.csv"
-        write_canonical_csv(rec, out_dir / name)
+        name = f"trial_{i:04d}.npy"
+        np.save(out_dir / name, rec.samples.T, allow_pickle=False)
         entries.append(
             {
                 "path": name,

@@ -52,17 +52,19 @@ class TestSynth:
         assert run_config["seed"] == 3
         assert "emgbench_version" in run_config
         assert "wrote 4 trials" in capsys.readouterr().out
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == [
+            "manifest.json", "run_config.json", *(f"trial_{i:04d}.npy" for i in range(4))]
 
     def test_rerun_with_same_seed_is_identical(self, tmp_path):
         a = make_dataset(tmp_path / "a")
         b = make_dataset(tmp_path / "b")
-        for name in ("manifest.json", "trial_0000.csv"):
-            assert (a.parent / name).read_text() == (b.parent / name).read_text()
+        for name in ("manifest.json", "trial_0000.npy"):
+            assert (a.parent / name).read_bytes() == (b.parent / name).read_bytes()
 
     def test_different_seeds_differ(self, tmp_path):
         a = make_dataset(tmp_path / "a", seed="3")
         b = make_dataset(tmp_path / "b", seed="4")
-        assert (a.parent / "trial_0000.csv").read_text() != (b.parent / "trial_0000.csv").read_text()
+        assert (a.parent / "trial_0000.npy").read_bytes() != (b.parent / "trial_0000.npy").read_bytes()
 
     def test_refuses_nonempty_dir_without_force(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -100,7 +102,7 @@ class TestExtract:
                       "--out", str(tmp_path / "f.csv")]):
             assert main(argv) == 2
             assert capsys.readouterr().err == (
-                f"error: {manifest}: entry 'trial_0000.csv': record shorter than one window: "
+                f"error: {manifest}: entry 'trial_0000.npy': record shorter than one window: "
                 "512 < 614 samples\n"
             )
 
@@ -151,9 +153,9 @@ class TestTrainAndBench:
         "damage, message",
         [("cell", "could not convert string 'x' to float64"),
          ("header_only", "feature CSV has no data rows"),
-         ("label_fraction", "data row 1 has label 1.5, not a non-negative whole number"),
-         ("label_negative", "data row 1 has label -1, not a non-negative whole number"),
-         ("label_huge", "data row 1 has label 1e+20, not a non-negative whole number below 2**63")],
+         ("label_fraction", "data row 0 has label 1.5, not a non-negative whole number"),
+         ("label_negative", "data row 0 has label -1, not a non-negative whole number"),
+         ("label_huge", "data row 0 has label 1e+20, not a non-negative whole number below 2**63")],
         ids=["cell", "header_only", "label_fraction", "label_negative", "label_huge"],
     )
     def test_train_names_an_unreadable_feature_csv(self, damage, message, tmp_path, capsys):
@@ -267,6 +269,33 @@ class TestTrainAndBench:
         code = main(["report", "--bundle", str(out)])
         assert code == 0
         assert "LDA" in capsys.readouterr().out
+
+    def test_synth_scores_as_a_full_precision_csv_copy_of_it(self, tmp_path):
+        """bench and extract give the same bytes for synth's .npy trials as for
+        a `%.17g` CSV copy of them; the .npy trials are not parsed, so only the
+        copy gets an .emgbench-cache."""
+        manifest = make_dataset(tmp_path / "data")
+        doc = json.loads(manifest.read_text())
+        copy = tmp_path / "csv" / "manifest.json"
+        copy.parent.mkdir()
+        for entry in doc["entries"]:
+            samples = np.load(manifest.parent / entry["path"])
+            entry["path"] = entry["path"].replace(".npy", ".csv")
+            np.savetxt(copy.parent / entry["path"], samples, fmt="%.17g", delimiter=",")
+        copy.write_text(json.dumps(doc))
+        outputs = []
+        for source in (manifest, copy):
+            out = source.parent / "out"
+            assert main(["bench", "--manifest", str(source), "--models", "lda", "knn",
+                         "--out", str(out)]) == 0
+            for family in ("ftdd", "tsd", "wavelet"):
+                assert main(["extract", "--manifest", str(source), "--family", family,
+                             "--out", str(out / f"{family}.csv")]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("table.csv", "ftdd.csv", "tsd.csv", "wavelet.csv")])
+        assert outputs[0] == outputs[1]
+        assert not (manifest.parent / ".emgbench-cache").exists()
+        assert (copy.parent / ".emgbench-cache").is_dir()
 
     def test_bench_missing_dataset_source(self, capsys):
         assert main(["bench", "--families", "ftdd", "--models", "lda"]) == 2

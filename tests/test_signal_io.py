@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import shutil
 import struct
 import tracemalloc
@@ -22,7 +23,6 @@ from emgbench.signal_io import (
     load_canonical_csv,
     load_manifest,
     load_wfdb_record,
-    write_canonical_csv,
     write_dataset,
 )
 
@@ -141,14 +141,16 @@ class TestCanonicalCsv:
             ('{"entries": [{"path": "a.csv", "label": "a", "fs": 10.0}], "class_names": ["g"]}',
              "entry 'a.csv': label must be an integer, got 'a'"),
             ('{"entries": [{"path": "a.csv", "label": 0}], "class_names": ["g"]}',
-             "entry 'a.csv': a CSV entry needs a finite fs > 0, got None"),
+             "entry 'a.csv': a CSV or .npy entry needs a finite fs > 0, got None"),
             ('{"entries": [{"path": "a.csv", "label": 0, "fs": 1e400}], "class_names": ["g"]}',
-             "entry 'a.csv': a CSV entry needs a finite fs > 0, got inf"),
+             "entry 'a.csv': a CSV or .npy entry needs a finite fs > 0, got inf"),
             ('{"entries": [{"path": "a.csv", "label": 0, "fs": NaN}], "class_names": ["g"]}',
-             "entry 'a.csv': a CSV entry needs a finite fs > 0, got nan"),
+             "entry 'a.csv': a CSV or .npy entry needs a finite fs > 0, got nan"),
+            ('{"entries": [{"path": "a.npy", "label": 0}], "class_names": ["g"]}',
+             "entry 'a.npy': a CSV or .npy entry needs a finite fs > 0, got None"),
         ],
         ids=["bad_json", "not_an_object", "no_class_names", "entries_int", "no_path",
-             "label_str", "csv_without_fs", "csv_fs_infinite", "csv_fs_nan"],
+             "label_str", "csv_without_fs", "csv_fs_infinite", "csv_fs_nan", "npy_without_fs"],
     )
     def test_malformed_manifest_names_the_file(self, tmp_path, text, message):
         manifest = tmp_path / "manifest.json"
@@ -161,23 +163,105 @@ class TestCanonicalCsv:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         rec = SignalRecord(samples=rng.standard_normal((3, 40)), fs=1000.0, label=2)
-        write_canonical_csv(rec, tmp_path / "r.csv")
+        np.savetxt(tmp_path / "r.csv", rec.samples.T, fmt="%.17g", delimiter=",")
         manifest = make_manifest(
             tmp_path, [{"path": "r.csv", "label": 2, "fs": 1000.0}], ["a", "b", "c"]
         )
         loaded = load_canonical_csv(manifest)[0]
         np.testing.assert_array_equal(loaded.samples, rec.samples)
 
-    def test_write_dataset_manifest(self, tmp_path):
-        recs = generate_synthetic(2, 2, 1024, 1, 0.1, seed=0)
+    def test_write_dataset_manifest(self, tmp_path, monkeypatch):
+        """write_dataset writes one .npy trial per record, which loads bit for
+        bit as generated, with no parse and no cache."""
+        recs = generate_synthetic(2, 3, 1024, 2, 0.1, seed=0)
         manifest = write_dataset(recs, ["a", "b"], tmp_path / "ds")
+        monkeypatch.setattr(signal_io, "parse_cached", lambda *args: pytest.fail("parsed"))
         loaded = load_canonical_csv(manifest)
-        assert len(loaded) == 2
-        np.testing.assert_array_equal(loaded[0].samples, recs[0].samples)
+        assert sorted(p.name for p in manifest.parent.iterdir()) == [
+            "manifest.json", *(f"trial_{i:04d}.npy" for i in range(4))]
+
+        def fields(r):
+            return (r.samples.dtype, r.samples.shape, r.samples.tobytes(), r.fs, r.label,
+                    r.subject, r.session)
+
+        assert [fields(r) for r in loaded] == [fields(r) for r in recs]
+
+
+def _savez(path, values):
+    with open(path, "wb") as fh:  # given a name, np.savez would add ".npz" to it
+        np.savez(fh, samples=values)
+
+
+def _truncated(path, values):
+    np.save(path, values)
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _with_nan(path, values):
+    values[2, 1] = np.nan
+    np.save(path, values)
+
+
+_MAGIC = "the magic string is not correct; expected b'\\x93NUMPY', got {head}"
+
+
+class TestNpyTrials:
+    """A manifest entry ending in .npy is read as the array np.save wrote,
+    time x channels; anything but a 2-D float64 array is refused with the
+    file's path first."""
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (_savez, _MAGIC),
+            (lambda path, values: path.write_bytes(pickle.dumps(values)), _MAGIC),
+            (lambda path, values: path.write_bytes(b"not an array"), _MAGIC),
+            (lambda path, values: path.write_bytes(b""),
+             "EOF: reading magic string, expected 8 bytes got 0"),
+            (_truncated, "Failed to read all data for array. Expected (4, 3) = 12 elements, "
+                         "could only read 11 elements. (file seems not fully written?)"),
+            (lambda path, values: np.save(path, values.astype(object), allow_pickle=True),
+             "Object arrays cannot be loaded when allow_pickle=False"),
+            (lambda path, values: np.save(path, values.astype(">f8")),
+             "holds a 2-D >f8 array, not a 2-D float64 one"),
+            (lambda path, values: np.save(path, values.astype(np.float32)),
+             "holds a 2-D <f4 array, not a 2-D float64 one"),
+            (lambda path, values: np.save(path, values.ravel()),
+             "holds a 1-D <f8 array, not a 2-D float64 one"),
+            (lambda path, values: np.save(path, values[..., None]),
+             "holds a 3-D <f8 array, not a 2-D float64 one"),
+            (lambda path, values: None, "signal file not found"),
+            (_with_nan, "samples contain non-finite values"),
+            (lambda path, values: np.save(path, values[:1]),
+             "samples must be [channels x time] with length >= 2, got shape (3, 1)"),
+        ],
+        ids=["npz", "pickle", "garbage", "empty", "truncated", "object", "big_endian", "float32",
+             "one_dimensional", "three_dimensional", "missing", "nan", "one_sample"],
+    )
+    def test_refusal_names_the_file(self, tmp_path, write, message):
+        path = tmp_path / "a.npy"
+        write(path, np.arange(12.0).reshape(4, 3))
+        manifest = make_manifest(tmp_path, [{"path": "a.npy", "label": 0, "fs": 10.0}], ["g"])
+        with pytest.raises(IngestError) as info:
+            load_canonical_csv(manifest)
+        head = repr(path.read_bytes()[:6]) if path.exists() else ""
+        assert str(info.value) == f"{path}: " + message.format(head=head)
+        assert not (tmp_path / ".emgbench-cache").exists()
+
+    def test_channel_count_must_match_a_csv_entry(self, tmp_path):
+        """.npy and CSV entries mix in one manifest, with one channel count."""
+        (tmp_path / "b.csv").write_text("1,2\n3,4\n")
+        np.save(tmp_path / "a.npy", np.arange(12.0).reshape(4, 3))
+        manifest = make_manifest(tmp_path, [{"path": "b.csv", "label": 0, "fs": 10.0},
+                                            {"path": "a.npy", "label": 0, "fs": 10.0}], ["g"])
+        with pytest.raises(IngestError) as info:
+            load_canonical_csv(manifest)
+        assert str(info.value) == (f"inconsistent channel count: {tmp_path / 'a.npy'} has 3, "
+                                   "expected 2")
 
 
 def _write_trials(path, values):
-    write_canonical_csv(SignalRecord(samples=values.T, fs=1.0, label=0), path)
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
 
 
 def _write_features(path, values):
@@ -186,7 +270,7 @@ def _write_features(path, values):
 
 
 def _load_trials(path):
-    samples = signal_io._read_csv_trial(path, ManifestEntry(path.name, 0, fs=1.0)).samples.T
+    samples = signal_io._read_trial(path, ManifestEntry(path.name, 0, fs=1.0)).samples.T
     return samples.dtype.str, samples.shape, samples.tobytes()
 
 
@@ -411,7 +495,7 @@ class TestParseCache:
     def test_labels_are_checked_on_a_hit(self, tmp_path, monkeypatch):
         path = tmp_path / "a.csv"
         path.write_text("a,b,label\n1,2,0\n3,4,1.5\n")
-        message = f"{path}: data row 2 has label 1.5, not a non-negative whole number below 2**63"
+        message = f"{path}: data row 1 has label 1.5, not a non-negative whole number below 2**63"
         with pytest.raises(FeatureError) as info:
             FeatureMatrix.from_csv(path)
         assert str(info.value) == message
