@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # noqa: F401  argparse's gettext imports it on the first parse; load it here
+import shutil
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .benchmark import (
 from .classify.pipeline import MODEL_NAMES, fit_pipeline
 from .evaluate import ConfusionMatrix, metrics, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
-from .signal_io import generate_synthetic, write_dataset
+from .signal_io import CACHE_DIR, generate_synthetic, write_dataset
 
 
 def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -37,11 +38,27 @@ def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
     (out_dir / "run_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str))
 
 
+def _clear_synth_output(out_dir: Path) -> None:
+    """Remove what an earlier `synth` may have left in out_dir, so that none
+    of it outlives the new dataset: its trials (.npy, or .csv from before
+    trials were .npy), manifest, run config, and the CSV parse cache. Every
+    other file stays."""
+    for pattern in ("trial_*.npy", "trial_*.csv", "manifest.json", "run_config.json"):
+        for path in out_dir.glob(pattern):
+            if path.is_file() or path.is_symlink():
+                path.unlink()
+    cache = out_dir / CACHE_DIR
+    if cache.is_dir() and not cache.is_symlink():
+        shutil.rmtree(cache)
+
+
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         print(f"error: output directory {out_dir} is not empty (use --force)", file=sys.stderr)
         return 2
+    if out_dir.is_dir():
+        _clear_synth_output(out_dir)
     records = generate_synthetic(
         n_classes=args.classes,
         n_channels=args.channels,

@@ -4,8 +4,8 @@ length, and energy-weighted entropy."""
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from ..preprocess import windows
 from .tdd import FeatureError
 
 # Symlet-8 scaling (decomposition low-pass) filter. Obtained by spectral
@@ -35,10 +35,25 @@ _SYM8_SCALING = (
 # mirror hi[k] = (-1)^k lo[L-1-k].
 DEC_LO = np.array(_SYM8_SCALING[::-1])
 DEC_HI = np.where(np.arange(DEC_LO.size) % 2 == 0, 1.0, -1.0) * DEC_LO[::-1]
-# Both filters as the columns of one [taps, 2] bank.
-_BANK = np.stack([DEC_LO, DEC_HI], axis=1)
 # Decomposition levels: bands D1..D5, then A5.
 LEVELS = 5
+# Each level cuts its periodized input into blocks of 2 * BLOCK samples and
+# gets a block's BLOCK low-pass and BLOCK high-pass outputs from one product
+# with each block filter bank.
+BLOCK = 16
+
+
+def _block_bank(taps: np.ndarray) -> np.ndarray:
+    """The [2 BLOCK + 14, BLOCK] bank of a 16-tap filter: column c holds the
+    taps at rows 2c .. 2c + 15. Output c of a block reads samples 2c onwards,
+    so the last one reads 14 samples past the block's 2 BLOCK."""
+    rows = 2 * np.arange(BLOCK)[:, None] + np.arange(taps.size)
+    bank = np.zeros((2 * BLOCK + taps.size - 2, BLOCK))
+    bank[rows, np.arange(BLOCK)[:, None]] = taps
+    return bank
+
+
+_BANKS = (_block_bank(DEC_LO), _block_bank(DEC_HI))
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -49,12 +64,15 @@ def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conserved exactly.
     """
     n = x.shape[-1] - x.shape[-1] % 2
-    taps = DEC_LO.size
-    # Output i is the filter bank applied to xp[2i : 2i + taps], xp being x
-    # extended periodically: one product over the even-offset windows.
-    xp = np.take(x, np.arange(n + taps - 2) % n, axis=-1)
-    bands = sliding_window_view(xp, taps, axis=-1)[..., ::2, :] @ _BANK
-    return np.concatenate([bands[..., 0], x[..., n:]], axis=-1), bands[..., 1]
+    half = n // 2
+    blocks = -(-half // BLOCK)
+    # Block b is xp[2 BLOCK b :][: 2 BLOCK + 14], xp being x extended
+    # periodically; outputs past `half` in a last, partial block are dropped.
+    rows = np.arange(_BANKS[0].shape[0]) + 2 * BLOCK * np.arange(blocks)[:, None]
+    gathered = np.take(x, rows % n, axis=-1)
+    low, high = ((gathered @ bank).reshape(*x.shape[:-1], -1)[..., :half] for bank in _BANKS)
+    del gathered  # the largest temporary: free it before the copy below
+    return np.concatenate([low, x[..., n:]], axis=-1), high
 
 
 def dwt(x: np.ndarray) -> list[np.ndarray]:
@@ -86,13 +104,24 @@ def subband_features(w: np.ndarray) -> np.ndarray:
     """Energy, variance, standard deviation, waveform length and entropy of
     each subband on the last axis, [..., n] -> [..., 5]."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape[-1] == 0:
+    n = w.shape[-1]
+    if n == 0:
         raise FeatureError("empty subband")
     sq = w * w
-    variance = np.var(w, axis=-1)
-    wl = np.sum(np.abs(np.diff(w)), axis=-1)
-    entropy = -np.sum(sq * np.log(sq + ENTROPY_GUARD), axis=-1)
-    return np.stack([np.sum(sq, axis=-1), variance, np.sqrt(variance), wl, entropy], axis=-1)
+    # The variance as np.var takes it (the mean of the squared deviations
+    # from the mean), without its call overhead; then the steps' magnitudes
+    # and the entropy terms reuse the deviations' buffer, so that a band
+    # needs two temporaries of its size.
+    buf = w - w.sum(axis=-1, keepdims=True) / n
+    buf *= buf
+    variance = buf.sum(axis=-1) / n
+    steps = np.subtract(w[..., 1:], w[..., :-1], out=buf[..., 1:])
+    wl = np.abs(steps, out=steps).sum(axis=-1)
+    np.add(sq, ENTROPY_GUARD, out=buf)
+    np.log(buf, out=buf)
+    buf *= sq
+    entropy = -buf.sum(axis=-1)
+    return np.stack([sq.sum(axis=-1), variance, np.sqrt(variance), wl, entropy], axis=-1)
 
 
 def wavelet_features(bands: list[np.ndarray]) -> np.ndarray:
@@ -100,10 +129,11 @@ def wavelet_features(bands: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([subband_features(band) for band in bands], axis=-1)
 
 
-def wavelet_windows(windows: np.ndarray) -> np.ndarray:
-    """Subband features of [..., C, N] windows, one [..., 30C] row each,
+def wavelet_windows(span: np.ndarray, length: int, step: int) -> np.ndarray:
+    """Subband features of each window of span [C, S], one 30C row each,
     channel by channel."""
-    return wavelet_features(dwt(windows)).reshape(*windows.shape[:-2], -1)
+    views = windows(span, length, step)
+    return wavelet_features(dwt(views)).reshape(len(views), -1)
 
 
 def wavelet_names(n_channels: int) -> list[str]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .iir import butter_bandpass, sosfiltfilt
 from .signal_io import SignalRecord
@@ -28,7 +28,8 @@ class WindowSet:
 
     Window i is the j-th window of trial t = trial[i], the samples
     trials[t][:, j * step : j * step + length], with label labels[i];
-    windows are ordered by trial, then by start.
+    windows are ordered by trial, then by start. `windows(trials[t], length,
+    step)` views them all.
     """
 
     trials: tuple[np.ndarray, ...]
@@ -44,13 +45,18 @@ class WindowSet:
     def n_channels(self) -> int:
         return self.trials[0].shape[0]
 
-    def trial_windows(self) -> list[np.ndarray]:
-        """Per trial, its windows as a read-only [w, C, N] view of the
-        filtered samples (no copy)."""
-        return [
-            sliding_window_view(x, self.length, axis=1)[:, :: self.step].swapaxes(0, 1)
-            for x in self.trials
-        ]
+
+def windows(x: np.ndarray, length: int, step: int) -> np.ndarray:
+    """The windows of x [..., C, S] that are `length` samples long and start
+    every `step` samples, as a read-only [..., w, C, length] view (no copy);
+    samples after the last whole window are in none. The feature kernels
+    take a dozen of these views per call, so this builds one directly
+    rather than through `sliding_window_view`'s checks."""
+    *lead, n_channels, n = x.shape
+    *lead_strides, channel_stride, sample_stride = x.strides
+    shape = (*lead, (n - length) // step + 1, n_channels, length)
+    strides = (*lead_strides, step * sample_stride, channel_stride, sample_stride)
+    return as_strided(x, shape, strides, writeable=False)
 
 
 def design_bandpass(fs: float) -> np.ndarray:

@@ -130,12 +130,16 @@ def _manifest_entry(raw: dict) -> ManifestEntry:
     return ManifestEntry(path, label, subject, session, fs=float(fs or 0.0))
 
 
+# The directory beside a parsed CSV that holds its cached parse.
+CACHE_DIR = ".emgbench-cache"
+
+
 def parse_cached(path: Path, kind: str, parse) -> np.ndarray:
     """parse(path's bytes), a 2-D float64 array, memoised beside path as its one entry
     `.emgbench-cache/<path's name>/<kind>.<sha256 of the bytes parsed>.npy`, where kind names
     the reader and the version of its parse. A damaged entry is parsed again; a cache directory
     that another user owns or can write is neither read nor written."""
-    folder = path.parent / ".emgbench-cache" / path.name
+    folder = path.parent / CACHE_DIR / path.name
     with contextlib.suppress(OSError, ValueError, EOFError):  # no entry, or a damaged one
         if _owned(folder.parent) and any(e.name.startswith(f"{kind}.") for e in folder.iterdir()):
             digest = hashlib.sha256()

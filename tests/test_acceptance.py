@@ -151,13 +151,14 @@ class TestAcceptance:
         m0, m2 = (np.sqrt(np.sum(d * d) / x.size) for d in (x, np.diff(x)))
         if abs(m2 / m0 - 2 * np.sin(np.pi * f)) > 0.01 * 2 * np.sin(np.pi * f):
             problems.append("moment ratio off by more than 1%")
-        if not np.allclose(tdd_base(x)[:2], np.log(np.power([m0, m2], K) + EPS),
+        if not np.allclose(tdd_base(x[None], x.size, 1, lam=1.0)[0, 0, :2],
+                           np.log(np.power([m0, m2], K) + EPS),
                            rtol=1e-12, atol=0):
             problems.append("tdd_base log moments differ from the root-squared moments")
         # TKEO of a sinusoid within 1% of (N-2) A^2 sin^2(w)
         amp, omega, n = 0.8, 0.4, 2000
         x = amp * np.sin(omega * np.arange(n))
-        tkeo_sum = np.exp(tsd_windows(np.vstack([x, -x]))[6])
+        tkeo_sum = np.exp(tsd_windows(np.vstack([x, -x]), n, 1)[0, 6])
         expected = (n - 2) * amp**2 * np.sin(omega) ** 2
         if abs(tkeo_sum - expected) > 0.01 * expected:
             problems.append("TKEO identity off by more than 1%")

@@ -73,6 +73,36 @@ class TestSynth:
         assert "not empty" in capsys.readouterr().err
         assert main(SYNTH_ARGS + ["--out", str(out), "--force"]) == 0
 
+    def test_force_clears_csv_trials_and_their_cache(self, tmp_path):
+        """--force over a dataset of CSV trials, such as synth wrote before it
+        wrote .npy, leaves only the new dataset and files synth never writes."""
+        out = tmp_path / "data"
+        make_dataset(out)
+        for npy in out.glob("trial_*.npy"):
+            np.savetxt(npy.with_suffix(".csv"), np.load(npy), delimiter=",")
+            npy.unlink()
+        (out / ".emgbench-cache" / "trial_0000.csv").mkdir(parents=True)
+        (out / ".emgbench-cache" / "trial_0000.csv" / "trials-2.0.npy").write_bytes(b"x")
+        (out / "notes.txt").write_text("keep")
+        assert main(SYNTH_ARGS + ["--out", str(out), "--force"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "run_config.json",
+            *(f"trial_{i:04d}.npy" for i in range(4))]
+        assert (out / "notes.txt").read_text() == "keep"
+
+    def test_force_drops_trials_beyond_the_new_count(self, tmp_path):
+        out = tmp_path / "data"
+        args = list(SYNTH_ARGS)
+        args[args.index("--trials") + 1] = "3"
+        assert main(args + ["--out", str(out)]) == 0
+        (out / "trial_notes.md").write_text("keep")
+        assert main(SYNTH_ARGS + ["--out", str(out), "--force"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "run_config.json",
+            *(f"trial_{i:04d}.npy" for i in range(4)), "trial_notes.md"]
+        entries = json.loads((out / "manifest.json").read_text())["entries"]
+        assert [e["path"] for e in entries] == [f"trial_{i:04d}.npy" for i in range(4)]
+
 
 class TestExtract:
     def test_wavelet_feature_csv_shape(self, tmp_path):

@@ -1,24 +1,99 @@
-"""Batched feature extraction against window-by-window references.
+"""Span-level feature extraction against window-by-window references.
 
-`extract` computes each family over a whole trial's [w, C, N] window view at
-once. Here it is compared with the single-window entry points and with a
-plain loop over windows and channels written from the feature definitions.
-Summation order differs between the two, so the comparison uses a
-tolerance set from float64 rounding, not equality.
+`extract` hands each family kernel a span of one trial that holds a few
+windows. The ftdd and tsd kernels compute each sample's elementwise terms
+once over the span and then reduce over each window's slice, in the same
+order as a kernel given the windows themselves; so they must equal, bit for
+bit, the window-by-window arithmetic below (`window_ftdd`, `window_tsd`).
+The wavelet family's block filter bank sums its taps in another order than
+the per-coefficient loop, and the plain loops over windows and channels
+written from the feature definitions sum in another order too: those
+comparisons use a tolerance set from float64 rounding.
 """
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from emgbench.features import extract as extract_module
 from emgbench.features import tdd, wavelet
-from emgbench.features.extract import extract
-from emgbench.features.tdd import ftdd_windows, tsd_windows
+from emgbench.features.extract import FAMILIES, extract
+from emgbench.features.tdd import tsd_windows
 from emgbench.features.wavelet import DEC_HI, DEC_LO, dwt, wavelet_features
-from emgbench.preprocess import segment_records
+from emgbench.preprocess import segment_records, windows
 from emgbench.signal_io import SignalRecord
 
 RTOL, ATOL = 1e-10, 1e-12
+
+
+def _window_parts(windows):
+    dx = np.diff(windows)
+    return windows, dx, np.diff(dx)
+
+
+def _window_moments(parts):
+    n = parts[0].shape[-1]
+    return [np.sqrt(np.sum(d * d, axis=-1) / n) for d in parts]
+
+
+def _window_lambda(m0):
+    lam = np.median(np.power(m0, tdd.K), axis=-1, keepdims=True)
+    return np.where(lam > 0, lam, 1.0)
+
+
+def _window_core(moments, lam):
+    eps = tdd.EPS
+    m0, m2, m4 = (np.power(m, tdd.K) / lam for m in moments)
+    sparseness = m0 / (np.sqrt(np.abs(m0 - m2)) * np.sqrt(np.abs(m0 - m4)) + eps)
+    irf = np.sqrt(m2 / (m0 * m4 + eps))
+    return [np.log(f + eps) for f in (m0, m2, m4, sparseness, irf)]
+
+
+def _window_base(windows):
+    _, dx, ddx = parts = _window_parts(windows)
+    moments = _window_moments(parts)
+    wlr = np.sum(np.abs(ddx), axis=-1) / (np.sum(np.abs(dx), axis=-1) + tdd.EPS)
+    core = _window_core(moments, _window_lambda(moments[0]))
+    return np.stack([*core, np.log(wlr + tdd.EPS)], axis=-1)
+
+
+def window_ftdd(windows):
+    """ftdd of [..., C, N] windows, one [..., 6C] row each, computed window
+    by window on each window's own samples."""
+    a = _window_base(windows)
+    b = _window_base(np.log(windows * windows + tdd.EPS))
+    denom = np.linalg.norm(a, axis=-1, keepdims=True) * np.linalg.norm(b, axis=-1, keepdims=True)
+    return (a * b / (denom + tdd.EPS)).reshape(*windows.shape[:-2], -1)
+
+
+def window_tsd(windows):
+    """tsd of [..., C, N] windows, one row each, from per-window Gram
+    matrices of each window's own samples and differences."""
+    eps = tdd.EPS
+    x, dx, ddx = _window_parts(windows)
+    n_ch, n = x.shape[-2:]
+    i, j = np.triu_indices(n_ch, 1)
+
+    def channels_and_pairs(G):
+        own = np.diagonal(G, axis1=-2, axis2=-1)
+        return np.concatenate([own, own[..., i] + own[..., j] - 2.0 * G[..., i, j]], axis=-1)
+
+    def gram(a, b):
+        return a @ b.swapaxes(-1, -2)
+
+    squares = [np.maximum(channels_and_pairs(gram(d, d)), 0.0) for d in (x, dx, ddx)]
+    lam = _window_lambda(np.sqrt(squares[0][..., :n_ch] / n))
+    core = _window_core([np.sqrt(q / n) for q in squares], lam)
+    total = x.sum(axis=-1)
+    total = np.concatenate([total, total[..., i] - total[..., j]], axis=-1)
+    var = np.maximum(squares[0] - total * total / n, 0.0) / (n - 1)
+    cov = np.sqrt(var) / (np.abs(total / n) + eps)
+    lag = gram(x[..., :-2], x[..., 2:])
+    tkeo = channels_and_pairs(gram(x[..., 1:-1], x[..., 1:-1]) - 0.5 * (lag + lag.swapaxes(-1, -2)))
+    features = [*core, np.log(cov + eps), np.log(np.abs(tkeo) + eps)]
+    return np.stack(features, axis=-1).reshape(*windows.shape[:-2], -1)
 
 
 def _loop_base(x, lam, tsd):
@@ -134,18 +209,53 @@ def test_window_sets_cover_the_cases(ws):
 
 # "default": the descriptors at the module constants tdd.K and tdd.EPS.
 @pytest.mark.parametrize(
-    "family, single, loop",
-    [("ftdd", ftdd_windows, loop_ftdd), ("tsd", tsd_windows, loop_tsd)],
+    "family, window_rows, loop",
+    [("ftdd", window_ftdd, loop_ftdd), ("tsd", window_tsd, loop_tsd)],
     ids=["ftdd-default", "tsd-default"],
 )
-def test_time_domain_families_match_row_by_row(ws, family, single, loop):
+def test_time_domain_families_match_row_by_row(ws, family, window_rows, loop):
     fm = extract(ws, family)
-    windows = windows_of(ws)
     np.testing.assert_array_equal(fm.labels, ws.labels)
-    rows = np.vstack([single(w) for w in windows])
-    np.testing.assert_allclose(fm.values, rows, rtol=RTOL, atol=ATOL)
-    reference = np.vstack([loop(w) for w in windows])
+    rows = np.vstack([window_rows(windows(x, ws.length, ws.step)) for x in ws.trials])
+    np.testing.assert_array_equal(fm.values, rows)
+    reference = np.vstack([loop(w) for w in windows_of(ws)])
     np.testing.assert_allclose(fm.values, reference, rtol=RTOL, atol=ATOL)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_size_does_not_change_values(ws, family, monkeypatch):
+    """One window per batch, the default batch, and one batch per trial give
+    the same bytes: a window's features never depend on its neighbours in
+    the span."""
+    default = extract(ws, family).values
+    longest = max(x.shape[1] for x in ws.trials)
+    for batch_bytes in (1, ws.n_channels * longest * 8):
+        monkeypatch.setattr(extract_module, "BATCH_BYTES", batch_bytes)
+        np.testing.assert_array_equal(extract(ws, family).values, default)
+
+
+# Peak memory of `extract` beyond its output, in units of BATCH_BYTES; the
+# kernels measured 1.1 (tsd) to 2.3 (wavelet) at 512 KB batches.
+BATCH_PEAK = 3
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_long_trial_temporaries_stay_within_a_few_batches(family):
+    """On one 60 s trial (8 channels at 2048 Hz, 7.9 MB) no kernel holds a
+    trial-sized temporary: the traced peak of `extract`, less the feature
+    matrix it returns, stays below BATCH_PEAK batches."""
+    rng = np.random.default_rng(3)
+    samples = rng.standard_normal((8, 60 * 2048))
+    ws = segment_records([SignalRecord(samples=samples, fs=2048.0, label=0)])
+    bound = BATCH_PEAK * extract_module.BATCH_BYTES
+    assert bound < samples.nbytes
+    tracemalloc.start()
+    try:
+        fm = extract(ws, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - fm.values.nbytes < bound
 
 
 # Per tsd feature, the error allowed on a difference of nearly equal
@@ -166,7 +276,7 @@ def test_tsd_pairs_of_nearly_equal_channels(delta):
     rng = np.random.default_rng(11)
     x = rng.standard_normal(1228) + 0.3
     window = np.vstack([x, x + delta * rng.standard_normal(x.size), rng.standard_normal(x.size)])
-    got, want = tsd_windows(window).reshape(6, 7), loop_tsd(window).reshape(6, 7)
+    got, want = tsd_windows(window, x.size, 1).reshape(6, 7), loop_tsd(window).reshape(6, 7)
     r = 2 * np.finfo(np.float64).eps / delta**2
     assert np.all(np.abs(got[3] - want[3]) <= NEAR_EQUAL_TOL * r)
     others = [0, 1, 2, 4, 5]
@@ -175,8 +285,8 @@ def test_tsd_pairs_of_nearly_equal_channels(delta):
 
 def test_wavelet_matches_per_channel_dwt(ws):
     fm = extract(ws, "wavelet")
-    windows = windows_of(ws)
-    rows = np.vstack([np.concatenate([wavelet_features(dwt(ch)) for ch in w]) for w in windows])
+    per_window = windows_of(ws)
+    rows = np.vstack([np.concatenate([wavelet_features(dwt(ch)) for ch in w]) for w in per_window])
     np.testing.assert_allclose(fm.values, rows, rtol=RTOL, atol=ATOL)
-    reference = np.vstack([loop_wavelet(w) for w in windows[:4]])
+    reference = np.vstack([loop_wavelet(w) for w in per_window[:4]])
     np.testing.assert_allclose(fm.values[:4], reference, rtol=RTOL, atol=ATOL)

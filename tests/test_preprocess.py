@@ -15,6 +15,7 @@ from emgbench.preprocess import (
     design_bandpass,
     segment_records,
     window_length,
+    windows,
 )
 from emgbench.signal_io import SignalRecord
 
@@ -99,8 +100,9 @@ class TestSegment:
         assert len(ws) == 5
         starts = np.arange(len(ws)) * ws.step
         assert starts.tolist() == [0, 614, 1228, 1842, 2456]
-        assert [v.shape for v in ws.trial_windows()] == [(5, 2, 1228)]
-        np.testing.assert_array_equal(ws.trial_windows()[0][:, 0, 0], starts)  # sample i is i
+        view = windows(ws.trials[0], ws.length, ws.step)
+        assert view.shape == (5, 2, 1228)
+        np.testing.assert_array_equal(view[:, 0, 0], starts)  # sample i is i
         assert ws.labels.tolist() == [3] * 5
 
     def test_forsemg_rate_example(self):
@@ -119,7 +121,7 @@ class TestSegment:
         rec = SignalRecord(samples=np.arange(4096, dtype=float)[None, :], fs=2048.0, label=0)
         ws = segment_records([rec])
         # non-overlapping halves of consecutive windows tile a prefix exactly
-        (view,) = ws.trial_windows()
+        view = windows(ws.trials[0], ws.length, ws.step)
         first, second = view[0], view[1]
         reassembled = np.concatenate([first[0, :614], second[0]])
         np.testing.assert_array_equal(reassembled, rec.samples[0, : 614 + 1228])
@@ -157,7 +159,7 @@ class TestSegment:
             for i, n in enumerate([4096, 1300, 2500])
         ]
         ws = segment_records([bandpass(r) for r in recs])
-        views = ws.trial_windows()
+        views = [windows(x, ws.length, ws.step) for x in ws.trials]
         assert [v.shape[0] for v in views] == np.bincount(ws.trial).tolist() == [5, 1, 3]
         for t, (view, samples) in enumerate(zip(views, ws.trials)):
             assert view.shape[1:] == (2, 1228)

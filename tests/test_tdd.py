@@ -22,6 +22,18 @@ finite_windows = st.lists(
 ).map(np.array)
 
 
+def base(x, lam=1.0):
+    """tdd_base's six descriptors of one signal, as a one-channel span that
+    holds one window."""
+    x = np.asarray(x, dtype=np.float64)
+    return tdd_base(x[None], x.size, 1, lam)[0, 0]
+
+
+def one_window(kernel, window):
+    """A family kernel's row for one [C, N] window: the span is the window."""
+    return kernel(window, window.shape[-1], 1)[0]
+
+
 def root_moments(x):
     """Root-squared moments of x and its first and second differences, each
     normalized by the length of x."""
@@ -38,24 +50,24 @@ class TestRootMoments:
         assert m2 / m0 == pytest.approx(2 * np.sin(np.pi * f), rel=0.01)
         # tdd_base's first three descriptors are these moments' log powers
         np.testing.assert_allclose(
-            tdd_base(x)[:3], np.log(np.power([m0, m2, m4], K) + EPS), rtol=1e-12, atol=0
+            base(x)[:3], np.log(np.power([m0, m2, m4], K) + EPS), rtol=1e-12, atol=0
         )
 
     def test_too_short(self):
         with pytest.raises(FeatureError, match="too short"):
-            tdd_base(np.array([1.0, 2.0]))
+            base(np.array([1.0, 2.0]))
 
 
 class TestTddBase:
     def test_constant_window_is_finite(self):
-        out = tdd_base(np.full(100, 3.0))
+        out = base(np.full(100, 3.0))
         assert out.shape == (6,)
         assert np.all(np.isfinite(out))
 
     def test_log_moment_shift_under_scaling(self):
         x = np.sin(0.3 * np.arange(200)) + 0.2
-        a = tdd_base(x, lam=1.0)
-        b = tdd_base(2 * x, lam=1.0)
+        a = base(x, lam=1.0)
+        b = base(2 * x, lam=1.0)
         for j in range(3):
             assert b[j] - a[j] == pytest.approx(K * np.log(2), abs=1e-8)
 
@@ -63,18 +75,18 @@ class TestTddBase:
         # sparseness and waveform-length ratio are ratios of homogeneous terms
         rng = np.random.default_rng(5)
         x = rng.standard_normal(300)
-        a = tdd_base(x, lam=1.0)
-        b = tdd_base(7.3 * x, lam=1.0)
+        a = base(x, lam=1.0)
+        b = base(7.3 * x, lam=1.0)
         assert b[3] == pytest.approx(a[3], abs=1e-6)
         assert b[5] == pytest.approx(a[5], abs=1e-6)
 
     @given(finite_windows)
     @settings(max_examples=80, deadline=None)
     def test_always_finite(self, x):
-        assert np.all(np.isfinite(tdd_base(x)))
+        assert np.all(np.isfinite(base(x)))
 
     def test_all_zero_window_finite(self):
-        assert np.all(np.isfinite(tdd_base(np.zeros(50))))
+        assert np.all(np.isfinite(base(np.zeros(50))))
 
 
 class TestFusion:
@@ -99,7 +111,7 @@ class TestFusion:
 class TestFtddWindow:
     def test_eight_channel_row_length_and_names(self):
         rng = np.random.default_rng(1)
-        row = ftdd_windows(rng.standard_normal((8, 200)))
+        row = one_window(ftdd_windows, rng.standard_normal((8, 200)))
         assert row.shape == (48,)
         names = ftdd_names(8)
         assert len(names) == 48
@@ -108,19 +120,19 @@ class TestFtddWindow:
 
     def test_fused_sums_within_unit_interval(self):
         rng = np.random.default_rng(2)
-        row = ftdd_windows(rng.standard_normal((4, 300)))
+        row = one_window(ftdd_windows, rng.standard_normal((4, 300)))
         sums = row.reshape(4, 6).sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-9)
         assert np.all(sums >= -1.0 - 1e-9)
 
     def test_constant_channels_finite(self):
-        row = ftdd_windows(np.ones((2, 100)))
+        row = one_window(ftdd_windows, np.ones((2, 100)))
         assert np.all(np.isfinite(row))
 
 
 class TestTsd:
     def test_constant_window_hits_guards(self):
-        out = tsd_windows(np.full((2, 100), 2.0)).reshape(3, 7)
+        out = one_window(tsd_windows, np.full((2, 100), 2.0)).reshape(3, 7)
         assert np.all(np.isfinite(out))
         # std = 0 and TKEO sum = 0 both bottom out at log(EPS), for each
         # channel and for their (all-zero) difference
@@ -132,7 +144,7 @@ class TestTsd:
         amp, omega, n = 1.3, 0.3, 1000
         x = amp * np.sin(omega * np.arange(n))
         oracle = sum(x[j] ** 2 - x[j - 1] * x[j + 1] for j in range(1, n - 1))
-        out = tsd_windows(np.vstack([x, 0.25 * x])).reshape(3, 7)
+        out = one_window(tsd_windows, np.vstack([x, 0.25 * x])).reshape(3, 7)
         assert np.exp(out[0, 6]) == pytest.approx(abs(oracle), rel=1e-9)
         assert np.exp(out[2, 6]) == pytest.approx(0.75**2 * abs(oracle), rel=1e-9)
         assert oracle == pytest.approx((n - 2) * amp**2 * np.sin(omega) ** 2, rel=0.01)
@@ -140,26 +152,27 @@ class TestTsd:
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 200)) + 0.5
-        a = tsd_windows(x).reshape(6, 7)
-        b = tsd_windows(-x).reshape(6, 7)
+        a = one_window(tsd_windows, x).reshape(6, 7)
+        b = one_window(tsd_windows, -x).reshape(6, 7)
         np.testing.assert_allclose(b[:, 5], a[:, 5], rtol=0, atol=1e-12)
         np.testing.assert_allclose(b[:, 6], a[:, 6], rtol=0, atol=1e-9)
 
     def test_four_channel_feature_count(self):
         rng = np.random.default_rng(4)
-        row = tsd_windows(rng.standard_normal((4, 200)))
+        row = one_window(tsd_windows, rng.standard_normal((4, 200)))
         assert row.shape == (7 * (4 + 6),)
 
     def test_identical_channels_difference_is_finite(self):
-        """Two equal channels, alone or among others and in a batch of
+        """Two equal channels, alone or among others and in a span of two
         windows: their difference's Gram sums cancel to about 0, clamped
         at 0 where they are sums of squares."""
         rng = np.random.default_rng(5)
         x = rng.standard_normal(200)
         for others in (0, 6):
             window = np.vstack([x, x, rng.standard_normal((others, 200))])
-            assert np.all(np.isfinite(tsd_windows(window)))
-            assert np.all(np.isfinite(tsd_windows(np.stack([window, 3.1 * window + 1.0]))))
+            assert np.all(np.isfinite(one_window(tsd_windows, window)))
+            span = np.concatenate([window, 3.1 * window + 1.0], axis=-1)
+            assert np.all(np.isfinite(tsd_windows(span, 200, 200)))
 
     def test_two_channel_name_order(self):
         names = tsd_names(2)
@@ -175,12 +188,12 @@ class TestTsd:
 
     def test_single_channel_rejected(self):
         with pytest.raises(FeatureError, match="at least 2 channels"):
-            tsd_windows(np.ones((1, 100)))
+            one_window(tsd_windows, np.ones((1, 100)))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_window_features_always_finite(self, seed):
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal((3, 64)) * rng.choice([0.0, 1e-6, 1.0, 1e3])
-        assert np.all(np.isfinite(tsd_windows(samples)))
-        assert np.all(np.isfinite(ftdd_windows(samples)))
+        assert np.all(np.isfinite(one_window(tsd_windows, samples)))
+        assert np.all(np.isfinite(one_window(ftdd_windows, samples)))
