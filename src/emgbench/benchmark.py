@@ -16,9 +16,10 @@ from .classify.pipeline import MODEL_LABELS, MODEL_NAMES, SHARED, Pipeline, fit_
 from .evaluate import ConfusionMatrix, EvaluationReport, stratified_split
 from .features.extract import FAMILIES, FeatureMatrix, extract
 from .features.tdd import EPS, K
-from .preprocess import (HIGH, LOW, ORDER, OVERLAP, WINDOW_MS, WindowSet, bandpass,
-                         segment_records, window_length)
-from .signal_io import generate_synthetic, load_canonical_csv, load_manifest, synthetic_trial_samples
+from .preprocess import (HIGH, LOW, ORDER, OVERLAP, WINDOW_MS, bandpass, segment_records,
+                         window_counts, window_length)
+from .signal_io import (TrialTable, generate_synthetic, load_canonical_csv, manifest_table,
+                        synthetic_table, synthetic_trial_samples)
 
 # synthetic key -> int for a count, float for any number
 _SYNTH_KEYS = {"n_classes": int, "n_channels": int, "fs": float, "trials_per_class": int,
@@ -153,25 +154,59 @@ def cell_seed(global_seed: int, *keys: str) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def load_windows(config: BenchmarkConfig) -> tuple[WindowSet, list[str], np.ndarray]:
-    """The config's dataset, band-passed and windowed: the windows, the
-    class names, and the subject of each window."""
-    if "manifest" in config.dataset:
-        manifest = load_manifest(config.dataset["manifest"])
-        records = load_canonical_csv(config.dataset["manifest"])
-        class_names = list(manifest.class_names)
-        for i, entry in enumerate(manifest.entries):  # no loop variable keeps a raw trial
-            if (n := records[i].n_samples) < (wlen := window_length(records[i].fs)):
-                raise ConfigError(f"{config.dataset['manifest']}: entry {entry.path!r}: record "
-                                  f"shorter than one window: {n} < {wlen} samples")
+def trial_table(config: BenchmarkConfig) -> TrialTable:
+    """The trial table of the config's dataset, read without a sample; a
+    manifest entry shorter than one window is refused by name."""
+    if "synthetic" in config.dataset:
+        return synthetic_table(**config.dataset["synthetic"])
+    table = manifest_table(config.dataset["manifest"])
+    wlen = window_length(table.fs)
+    for name, n in zip(table.names, table.n_samples):
+        if n < wlen:
+            raise ConfigError(f"{config.dataset['manifest']}: entry {name!r}: record "
+                              f"shorter than one window: {n} < {wlen} samples")
+    return table
+
+
+def extract_features(config: BenchmarkConfig,
+                     table: TrialTable) -> tuple[dict[str, FeatureMatrix], dict[str, str]]:
+    """The feature matrix of each of the config's families over the table's
+    trials, and the error of each family whose kernel refused them.
+
+    The trials are produced one at a time. Each is band-passed, windowed and
+    handed to every family, whose rows go into one matrix per family,
+    allocated once from the table's window counts; so no trial, raw or
+    filtered, is alive when the next is produced.
+    """
+    counts = window_counts(table.fs, table.n_samples)
+    ends = np.cumsum(counts)
+    if "synthetic" in config.dataset:
+        trials = generate_synthetic(seed=config.seed, **config.dataset["synthetic"])
     else:
-        spec = config.dataset["synthetic"]
-        records = generate_synthetic(seed=config.seed, **spec)
-        class_names = [f"class{i}" for i in range(spec["n_classes"])]
-    for i in range(len(records)):  # each raw trial is freed once its filtered copy exists
-        records[i] = bandpass(records[i])
-    ws = segment_records(records)
-    return ws, class_names, np.array([rec.subject for rec in records])[ws.trial]
+        trials = load_canonical_csv(config.dataset["manifest"])
+    values: dict[str, np.ndarray] = {}
+    names, failed = {}, {}
+    # Each trial goes straight to bandpass, so it dies once its filtered copy
+    # exists: a loop variable (and enumerate's or zip's last item) would hold
+    # it while the next trial is produced.
+    for start, end in zip(ends - counts, ends):
+        ws = segment_records([bandpass(next(trials))])
+        for family in config.families:
+            if family in failed:
+                continue
+            try:
+                fm = extract(ws, family)
+            except Exception as exc:  # such as tsd on one channel: the family's row fails
+                failed[family] = str(exc)
+                values.pop(family, None)
+                continue
+            if family not in values:
+                values[family] = np.empty((ends[-1], fm.n_features))
+                names[family] = fm.feature_names
+            values[family][start:end] = fm.values
+        del ws  # nor the filtered trial, when the next is produced
+    labels = np.repeat(table.labels, counts)
+    return {f: FeatureMatrix(v, names[f], labels) for f, v in values.items()}, failed
 
 
 def _member(name: str, seed: int, family: str, train: FeatureMatrix,
@@ -210,26 +245,29 @@ def _run_row(config: BenchmarkConfig, class_names: list[str], family: str,
 
 def _split_rows(config: BenchmarkConfig) -> tuple[list[str], list[tuple], dict]:
     """The class names, each family row's (family, train, test) features, and the
-    error of each cell whose row failed. A function of its own, so that the windows and
-    the unsplit feature matrices die when it returns, before the first fit."""
-    ws, class_names, window_subjects = load_windows(config)
-    if config.subject_split and (n_subjects := np.unique(window_subjects).size) < 2:
+    error of each cell whose row failed. A function of its own, so that the unsplit
+    feature matrices die when it returns, before the first fit."""
+    table = trial_table(config)
+    if config.subject_split and (n_subjects := np.unique(table.subjects).size) < 2:
         raise ConfigError(f"subject_split needs at least 2 subjects, the data has {n_subjects}")
+    features, failed = extract_features(config, table)
+    groups = None
+    if config.subject_split:  # each window's subject
+        groups = np.repeat(table.subjects, window_counts(table.fs, table.n_samples))
 
     # Every model of a family row trains and tests on the row's one split.
     rows: list[tuple[str, FeatureMatrix, FeatureMatrix]] = []
-    errors: dict[tuple[str, str], str] = {}
-    for family in config.families:
+    errors = {(family, model): message for family, message in failed.items()
+              for model in config.models}
+    for family in list(features):
+        fm = features.pop(family)  # so each unsplit matrix dies once it is split
         try:
-            fm = extract(ws, family)
             train_idx, test_idx = stratified_split(
-                fm.labels, config.test_fraction, cell_seed(config.seed, family),
-                groups=window_subjects if config.subject_split else None,
-            )
+                fm.labels, config.test_fraction, cell_seed(config.seed, family), groups=groups)
             rows.append((family, fm.select(train_idx), fm.select(test_idx)))
-        except Exception as exc:  # a feature or split failure fails the family's cells
+        except Exception as exc:  # a split failure fails the family's cells
             errors.update({(family, model): str(exc) for model in config.models})
-    return class_names, rows, errors
+    return list(table.class_names), rows, errors
 
 
 def run_benchmark(config: BenchmarkConfig):

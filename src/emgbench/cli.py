@@ -17,17 +17,19 @@ from . import __version__
 from .benchmark import (
     BenchmarkConfig,
     ConfigError,
-    load_windows,
+    extract_features,
     read_bundle,
     read_config,
     render_table,
     run_benchmark,
+    trial_table,
     write_bundle,
 )
 from .classify.pipeline import MODEL_NAMES, fit_pipeline
 from .evaluate import ConfusionMatrix, metrics, stratified_split
-from .features.extract import FAMILIES, FeatureMatrix, extract
-from .signal_io import CACHE_DIR, generate_synthetic, write_dataset
+from .features.extract import FAMILIES, FeatureMatrix
+from .features.tdd import FeatureError
+from .signal_io import CACHE_DIR, generate_synthetic, synthetic_table, write_dataset
 
 
 def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -59,25 +61,22 @@ def cmd_synth(args) -> int:
         return 2
     if out_dir.is_dir():
         _clear_synth_output(out_dir)
-    records = generate_synthetic(
-        n_classes=args.classes,
-        n_channels=args.channels,
-        fs=args.fs,
-        trials_per_class=args.trials,
-        trial_seconds=args.seconds,
-        seed=args.seed,
-    )
-    class_names = [f"class{i}" for i in range(args.classes)]
-    manifest = write_dataset(records, class_names, out_dir)
+    spec = dict(n_classes=args.classes, n_channels=args.channels, fs=args.fs,
+                trials_per_class=args.trials, trial_seconds=args.seconds)
+    table = synthetic_table(**spec)
+    manifest = write_dataset(generate_synthetic(**spec, seed=args.seed), table.class_names, out_dir)
     _write_run_config(out_dir, args)
-    print(f"wrote {len(records)} trials and {manifest}")
+    print(f"wrote {len(table.labels)} trials and {manifest}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    """One family's features of the manifest's trials, windowed as by `bench`."""
-    ws, _, _ = load_windows(BenchmarkConfig(dataset={"manifest": args.manifest}))
-    fm = extract(ws, args.family)
+    """One family's features of the manifest's trials, streamed as by `bench`."""
+    config = BenchmarkConfig(dataset={"manifest": args.manifest}, families=(args.family,))
+    features, failed = extract_features(config, trial_table(config))
+    if failed:
+        raise FeatureError(failed[args.family])
+    fm = features[args.family]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fm.to_csv(out)

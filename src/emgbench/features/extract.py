@@ -1,6 +1,7 @@
 """Window-set feature extraction into a named feature matrix."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,12 @@ FAMILIES = tuple(_FAMILIES)
 # afresh: a fresh `bench` at 1 MB ran 4 to 10 % faster than at 512 KB but
 # peaked about 2.3 MB higher.
 BATCH_BYTES = 512 * 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _column_names(family: str, n_channels: int) -> tuple[str, ...]:
+    """A family's column names; built once, as a streamed pass asks for them per trial."""
+    return tuple(_FAMILIES[family][0](n_channels))
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,7 @@ def extract(ws: WindowSet, family: str) -> FeatureMatrix:
         raise FeatureError(f"unknown feature family: {family!r} (expected one of {FAMILIES})")
     if len(ws) == 0:
         raise FeatureError("empty window set")
-    names, rows = _FAMILIES[family]
+    rows = _FAMILIES[family][1]
     batch = max(1, BATCH_BYTES // (ws.n_channels * ws.length * 8)) * ws.step
     span = batch - ws.step + ws.length
     return FeatureMatrix(
@@ -116,6 +123,6 @@ def extract(ws: WindowSet, family: str) -> FeatureMatrix:
             for x in ws.trials
             for i in range(0, x.shape[1] - ws.length + 1, batch)
         ]),
-        feature_names=tuple(names(ws.n_channels)),
+        feature_names=_column_names(family, ws.n_channels),
         labels=ws.labels,
     )

@@ -93,6 +93,20 @@ def window_length(fs: float) -> int:
     return int(np.floor(WINDOW_MS / 1000.0 * fs))
 
 
+def window_step(fs: float) -> int:
+    """Samples from one window's start to the next's at fs."""
+    step = int(np.floor(window_length(fs) * (1 - OVERLAP)))
+    if step < 1:
+        raise PreprocessError("window step underflows to zero")
+    return step
+
+
+def window_counts(fs: float, n_samples) -> np.ndarray:
+    """The whole windows of each trial of n_samples samples at fs, for trials at
+    least one window long."""
+    return (np.asarray(n_samples) - window_length(fs)) // window_step(fs) + 1
+
+
 def segment_records(records: list[SignalRecord]) -> WindowSet:
     """Split each record into overlapping windows; trailing partial windows
     are discarded and windows never straddle trials."""
@@ -100,10 +114,6 @@ def segment_records(records: list[SignalRecord]) -> WindowSet:
         raise PreprocessError("no records to segment")
     fs, n_channels = records[0].fs, records[0].n_channels
     wlen = window_length(fs)
-    step = int(np.floor(wlen * (1 - OVERLAP)))
-    if step < 1:
-        raise PreprocessError("window step underflows to zero")
-    counts = []
     for rec in records:
         if rec.fs != fs or rec.n_channels != n_channels:
             raise PreprocessError("records disagree in fs or channel count")
@@ -111,11 +121,11 @@ def segment_records(records: list[SignalRecord]) -> WindowSet:
             raise PreprocessError(
                 f"record shorter than one window: {rec.n_samples} < {wlen} samples"
             )
-        counts.append((rec.n_samples - wlen) // step + 1)
+    counts = window_counts(fs, [rec.n_samples for rec in records])
     return WindowSet(
         trials=tuple(rec.samples for rec in records),
         trial=np.repeat(np.arange(len(records)), counts),
         labels=np.repeat(np.array([rec.label for rec in records], dtype=np.int64), counts),
         length=wlen,
-        step=step,
+        step=window_step(fs),
     )

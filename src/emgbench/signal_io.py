@@ -9,6 +9,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,8 +38,7 @@ class SignalRecord:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if not 0 < self.fs <= sys.float_info.max:  # NaN fails both comparisons
-            raise IngestError(f"sampling rate must be finite and positive, got {self.fs}")
+        _check_fs(self.fs)
         if samples.ndim != 2 or samples.shape[1] < 2:
             raise IngestError(
                 f"samples must be [channels x time] with length >= 2, got shape {samples.shape}"
@@ -56,6 +56,25 @@ class SignalRecord:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
+
+
+def _check_fs(fs: float) -> None:
+    if not 0 < fs <= sys.float_info.max:  # NaN fails both comparisons
+        raise IngestError(f"sampling rate must be finite and positive, got {fs}")
+
+
+@dataclass(frozen=True)
+class TrialTable:
+    """A dataset's trials as known before any sample is read, in the order its
+    producer yields them: the class names, the one sampling rate, and each
+    trial's name (its manifest path), label, subject and sample count."""
+
+    class_names: tuple[str, ...]
+    fs: float
+    names: tuple[str, ...]
+    labels: np.ndarray
+    subjects: np.ndarray
+    n_samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,6 +147,53 @@ def _manifest_entry(raw: dict) -> ManifestEntry:
         if not isinstance(value, str):
             raise IngestError(f"entry {path!r}: {key} must be a string, got {value!r}")
     return ManifestEntry(path, label, subject, session, fs=float(fs or 0.0))
+
+
+def manifest_table(manifest_path: str | Path) -> TrialTable:
+    """The trial table of a JSON manifest, read from each entry's header and not its
+    samples: the .npy header, the WFDB record line, or a CSV's line count and first
+    line. An entry whose header is refused names its file; an empty manifest, and an
+    entry whose fs or channel count differs from the first entry's, name the manifest
+    and the entry."""
+    manifest_path = Path(manifest_path)
+    manifest = load_manifest(manifest_path)
+    if not manifest.entries:
+        raise IngestError(f"{manifest_path}: no entries")
+    shapes = [_trial_shape(manifest_path.parent / e.path, e) for e in manifest.entries]
+    (fs, n_channels, _), first = shapes[0], manifest.entries[0].path
+    for entry, (f, c, _) in zip(manifest.entries, shapes):
+        if (f, c) != (fs, n_channels):
+            raise IngestError(f"{manifest_path}: entry {entry.path!r} has fs {f} and {c} channels, "
+                              f"entry {first!r} fs {fs} and {n_channels} channels")
+    return TrialTable(
+        class_names=manifest.class_names, fs=fs,
+        names=tuple(e.path for e in manifest.entries),
+        labels=np.array([e.label for e in manifest.entries], dtype=np.int64),
+        subjects=np.array([e.subject for e in manifest.entries]),
+        n_samples=np.array([n for _, _, n in shapes]),
+    )
+
+
+def _trial_shape(path: Path, entry: ManifestEntry) -> tuple[float, int, int]:
+    """The fs, channel count and sample count of entry's trial at path, from its header."""
+    if path.suffix == ".hea":
+        with _naming(path):
+            n_signals, fs, n_samples = _wfdb_header(path)[:3]
+        return fs, n_signals, n_samples
+    with _naming(path):
+        if not path.exists():
+            raise IngestError("signal file not found")
+        n_samples, n_channels = _npy_shape(path) if path.suffix == ".npy" else _csv_shape(path)
+    return entry.fs, n_channels, n_samples
+
+
+@contextlib.contextmanager
+def _naming(path: Path):
+    """Put path in front of a refusal of its file, once."""
+    try:
+        yield
+    except ValueError as exc:  # a bad cell, array or header, a ragged row, an empty file
+        raise IngestError(f"{path}: {exc}") from None
 
 
 # The directory beside a parsed CSV that holds its cached parse.
@@ -208,55 +274,67 @@ def _read_npy(path: Path) -> np.ndarray:
     object array or any other shape or dtype (byte order included) raises ValueError."""
     with open(path, "rb") as fh:
         samples = np.lib.format.read_array(fh, allow_pickle=False)
-    if samples.ndim != 2 or samples.dtype != np.float64:
-        raise IngestError(f"holds a {samples.ndim}-D {samples.dtype.str} array, "
-                          "not a 2-D float64 one")
+    _check_npy(samples.ndim, samples.dtype)
     return samples
 
 
+def _npy_shape(path: Path) -> tuple[int, ...]:
+    """The shape of the 2-D float64 array in the .npy file at path, read from its header
+    alone; refusals as in _read_npy, but for a short file or an object array."""
+    with open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        read = np.lib.format.read_array_header_1_0 if version == (1, 0) else \
+            np.lib.format.read_array_header_2_0
+        shape, _, dtype = read(fh)
+    _check_npy(len(shape), dtype)
+    return shape
+
+
+def _check_npy(ndim: int, dtype: np.dtype) -> None:
+    if ndim != 2 or dtype != np.float64:
+        raise IngestError(f"holds a {ndim}-D {dtype.str} array, not a 2-D float64 one")
+
+
+def _csv_shape(path: Path) -> tuple[int, int]:
+    """The rows of a trial CSV and the cells of its first row, counted as read_csv parses
+    them (with universal newlines, an empty line is no row) but with no cell parsed."""
+    n_rows = n_cells = 0
+    with open(path) as fh:
+        for line in fh:
+            if line != "\n":
+                n_cells = n_cells or line.count(",") + 1
+                n_rows += 1
+    if not n_rows:
+        raise IngestError("empty file")
+    return n_rows, n_cells
+
+
 def _read_trial(path: Path, entry: ManifestEntry) -> SignalRecord:
-    """A samples-as-rows, channels-as-columns trial, an .npy array or else a CSV; a refusal
-    names the file once."""
-    try:
+    """A samples-as-rows, channels-as-columns trial, a WFDB record, an .npy array or else a
+    CSV; a refusal names the file once."""
+    if path.suffix == ".hea":
+        return load_wfdb_record(path, label=entry.label, subject=entry.subject, session=entry.session)
+    with _naming(path):
         if not path.exists():
             raise IngestError("signal file not found")
         samples = _read_npy(path) if path.suffix == ".npy" else read_csv(path, "trials-2")
         return SignalRecord(samples=samples.T, fs=entry.fs,
                             label=entry.label, subject=entry.subject, session=entry.session)
-    except ValueError as exc:  # a bad cell or array, a ragged row, an empty file, a short trial
-        raise IngestError(f"{path}: {exc}") from None
 
 
-def load_canonical_csv(manifest_path: str | Path) -> list[SignalRecord]:
-    """Load every entry of a JSON manifest; .npy and CSV layout is time x channels."""
+def load_canonical_csv(manifest_path: str | Path) -> Iterator[SignalRecord]:
+    """Each entry of a JSON manifest, read when the iterator reaches it; .npy and CSV layout
+    is time x channels. The manifest is read and checked at the call, and the iterator
+    holds no trial it has yielded."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    base = manifest_path.parent
-    records = []
-    n_channels = None
-    for entry in manifest.entries:
-        path = Path(entry.path)
-        if not path.is_absolute():
-            path = base / path
-        if path.suffix == ".hea":
-            rec = load_wfdb_record(
-                path, label=entry.label, subject=entry.subject, session=entry.session
-            )
-        else:
-            rec = _read_trial(path, entry)
-        if n_channels is None:
-            n_channels = rec.n_channels
-        elif rec.n_channels != n_channels:
-            raise IngestError(
-                f"inconsistent channel count: {path} has {rec.n_channels}, expected {n_channels}"
-            )
-        records.append(rec)
-    return records
+    return (_read_trial(manifest_path.parent / entry.path, entry) for entry in manifest.entries)
 
 
-def write_dataset(records: list[SignalRecord], class_names: list[str], out_dir: str | Path) -> Path:
-    """Write one time x channels .npy file per record plus a manifest.json; returns the
-    manifest path."""
+def write_dataset(records: Iterable[SignalRecord], class_names: list[str],
+                  out_dir: str | Path) -> Path:
+    """Write one time x channels .npy file per record, as it is produced, plus a
+    manifest.json; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -285,13 +363,27 @@ def load_wfdb_record(
     """Minimal WFDB reader: format-16 little-endian samples, single .dat file. A refusal
     starts with the header's path."""
     header_path = Path(header_path)
-    try:
-        return _read_wfdb(header_path, label, subject, session)
-    except ValueError as exc:  # a refusal below, or a field that is not a number
-        raise IngestError(f"{header_path}: {exc}") from None
+    with _naming(header_path):
+        n_signals, fs, n_samples, dat_name, gains, baselines = _wfdb_header(header_path)
+        dat_path = header_path.parent / dat_name
+        if not dat_path.exists():
+            raise IngestError(f"signal file not found: {dat_path}")
+        raw = np.fromfile(dat_path, dtype="<i2")
+        if raw.size < n_signals * n_samples:
+            raise IngestError(
+                f"truncated signal file: {dat_path} holds {raw.size} samples, "
+                f"header declares {n_signals * n_samples}"
+            )
+        interleaved = raw[: n_signals * n_samples].reshape(n_samples, n_signals)
+        physical = (interleaved.astype(np.float64) - np.asarray(baselines)) / np.asarray(gains)
+        return SignalRecord(
+            samples=physical.T, fs=fs, label=label, subject=subject, session=session
+        )
 
 
-def _read_wfdb(header_path: Path, label: int, subject: str, session: str) -> SignalRecord:
+def _wfdb_header(header_path: Path) -> tuple[int, float, int, str, list[float], list[float]]:
+    """The signal count, fs, sample count, .dat file name, and per-signal gains and
+    baselines of a WFDB header."""
     if not header_path.exists():
         raise IngestError("header file not found")
     lines = [
@@ -309,6 +401,7 @@ def _read_wfdb(header_path: Path, label: int, subject: str, session: str) -> Sig
     n_samples = int(record_tokens[3])
     if min(n_signals, n_samples) < 1:
         raise IngestError(f"malformed WFDB record line: {lines[0]!r}")
+    _check_fs(fs)
     if len(lines) - 1 < n_signals:
         raise IngestError(f"header declares {n_signals} signals but has {len(lines) - 1} lines")
 
@@ -339,21 +432,7 @@ def _read_wfdb(header_path: Path, label: int, subject: str, session: str) -> Sig
                 raise IngestError("gain of zero in WFDB header")
         gains.append(gain)
         baselines.append(baseline)
-
-    dat_path = header_path.parent / dat_name
-    if not dat_path.exists():
-        raise IngestError(f"signal file not found: {dat_path}")
-    raw = np.fromfile(dat_path, dtype="<i2")
-    if raw.size < n_signals * n_samples:
-        raise IngestError(
-            f"truncated signal file: {dat_path} holds {raw.size} samples, "
-            f"header declares {n_signals * n_samples}"
-        )
-    interleaved = raw[: n_signals * n_samples].reshape(n_samples, n_signals)
-    physical = (interleaved.astype(np.float64) - np.asarray(baselines)) / np.asarray(gains)
-    return SignalRecord(
-        samples=physical.T, fs=fs, label=label, subject=subject, session=session
-    )
+    return n_signals, fs, n_samples, dat_name, gains, baselines
 
 
 def synthetic_trial_samples(n_classes: int, n_channels: int, fs: float, trials_per_class: int,
@@ -375,6 +454,22 @@ def synthetic_trial_samples(n_classes: int, n_channels: int, fs: float, trials_p
     return n
 
 
+SYNTHETIC_SUBJECT = "synthetic"
+
+
+def synthetic_table(n_classes: int, n_channels: int, fs: float, trials_per_class: int,
+                    trial_seconds: float) -> TrialTable:
+    """The trial table of generate_synthetic's trials, with its refusals."""
+    n = synthetic_trial_samples(n_classes, n_channels, fs, trials_per_class, trial_seconds)
+    count = n_classes * trials_per_class
+    return TrialTable(
+        class_names=tuple(f"class{i}" for i in range(n_classes)), fs=fs,
+        names=tuple(f"trial_{i:04d}" for i in range(count)),
+        labels=np.repeat(np.arange(n_classes, dtype=np.int64), trials_per_class),
+        subjects=np.full(count, SYNTHETIC_SUBJECT), n_samples=np.full(count, n),
+    )
+
+
 def generate_synthetic(
     n_classes: int,
     n_channels: int,
@@ -382,14 +477,21 @@ def generate_synthetic(
     trials_per_class: int,
     trial_seconds: float,
     seed: int,
-) -> list[SignalRecord]:
+) -> Iterator[SignalRecord]:
     """Seeded synthetic dataset: per class, band-limited noise with a
     class-specific center frequency and per-channel gain profile.
 
     Deterministic for a fixed argument tuple; classes are separable by
-    energy, spectral-moment, and subband features.
+    energy, spectral-moment, and subband features. The arguments are checked
+    at the call; the trials are drawn one at a time, class by class, as the
+    iterator reaches them, and it holds none that it has yielded.
     """
     n = synthetic_trial_samples(n_classes, n_channels, fs, trials_per_class, trial_seconds)
+    return _synthetic_trials(n_classes, n_channels, fs, trials_per_class, n, seed)
+
+
+def _synthetic_trials(n_classes: int, n_channels: int, fs: float, trials_per_class: int, n: int,
+                      seed: int) -> Iterator[SignalRecord]:
     rng = np.random.default_rng(seed)
 
     # Class-specific spectra: centers spread over the analysis band, plus a
@@ -399,25 +501,21 @@ def generate_synthetic(
     gains = 0.35 + 1.8 * rng.random((n_classes, n_channels))
 
     filters = [butter_bandpass(4, c - w, c + w, fs) for c, w in zip(centers, widths)]
-    records = []
     noise = np.empty((n_channels, n))  # every draw fills this one buffer
     for g in range(n_classes):
-        for t in range(trials_per_class):
-            # The trial is built in place on the filter's output: shaped noise
-            # at unit power per channel, times the class gains, plus 0.05 noise.
-            samples = sosfiltfilt(filters[g], rng.standard_normal(out=noise))
-            samples /= np.std(samples, axis=1, keepdims=True) + 1e-12
-            samples *= gains[g][:, None]
-            rng.standard_normal(out=noise)
-            noise *= 0.05
-            samples += noise
-            records.append(
-                SignalRecord(
-                    samples=samples,
-                    fs=fs,
-                    label=g,
-                    subject="synthetic",
-                    session=f"trial{t}",
-                )
-            )
-    return records
+        for t in range(trials_per_class):  # no local here holds a yielded trial
+            yield SignalRecord(samples=_synthetic_samples(rng, filters[g], gains[g], noise),
+                               fs=fs, label=g, subject=SYNTHETIC_SUBJECT, session=f"trial{t}")
+
+
+def _synthetic_samples(rng: np.random.Generator, sos: np.ndarray, gains: np.ndarray,
+                       noise: np.ndarray) -> np.ndarray:
+    """One trial, built in place on the filter's output: shaped noise at unit
+    power per channel, times the class gains, plus 0.05 noise."""
+    samples = sosfiltfilt(sos, rng.standard_normal(out=noise))
+    samples /= np.std(samples, axis=1, keepdims=True) + 1e-12
+    samples *= gains[:, None]
+    rng.standard_normal(out=noise)
+    noise *= 0.05
+    samples += noise
+    return samples

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from emgbench import benchmark, preprocess
+from emgbench import benchmark, preprocess, signal_io
 from emgbench.benchmark import (
     BenchmarkConfig,
     ConfigError,
@@ -19,6 +21,7 @@ from emgbench.benchmark import (
 )
 from emgbench.classify.base import model_to_blob
 from emgbench.classify.pipeline import MODEL_NAMES
+from emgbench.preprocess import window_counts
 from emgbench.signal_io import generate_synthetic, write_dataset
 
 SMALL_SYNTH = {
@@ -98,14 +101,15 @@ class TestRun:
     def test_subject_split_keeps_a_training_subject(self, tmp_path):
         """However large the test fraction, one subject stays in training."""
         records = generate_synthetic(2, 2, 1024.0, 4, 1.0, seed=7)
-        records = [replace(r, subject=f"s{i % 2}") for i, r in enumerate(records)]
+        records = (replace(r, subject=f"s{i % 2}") for i, r in enumerate(records))
         manifest = write_dataset(records, ["class0", "class1"], tmp_path)
         config = small_config(dataset={"manifest": str(manifest)}, subject_split=True,
                               test_fraction=0.8)
         reports, errors = run_benchmark(config)
         assert errors == {}
-        _, _, subjects = benchmark.load_windows(config)
-        assert reports[0].confusion.total * 2 == len(subjects)  # one subject of two
+        table = benchmark.trial_table(config)
+        n_windows = window_counts(table.fs, table.n_samples).sum()
+        assert reports[0].confusion.total * 2 == n_windows  # one subject of two
 
     def test_report_order_matches_grid_order(self):
         config = small_config(families=("tsd", "ftdd"), models=("knn", "lda"))
@@ -210,56 +214,137 @@ class TestRun:
 
     @pytest.mark.parametrize("source", ["synthetic", "manifest"])
     def test_each_raw_trial_dies_before_the_next_is_filtered(self, source, tmp_path, monkeypatch):
-        """load_windows band-passes each record in place of its raw one, so a
-        raw trial is freed, without the cycle collector, before the next is
-        filtered."""
+        """The streamed pass holds no array of a trial, raw or filtered, when
+        the next trial is produced, and no raw trial once its filtered copy
+        exists; reference counting alone frees them."""
         dataset = SMALL_SYNTH
+        produce = "sosfiltfilt"  # the generator filters once per trial it draws
         if source == "manifest":
             records = generate_synthetic(seed=7, **SMALL_SYNTH["synthetic"])
             dataset = {"manifest": str(write_dataset(records, ["class0", "class1"], tmp_path))}
-            del records
-        raw, alive = [], []
-        bandpass = benchmark.bandpass
+            produce = "_read_npy"  # the loader reads one .npy file per trial
+        raw, filtered, at_produce, at_extract = [], [], [], []
+        bandpass, extract, producer = benchmark.bandpass, benchmark.extract, getattr(signal_io, produce)
+
+        def alive(refs):
+            return sum(ref() is not None for ref in refs)
+
+        def owner(a):  # the array that holds a view's memory
+            return a if a.base is None else owner(a.base)
+
+        def produced(*a, **k):  # the memory of the raw trial's samples
+            at_produce.append(alive(raw) + alive(filtered))
+            samples = producer(*a, **k)
+            raw.append(weakref.ref(owner(samples)))
+            return samples
 
         def recorded(record):
-            alive.append(sum(ref() is not None for ref in raw))
-            raw.append(weakref.ref(record.samples))
-            return bandpass(record)
+            out = bandpass(record)
+            filtered.append(weakref.ref(owner(out.samples)))
+            return out
 
+        def extracted(ws, family):
+            at_extract.append(alive(raw))
+            return extract(ws, family)
+
+        monkeypatch.setattr(signal_io, produce, produced)
         monkeypatch.setattr(benchmark, "bandpass", recorded)
+        monkeypatch.setattr(benchmark, "extract", extracted)
         gc.disable()
         try:
-            benchmark.load_windows(small_config(dataset=dataset))
+            features, failed = benchmark.extract_features(
+                small_config(dataset=dataset, families=("ftdd", "tsd")),
+                benchmark.trial_table(small_config(dataset=dataset)))
         finally:
             gc.enable()
-        assert len(raw) == 4 and alive == [0, 0, 0, 0]
+        assert failed == {} and list(features) == ["ftdd", "tsd"]
+        assert len(raw) == len(filtered) == 4
+        assert at_produce == [0, 0, 0, 0]
+        assert at_extract == [0] * 8
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_trial_is_alive_at_any_fit(self, jobs, monkeypatch):
-        """Once every family row is extracted and split, run_benchmark holds
-        no reference to the windows, so each filtered trial is freed before
-        the first fit, on the calling thread and in the pool."""
+        """No array of any trial, raw or filtered, is alive at a fit, on the
+        calling thread or in the pool."""
         trials, alive = [], []
-        segment, fit = benchmark.segment_records, benchmark.fit_pipeline
+        bandpass, fit = benchmark.bandpass, benchmark.fit_pipeline
 
-        def segmented(records):
-            ws = segment(records)
-            trials.extend(weakref.ref(x) for x in ws.trials)
-            return ws
+        def recorded(record):
+            out = bandpass(record)
+            trials.extend(weakref.ref(x.samples) for x in (record, out))
+            return out
 
-        def recorded(*a, **k):
+        def fitted(*a, **k):
             alive.append(sum(ref() is not None for ref in trials))
             return fit(*a, **k)
 
-        monkeypatch.setattr(benchmark, "segment_records", segmented)
-        monkeypatch.setattr(benchmark, "fit_pipeline", recorded)
+        monkeypatch.setattr(benchmark, "bandpass", recorded)
+        monkeypatch.setattr(benchmark, "fit_pipeline", fitted)
         gc.disable()
         try:
             _, errors = run_benchmark(small_config(families=("ftdd", "tsd"), jobs=jobs))
         finally:
             gc.enable()
-        assert errors == {} and len(trials) == 4
+        assert errors == {} and len(trials) == 8
         assert alive == [0, 0]
+
+    def test_streamed_peak_does_not_grow_with_the_trials(self):
+        """Beyond its feature rows, the streamed pass's traced peak is about
+        the same for 2 trials and for 12: it holds one trial at a time, where
+        holding them all would add 10 trials' bytes or more."""
+        spec = dict(n_classes=2, n_channels=4, fs=2048.0, trial_seconds=2.0)
+
+        def peak_beyond_rows(trials_per_class):
+            dataset = {"synthetic": {**spec, "trials_per_class": trials_per_class}}
+            config = small_config(dataset=dataset, families=("ftdd", "wavelet"))
+            table = benchmark.trial_table(config)
+            tracemalloc.start()
+            try:
+                features, _ = benchmark.extract_features(config, table)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rows = sum(fm.values.nbytes + fm.labels.nbytes for fm in features.values())
+            return peak - rows
+
+        peak_beyond_rows(1)  # the filters' block operators are built once
+        trial_bytes = 4 * 4096 * 8
+        growth = peak_beyond_rows(6) - peak_beyond_rows(1)
+        assert abs(growth) < trial_bytes / 4, growth
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("fs", "entry 'trial_0002.npy' has fs 2048.0 and 2 channels, "
+                   "entry 'trial_0000.npy' fs 1024.0 and 2 channels"),
+            ("channels", "entry 'trial_0002.npy' has fs 1024.0 and 1 channels, "
+                         "entry 'trial_0000.npy' fs 1024.0 and 2 channels"),
+            ("short", "entry 'trial_0002.npy': record shorter than one window: "
+                      "100 < 614 samples"),
+        ],
+        ids=["fs", "channels", "short"],
+    )
+    def test_refusal_comes_before_any_band_pass(self, damage, message, tmp_path, monkeypatch):
+        """A manifest whose trials disagree in fs or channel count, or that
+        holds a trial shorter than one window, is refused by the manifest's
+        and the entry's names before a trial is read or band-passed."""
+        records = generate_synthetic(seed=7, **SMALL_SYNTH["synthetic"])
+        manifest = write_dataset(records, ["class0", "class1"], tmp_path)
+        trial = tmp_path / "trial_0002.npy"
+        if damage == "fs":
+            doc = json.loads(manifest.read_text())
+            doc["entries"][2]["fs"] = 2048.0
+            manifest.write_text(json.dumps(doc))
+        else:
+            samples = np.load(trial)
+            np.save(trial, samples[:, :1] if damage == "channels" else samples[:100])
+        calls = []
+        monkeypatch.setattr(benchmark, "bandpass", lambda record: calls.append(record))
+        monkeypatch.setattr(signal_io, "_read_npy", lambda path: calls.append(path))
+        with pytest.raises(ValueError) as info:
+            run_benchmark(small_config(dataset={"manifest": str(manifest)}))
+        assert str(info.value) == f"{manifest}: {message}"
+        assert calls == []
 
 
 class TestRendering:

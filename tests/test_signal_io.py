@@ -23,6 +23,7 @@ from emgbench.signal_io import (
     load_canonical_csv,
     load_manifest,
     load_wfdb_record,
+    manifest_table,
     write_dataset,
 )
 
@@ -39,7 +40,7 @@ class TestCanonicalCsv:
         manifest = make_manifest(
             tmp_path, [{"path": "a.csv", "label": 0, "fs": 100.0}], ["rest"]
         )
-        records = load_canonical_csv(manifest)
+        records = list(load_canonical_csv(manifest))
         assert len(records) == 1
         assert records[0].samples.shape == (2, 4)  # channels x time
         np.testing.assert_array_equal(records[0].samples[0], [1, 3, 5, 7])
@@ -59,14 +60,14 @@ class TestCanonicalCsv:
         (tmp_path / "a.csv").write_text("1,2\n3,NaN\n5,6\n")
         manifest = make_manifest(tmp_path, [{"path": "a.csv", "label": 0, "fs": 10.0}], ["g"])
         with pytest.raises(IngestError) as info:
-            load_canonical_csv(manifest)
+            list(load_canonical_csv(manifest))
         assert str(info.value) == f"{tmp_path / 'a.csv'}: non-finite value nan at row 1, column 2"
 
     def test_non_numeric_cell(self, tmp_path):
         (tmp_path / "a.csv").write_text("1,abc\n3,4\n")
         manifest = make_manifest(tmp_path, [{"path": "a.csv", "label": 0, "fs": 10.0}], ["g"])
         with pytest.raises(IngestError) as info:
-            load_canonical_csv(manifest)
+            list(load_canonical_csv(manifest))
         assert str(info.value) == (f"{tmp_path / 'a.csv'}: could not convert string 'abc' "
                                    "to float64 at row 0, column 2.")
 
@@ -74,20 +75,20 @@ class TestCanonicalCsv:
         (tmp_path / "a.csv").write_text("")
         manifest = make_manifest(tmp_path, [{"path": "a.csv", "label": 0, "fs": 10.0}], ["g"])
         with pytest.raises(IngestError) as info:
-            load_canonical_csv(manifest)
+            list(load_canonical_csv(manifest))
         assert str(info.value) == f"{tmp_path / 'a.csv'}: empty file"
 
     def test_missing_file(self, tmp_path):
         manifest = make_manifest(tmp_path, [{"path": "nope.csv", "label": 0, "fs": 10.0}], ["g"])
         with pytest.raises(IngestError) as info:
-            load_canonical_csv(manifest)
+            list(load_canonical_csv(manifest))
         assert str(info.value) == f"{tmp_path / 'nope.csv'}: signal file not found"
 
     def test_one_row_trial_names_the_file(self, tmp_path):
         (tmp_path / "a.csv").write_text("1,2\n")
         manifest = make_manifest(tmp_path, [{"path": "a.csv", "label": 0, "fs": 10.0}], ["g"])
         with pytest.raises(IngestError) as info:
-            load_canonical_csv(manifest)
+            list(load_canonical_csv(manifest))
         assert str(info.value).startswith(f"{tmp_path / 'a.csv'}: samples must be [channels x time]")
 
     def test_inconsistent_channel_count(self, tmp_path):
@@ -101,8 +102,10 @@ class TestCanonicalCsv:
             ],
             ["g"],
         )
-        with pytest.raises(IngestError, match="inconsistent channel count"):
-            load_canonical_csv(manifest)
+        with pytest.raises(IngestError) as info:
+            manifest_table(manifest)
+        assert str(info.value) == (f"{manifest}: entry 'b.csv' has fs 10.0 and 1 channels, "
+                                   "entry 'a.csv' fs 10.0 and 2 channels")
 
     def test_duplicate_paths_rejected(self, tmp_path):
         (tmp_path / "a.csv").write_text("1,2\n3,4\n")
@@ -167,13 +170,13 @@ class TestCanonicalCsv:
         manifest = make_manifest(
             tmp_path, [{"path": "r.csv", "label": 2, "fs": 1000.0}], ["a", "b", "c"]
         )
-        loaded = load_canonical_csv(manifest)[0]
+        (loaded,) = load_canonical_csv(manifest)
         np.testing.assert_array_equal(loaded.samples, rec.samples)
 
     def test_write_dataset_manifest(self, tmp_path, monkeypatch):
         """write_dataset writes one .npy trial per record, which loads bit for
         bit as generated, with no parse and no cache."""
-        recs = generate_synthetic(2, 3, 1024, 2, 0.1, seed=0)
+        recs = list(generate_synthetic(2, 3, 1024, 2, 0.1, seed=0))
         manifest = write_dataset(recs, ["a", "b"], tmp_path / "ds")
         monkeypatch.setattr(signal_io, "parse_cached", lambda *args: pytest.fail("parsed"))
         loaded = load_canonical_csv(manifest)
@@ -243,10 +246,55 @@ class TestNpyTrials:
         write(path, np.arange(12.0).reshape(4, 3))
         manifest = make_manifest(tmp_path, [{"path": "a.npy", "label": 0, "fs": 10.0}], ["g"])
         with pytest.raises(IngestError) as info:
-            load_canonical_csv(manifest)
+            list(load_canonical_csv(manifest))
         head = repr(path.read_bytes()[:6]) if path.exists() else ""
         assert str(info.value) == f"{path}: " + message.format(head=head)
         assert not (tmp_path / ".emgbench-cache").exists()
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (_savez, _MAGIC),
+            (lambda path, values: path.write_bytes(b""),
+             "EOF: reading magic string, expected 8 bytes got 0"),
+            (lambda path, values: np.save(path, values.astype(np.float32)),
+             "holds a 2-D <f4 array, not a 2-D float64 one"),
+            (lambda path, values: np.save(path, values.ravel()),
+             "holds a 1-D <f8 array, not a 2-D float64 one"),
+            (lambda path, values: None, "signal file not found"),
+        ],
+        ids=["npz", "empty", "float32", "one_dimensional", "missing"],
+    )
+    def test_header_refusal_names_the_file(self, tmp_path, write, message):
+        """The trial table reads an .npy file's header alone, and refuses a
+        bad one as the full read does."""
+        path = tmp_path / "a.npy"
+        write(path, np.arange(12.0).reshape(4, 3))
+        manifest = make_manifest(tmp_path, [{"path": "a.npy", "label": 0, "fs": 10.0}], ["g"])
+        with pytest.raises(IngestError) as info:
+            manifest_table(manifest)
+        head = repr(path.read_bytes()[:6]) if path.exists() else ""
+        assert str(info.value) == f"{path}: " + message.format(head=head)
+
+    def test_table_reads_headers_not_samples(self, tmp_path, monkeypatch):
+        """The trial table of a .npy trial, a CSV trial and a WFDB record
+        comes from their headers and line counts: no sample is parsed."""
+        np.save(tmp_path / "a.npy", np.zeros((7, 2)))
+        (tmp_path / "b.csv").write_text("\n1,2\r\n3,4\n\n5,6")
+        write_wfdb(tmp_path, fs=100, n_samp=4)
+        manifest = make_manifest(tmp_path, [
+            {"path": "a.npy", "label": 1, "fs": 100.0, "subject": "s1"},
+            {"path": "b.csv", "label": 0, "fs": 100.0},
+            {"path": "rec.hea", "label": 1, "subject": "s2"},
+        ], ["a", "b"])
+        for reader in ("read_csv", "_read_npy", "load_wfdb_record"):
+            monkeypatch.setattr(signal_io, reader, lambda *a, **k: pytest.fail("samples read"))
+        table = manifest_table(manifest)
+        assert (table.class_names, table.fs) == (("a", "b"), 100.0)
+        assert table.names == ("a.npy", "b.csv", "rec.hea")
+        assert table.labels.tolist() == [1, 0, 1]
+        assert table.subjects.tolist() == ["s1", "", "s2"]
+        assert table.n_samples.tolist() == [7, 3, 4]
 
     def test_channel_count_must_match_a_csv_entry(self, tmp_path):
         """.npy and CSV entries mix in one manifest, with one channel count."""
@@ -255,9 +303,9 @@ class TestNpyTrials:
         manifest = make_manifest(tmp_path, [{"path": "b.csv", "label": 0, "fs": 10.0},
                                             {"path": "a.npy", "label": 0, "fs": 10.0}], ["g"])
         with pytest.raises(IngestError) as info:
-            load_canonical_csv(manifest)
-        assert str(info.value) == (f"inconsistent channel count: {tmp_path / 'a.npy'} has 3, "
-                                   "expected 2")
+            manifest_table(manifest)
+        assert str(info.value) == (f"{manifest}: entry 'a.npy' has fs 10.0 and 3 channels, "
+                                   "entry 'b.csv' fs 10.0 and 2 channels")
 
 
 def _write_trials(path, values):
@@ -616,7 +664,7 @@ class TestWfdb:
 
 class TestSynthetic:
     def test_shapes_and_labels(self):
-        recs = generate_synthetic(2, 2, 2048, 3, 1.0, seed=7)
+        recs = list(generate_synthetic(2, 2, 2048, 3, 1.0, seed=7))
         assert len(recs) == 6
         assert all(r.samples.shape == (2, 2048) for r in recs)
         assert sorted({r.label for r in recs}) == [0, 1]
@@ -630,12 +678,12 @@ class TestSynthetic:
     def test_seeds_differ(self):
         a = generate_synthetic(2, 2, 2048, 3, 1.0, seed=7)
         b = generate_synthetic(2, 2, 2048, 3, 1.0, seed=8)
-        assert not np.array_equal(a[0].samples, b[0].samples)
+        assert not np.array_equal(next(a).samples, next(b).samples)
 
     def test_short_trial_rejected(self):
         """The band-pass pads 27 samples each side, so 28 is the shortest
         trial; a shorter one is refused by name, not by the filter."""
-        assert generate_synthetic(1, 1, 1024, 1, 28 / 1024, seed=0)[0].samples.shape == (1, 28)
+        assert next(generate_synthetic(1, 1, 1024, 1, 28 / 1024, seed=0)).samples.shape == (1, 28)
         with pytest.raises(IngestError, match=r"trial_seconds 0\.02 gives 20 samples.* 28 samples"):
             generate_synthetic(2, 2, 1024, 1, 0.02, seed=0)
         with pytest.raises(IngestError, match=r"trial_seconds 0 gives 0 samples"):
@@ -658,15 +706,46 @@ class TestSynthetic:
         filter's working set: the noise, the padded copy and its block
         products, under 4 trials' bytes (3.24; 4.25 when each step made a new array)."""
         spec = dict(n_classes=3, n_channels=4, fs=2048.0, trials_per_class=3, trial_seconds=2.0)
-        generate_synthetic(**spec, seed=0)  # the filters' block operators are built once
+        list(generate_synthetic(**spec, seed=0))  # the filters' block operators are built once
         tracemalloc.start()
         try:
-            records = generate_synthetic(**spec, seed=0)
+            records = list(generate_synthetic(**spec, seed=0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         trial_bytes = records[0].samples.nbytes
         assert (peak - trial_bytes * len(records)) / trial_bytes < 4
+
+
+    def test_draws_are_pinned(self):
+        """Every sample, in the order drawn, hashes as it did when the
+        generator still returned a list: streaming moved no draw."""
+        digest = hashlib.sha256()
+        recs = generate_synthetic(n_classes=3, n_channels=2, fs=1024.0, trials_per_class=2,
+                                  trial_seconds=0.25, seed=0)
+        fields = []
+        for rec in recs:
+            digest.update(rec.samples.tobytes())
+            fields.append((rec.label, rec.subject, rec.session, rec.samples.shape))
+        assert digest.hexdigest() == (
+            "a0088521731f57b02387df5fa5fed07a9354a1799cfdb9d2096be228f0666f90")
+        assert fields == [(g, "synthetic", f"trial{t}", (2, 256)) for g in range(3) for t in range(2)]
+
+    def test_table_matches_the_trials(self):
+        spec = dict(n_classes=3, n_channels=2, fs=1024.0, trials_per_class=2, trial_seconds=0.25)
+        table = signal_io.synthetic_table(**spec)
+        recs = list(generate_synthetic(**spec, seed=0))
+        assert table.class_names == ("class0", "class1", "class2")
+        assert table.fs == 1024.0
+        assert table.labels.tolist() == [r.label for r in recs]
+        assert table.subjects.tolist() == [r.subject for r in recs]
+        assert table.n_samples.tolist() == [r.n_samples for r in recs]
+
+    def test_arguments_are_checked_at_the_call(self):
+        """A bad spec is refused when the generator is made, not when it is
+        first asked for a trial."""
+        with pytest.raises(IngestError, match="all synthetic counts must be >= 1"):
+            generate_synthetic(0, 2, 1024, 1, 1.0, seed=0)
 
 
 class TestSignalRecord:
